@@ -6,16 +6,18 @@ times set-up up to that line), then — unless ``--setup-only`` —
 measures, checks every output digest and prints one ``RESULT {json}``
 line.
 
-A run is a sequence of passes until ``--seconds`` would be exceeded.
-Each workload's inputs are a fixed suite of ``CONTENT_SEEDS`` fleets,
-streams or sweeps; pass ``k`` of a run seeded ``s`` diagnoses content
-seed ``(s + k) % CONTENT_SEEDS``, so a run averages over the suite
-instead of repeating one member (their costs differ by up to a quarter,
-more than a run-to-run bound can absorb).  Every content seed's
-reference digest is stored in ``reference.json``.
+Each workload's inputs are a fixed suite of ``suite`` fleets, streams
+or sweeps (its content seeds), and a run is a fixed number of whole
+cycles through the suite: pass ``k`` of a run seeded ``s`` diagnoses
+content seed ``(s + k) % suite``.  So every run measures the same work
+whatever the speed of the machine or the program, and ``--seed`` only
+sets the order (the members' costs differ by more than a run-to-run
+bound can absorb).  Every content seed's reference digest
+is stored in ``reference.json``.
 
-Untraced (``--trace 0``): one pass per content seed.  Traced
-(``--trace 1``): an untraced and a traced pass per content seed;
+Untraced (``--trace 0``): as many cycles as fit ``--seconds`` on the
+tuning host (at least one).  Traced (``--trace 1``): one cycle, an
+untraced and a traced pass per content seed;
 matrix-sweep takes its layer split from serial passes (wrappers do not
 reach pool workers) and its ``executor.*`` numbers from one more
 process-pool pass that wraps only the executor.
@@ -30,7 +32,6 @@ import platform
 import resource
 import statistics
 import sys
-from time import perf_counter
 
 import numpy
 
@@ -40,26 +41,22 @@ from .workloads import WORKLOADS
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 REFERENCE = os.path.join(HERE, "reference.json")
-CONTENT_SEEDS = 8
 
 
-def content_seed(seed: int, k: int) -> int:
-    return (seed + k) % CONTENT_SEEDS
+def content_seed(name: str, seed: int, k: int) -> int:
+    return (seed + k) % WORKLOADS[name].suite
+
+
+def untraced_passes(name: str, seconds: float) -> int:
+    """Passes of an untraced run: whole cycles through the suite, as
+    many as fit ``seconds`` on the tuning host.  The count never depends
+    on how fast this run goes; the parent's timeout is the only cap."""
+    workload = WORKLOADS[name]
+    return workload.suite * max(1, round(seconds / workload.cycle_s))
 
 
 def _metric(value, unit: str, n: int) -> dict:
     return {"value": value, "unit": unit, "n": n}
-
-
-def _runs_for(seconds: float, run_one) -> list:
-    """``run_one(k)`` for k = 0, 1, ... until one more would end past
-    ``seconds`` (always at least once)."""
-    results, start = [], perf_counter()
-    while True:
-        results.append(run_one(len(results)))
-        elapsed = perf_counter() - start
-        if elapsed + elapsed / len(results) > seconds:
-            return results
 
 
 def _calibrated(run):
@@ -138,20 +135,22 @@ def _write_spans(path: str, traces) -> None:
 
 def run_untraced(name, seed, seconds, workdir, references):
     """Returns ``(passes, expected digests, metrics)``; pass ``k`` ran
-    content seed ``content_seed(seed, k)``."""
+    content seed ``content_seed(name, seed, k)``."""
     def one(k):
-        workload = WORKLOADS[name](content_seed(seed, k))
+        workload = WORKLOADS[name](content_seed(name, seed, k))
         inputs = workload.make_inputs()
         result, slowdown = _calibrated(
             lambda: workload.run_pass(inputs, None, workdir)
         )
         return result, slowdown, references[str(workload.seed)]
 
-    passes, slowdowns, expected = zip(*_runs_for(seconds, one))
+    passes, slowdowns, expected = zip(
+        *(one(k) for k in range(untraced_passes(name, seconds)))
+    )
     return passes, expected, _summary(passes, slowdowns)
 
 
-def run_traced(name, seed, seconds, workdir, references, spans_path):
+def run_traced(name, seed, workdir, references, spans_path):
     """An untraced and a traced pass per content seed; per-layer values
     are medians over the traced passes.  Returns what
     :func:`run_untraced` does, passes in pairs."""
@@ -159,7 +158,7 @@ def run_traced(name, seed, seconds, workdir, references, spans_path):
     traces, per_pass = [], []
 
     def pair(k):
-        workload = WORKLOADS[name](content_seed(seed, k))
+        workload = WORKLOADS[name](content_seed(name, seed, k))
         inputs = workload.make_inputs()
         plain = workload.run_pass(inputs, None, workdir, **serial)
         traced, recorder = _traced_pass(
@@ -172,13 +171,15 @@ def run_traced(name, seed, seconds, workdir, references, spans_path):
         digest = references[str(workload.seed)]
         return [(plain, digest), (traced, digest)]
 
-    checked = [p for both in _runs_for(seconds, pair) for p in both]
+    checked = [
+        p for k in range(WORKLOADS[name].suite) for p in pair(k)
+    ]
     per_layer = {
         metric: statistics.median(v[metric] for v in per_pass)
         for metric, _, _ in layers.PER_LAYER
     }
     if name == "matrix-sweep":
-        workload = WORKLOADS[name](content_seed(seed, 0))
+        workload = WORKLOADS[name](content_seed(name, seed, 0))
         pooled, recorder = _traced_pass(
             workload, workload.make_inputs(), workdir, layers.EXECUTOR_PLAN
         )
@@ -202,13 +203,13 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=25.0)
+    parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--setup-only", action="store_true")
     parser.add_argument("--workdir", default=".")
     args = parser.parse_args(argv)
 
-    WORKLOADS[args.workload](content_seed(args.seed, 0)).setup()
+    WORKLOADS[args.workload](content_seed(args.workload, args.seed, 0)).setup()
     print("READY", flush=True)
     if args.setup_only:
         return 0
@@ -220,8 +221,7 @@ def main(argv=None) -> int:
             args.workdir, f"spans-{args.workload}-seed{args.seed}.jsonl"
         )
         passes, expected, metrics = run_traced(
-            args.workload, args.seed, args.seconds, args.workdir,
-            references, spans_path,
+            args.workload, args.seed, args.workdir, references, spans_path,
         )
     else:
         passes, expected, metrics = run_untraced(
@@ -232,11 +232,8 @@ def main(argv=None) -> int:
         )
 
     attempted = sum(p.attempted for p in passes)
-    failed = sum(p.failed for p in passes)
-    mismatched = [p for p, digest in zip(passes, expected)
-                  if p.digest != digest]
-    # a wrong output fails every operation whose result it carries
-    failed += sum(p.output_ops for p in mismatched)
+    mismatched = [p.digest != digest for p, digest in zip(passes, expected)]
+    failed = sum(p.failed_ops(m) for p, m in zip(passes, mismatched))
     if not args.trace:
         metrics["ops_failed_share"] = _metric(
             failed / attempted, "share", attempted
@@ -254,7 +251,7 @@ def main(argv=None) -> int:
             if digest in expected
         ),
         "passes": len(passes),
-        "correct": not mismatched,
+        "correct": not any(mismatched),
         "attempted": attempted,
         "failed": failed,
         "metrics": metrics,

@@ -1,16 +1,15 @@
 """Record the reference output digests the benchmark checks against.
 
-    PYTHONPATH=src:. python3 -m perfbench.record_reference 0 7 [workload ...]
+    PYTHONPATH=src:. python3 -m perfbench.record_reference [workload ...]
 
-Records content seeds ``first..last`` of the named workloads (default:
-every workload) into
-``perfbench/reference.json``; runs use content seeds
-``0..CONTENT_SEEDS - 1`` (see ``perfbench/child.py``).  Each digest
-comes from the workload's reference path (the fleet never interrupted,
-the stream regenerated in large batches and run through
+Records every content seed ``0..suite - 1`` (see
+``perfbench/child.py``) of the named workloads (default: every
+workload) into ``perfbench/reference.json``.  Each digest comes from
+the workload's reference path (the fleet never interrupted, the stream
+regenerated in large batches and run through
 ``StreamingDiagnosisEngine.run``, the matrix on the serial backend),
-never from the path the benchmark times.  Re-record only when a change to the program is meant to change
-its output.
+never from the path the benchmark times.  Re-record only when a change
+to the program is meant to change its output.
 """
 
 from __future__ import annotations
@@ -30,8 +29,6 @@ WORKDIR = os.path.join(
 
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("first", type=int)
-    parser.add_argument("last", type=int)
     parser.add_argument("workloads", nargs="*", metavar="workload")
     args = parser.parse_args(argv)
     unknown = set(args.workloads) - set(WORKLOADS)
@@ -40,12 +37,15 @@ def main(argv=None) -> None:
     with open(REFERENCE, encoding="utf-8") as fh:
         digests = json.load(fh)
     os.makedirs(WORKDIR, exist_ok=True)
-    for seed in range(args.first, args.last + 1):
-        for name in args.workloads or WORKLOADS:
+    for name in args.workloads or WORKLOADS:
+        recorded = {}
+        for seed in range(WORKLOADS[name].suite):
             workload = WORKLOADS[name](seed)
             digest = workload.reference_digest(workload.make_inputs(), WORKDIR)
-            digests.setdefault(name, {})[str(seed)] = digest
+            recorded[str(seed)] = digest
             print(f"{name} seed={seed} {digest}", flush=True)
+        # a workload's digests are replaced all at once, never in part
+        digests[name] = recorded
         with open(REFERENCE + ".tmp", "w", encoding="utf-8") as fh:
             json.dump(digests, fh, indent=1, sort_keys=True)
             fh.write("\n")

@@ -1,14 +1,16 @@
 """Run the repository benchmark and print its metrics.
 
-    python3 perfbench/run.py --workload serve-fleet --seed 0 --seconds 25 --trace 0
+    python3 perfbench/run.py --workload serve-fleet --seed 0 --seconds 20 --trace 0
     python3 perfbench/run.py --workload all            # every workload
 
 Each workload run starts ``SETUP_SAMPLES`` fresh interpreters
 (``perfbench/child.py``).  Every one is timed from spawn until it
 reports that the program is imported and the workload's service or
 engine is built: ``setup_s`` is their median.  The last one goes on to
-measure for ``--seconds``, cycling through content seeds derived from
-``--seed``, and checks every output digest against ``reference.json``.
+measure a fixed number of whole cycles through the workload's suite of
+content seeds, sized to ``--seconds`` on the tuning host (``--seed``
+sets the order), and checks every output digest against
+``reference.json``.
 
 Time-based end-to-end metrics are in reference seconds: wall seconds
 scaled by the machine's momentary speed, measured with a fixed kernel
@@ -42,7 +44,7 @@ from perfbench.calibrate import REFERENCE_S, kernel_seconds  # noqa: E402
 from perfbench.layers import PER_LAYER  # noqa: E402
 from perfbench.workloads import WORKLOADS  # noqa: E402
 
-SETUP_SAMPLES = 5
+SETUP_SAMPLES = 3
 RUN_TIMEOUT_S = 170
 OUT_DIR = os.path.join(ROOT, ".perfbench_out")
 
@@ -103,9 +105,12 @@ def run_workload(name: str, seed: int, seconds: float, trace: int) -> dict:
     if result is None:
         raise RunFailed(f"{name}: no result")
     if not trace:
-        # one slowdown for the whole set-up phase: a single kernel timing
-        # is as noisy as a single set-up
-        slowdown = statistics.median(kernel) / REFERENCE_S
+        # one slowdown for the whole set-up phase: the mean of the
+        # kernel's median before the set-ups and the measured passes'
+        # median right after them, since three kernel timings alone are
+        # about as noisy as three set-ups
+        slowdown = (statistics.median(kernel) / REFERENCE_S
+                    + result["metrics"]["machine_slowdown"]["value"]) / 2
         median = statistics.median(wall)
         for key, value in (("setup_s", median / slowdown),
                            ("setup_wall_s", median)):
@@ -133,7 +138,7 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", default="all",
                         choices=["all", *WORKLOADS])
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, default=25.0)
+    parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
 

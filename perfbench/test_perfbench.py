@@ -14,7 +14,7 @@ import pytest
 
 from perfbench import layers, stats, tracing
 from perfbench.tracing import Recorder, Span, Wrap
-from perfbench.workloads import WORKLOADS
+from perfbench.workloads import WORKLOADS, PassResult
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -55,6 +55,12 @@ def test_self_time_subtracts_children():
 def test_self_time_counts_overlapping_children_once():
     spans = [Span("root", 0, 10, -1), Span("x", 1, 4, 0), Span("y", 3, 6, 0)]
     assert tracing.self_times(spans)[0] == pytest.approx(5)
+
+
+def test_total_time_of_several_names_counts_nesting_among_them_once():
+    spans = _spans()  # c nests in the first a
+    assert tracing.total_time(spans, "a", "c") == pytest.approx(4)
+    assert tracing.total_time(spans, "c", "b") == pytest.approx(3)
 
 
 def test_reentrant_spans_count_once():
@@ -159,6 +165,26 @@ def test_executor_wrapper_counts_tasks_and_times_every_step():
     assert {s.name for s in recorder.spans} == {"executor.map"}
 
 
+# -- failure accounting -------------------------------------------------
+@pytest.mark.parametrize("attempted, failed, output_ops, failed_outputs", [
+    (800, 800, 400, 400),  # fleet: every batch raised, so every window
+    (800, 6, 400, 3),      # fleet: three batches raised
+    (6790, 70, 70, 70),    # stream: every window missing
+    (14, 14, 14, 14),      # matrix: the sweep raised
+])
+def test_a_pass_that_fails_and_mismatches_counts_each_operation_once(
+    attempted, failed, output_ops, failed_outputs
+):
+    result = PassResult(
+        digest="", epochs=1, busy_s=1.0, wall_s=1.0, attempted=attempted,
+        failed=failed, output_ops=output_ops, failed_outputs=failed_outputs,
+    )
+    assert result.failed_ops(False) == failed
+    both = result.failed_ops(True)
+    assert failed <= both <= attempted
+    assert both == failed - failed_outputs + output_ops
+
+
 # -- inputs -------------------------------------------------------------
 def _as_arrays(inputs):
     if isinstance(inputs, dict):
@@ -178,15 +204,28 @@ def test_inputs_are_a_function_of_the_seed(name):
 
 
 def test_every_content_seed_has_a_reference_digest():
-    from perfbench.child import CONTENT_SEEDS, REFERENCE, content_seed
+    from perfbench.child import REFERENCE, content_seed
 
     with open(REFERENCE, encoding="utf-8") as fh:
         references = json.load(fh)
-    for name in WORKLOADS:
+    for name, workload in WORKLOADS.items():
         assert set(references[name]) == {
-            str(content_seed(seed, k)) for seed in range(CONTENT_SEEDS)
-            for k in range(CONTENT_SEEDS)
+            str(content_seed(name, seed, k)) for seed in range(20)
+            for k in range(workload.suite)
         }
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+@pytest.mark.parametrize("seconds", [1, 20, 25, 60])
+def test_a_run_measures_whole_cycles_of_the_suite(name, seconds):
+    from perfbench.child import content_seed, untraced_passes
+
+    suite = WORKLOADS[name].suite
+    passes = untraced_passes(name, seconds)
+    assert passes >= suite and passes % suite == 0
+    for seed in range(20):
+        seeds = [content_seed(name, seed, k) for k in range(passes)]
+        assert sorted(seeds) == sorted(list(range(suite)) * (passes // suite))
 
 
 # -- BENCHMARK.json ---------------------------------------------------

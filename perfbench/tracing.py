@@ -119,23 +119,24 @@ def self_times(spans: list[Span]) -> list[float]:
     return out
 
 
-def _outermost(spans: list[Span], name: str) -> list[Span]:
-    """Spans called ``name`` with no ancestor of the same name."""
+def _outermost(spans: list[Span], *names: str) -> list[Span]:
+    """Spans called one of ``names`` with no ancestor called one of them."""
     picked = []
     for span in spans:
-        if span.name != name:
+        if span.name not in names:
             continue
         parent = span.parent
-        while parent >= 0 and spans[parent].name != name:
+        while parent >= 0 and spans[parent].name not in names:
             parent = spans[parent].parent
         if parent < 0:
             picked.append(span)
     return picked
 
 
-def total_time(spans: list[Span], name: str) -> float:
-    """Wall time inside spans called ``name``, re-entry counted once."""
-    return sum(span.end - span.start for span in _outermost(spans, name))
+def total_time(spans: list[Span], *names: str) -> float:
+    """Wall time inside spans called one of ``names``, nesting among
+    them counted once."""
+    return sum(span.end - span.start for span in _outermost(spans, *names))
 
 
 def calls(spans: list[Span], name: str) -> int:

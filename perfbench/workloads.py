@@ -17,6 +17,11 @@ before it.
 
 The loop is closed: a single client hands in one batch at a time and
 waits for the result before sending the next.
+
+Each workload's inputs are a fixed suite of ``suite`` content seeds,
+and a run measures whole cycles through it (see ``perfbench/child.py``);
+``cycle_s`` is how long one untraced cycle takes on the tuning host
+(2 CPUs), which sizes the number of cycles to ``--seconds``.
 """
 
 from __future__ import annotations
@@ -51,10 +56,10 @@ STREAM_ENGINE = dict(
     window_epochs=STREAM_WINDOW,
     refit_every=30,
     explainer_method="tree_shap",
-    # fault-storm windows hold about 25-40 violations: the cap binds in
-    # most of them, so each explains two chunks (16 + 8 rows) whatever
-    # the seed's violation rate
-    explain_per_window=24,
+    # fault-storm windows hold a median of 26-33 violations (up to 81):
+    # the cap lets most windows explain every violation, so packed
+    # TreeSHAP attribution is the largest layer
+    explain_per_window=64,
     max_history=384,
 )
 
@@ -88,6 +93,8 @@ class PassResult:
     telemetry (snapshot and restore excluded); ``wall_s`` is the whole
     driven region, the denominator of the tracing overhead.  A failed
     or refused window appears in ``latencies_s`` as ``inf``.
+    ``failed`` counts every failed operation once; ``failed_outputs``
+    is the part of it that are output operations (windows or cells).
     """
 
     digest: str
@@ -97,10 +104,18 @@ class PassResult:
     attempted: int
     failed: int
     output_ops: int  # operations a wrong digest fails
+    failed_outputs: int = 0
     latencies_s: list = field(default_factory=list)
     extra: dict = field(default_factory=dict)
     counters: dict = field(default_factory=dict)
     cache: dict = field(default_factory=dict)
+
+    def failed_ops(self, mismatched: bool) -> int:
+        """Failed operations, each counted once: a wrong digest fails
+        every output operation, whether or not it had failed already."""
+        if not mismatched:
+            return self.failed
+        return self.failed - self.failed_outputs + self.output_ops
 
 
 class _Phase:
@@ -160,6 +175,8 @@ def _report_failure(where: str, exc: BaseException, seen: set) -> None:
 # ----------------------------------------------------------------------
 class ServeFleet:
     name = "serve-fleet"
+    suite = 4  # content seeds: a pass of 100 tenants takes 4-5 s
+    cycle_s = 20.0  # one untraced cycle through the suite, tuning host
 
     def __init__(self, seed: int):
         self.seed = seed
@@ -206,6 +223,7 @@ class ServeFleet:
         service = self._service()
         path = os.path.join(workdir, f"fleet-{os.getpid()}.snapshot")
         latencies, busy, attempted, failed, refused = [], 0.0, 0, 0, 0
+        failed_windows = 0
         extra, seen = {}, set()
         try:
             with _Phase(recorder) as whole:
@@ -237,9 +255,10 @@ class ServeFleet:
                         busy += elapsed
                         if windows is None:
                             failed += 2
-                            latencies.append(math.inf)
                         elif len(windows) != 1:
                             failed += 1
+                        if windows is None or len(windows) != 1:
+                            failed_windows += 1
                             latencies.append(math.inf)
                         else:
                             latencies.append(elapsed)
@@ -263,6 +282,7 @@ class ServeFleet:
             attempted=attempted,
             failed=failed,
             output_ops=FLEET_TENANTS * FLEET_ROUNDS,
+            failed_outputs=failed_windows,
             latencies_s=latencies,
             extra=extra,
             counters={"serve.refused": refused,
@@ -278,6 +298,8 @@ class ServeFleet:
 # ----------------------------------------------------------------------
 class StreamTreeShap:
     name = "stream-treeshap"
+    suite = 6  # generating a stream takes about as long as a pass
+    cycle_s = 20.0
 
     def __init__(self, seed: int):
         self.seed = seed
@@ -344,16 +366,17 @@ class StreamTreeShap:
             start = perf_counter()
             engine.flush(executor)
             busy += perf_counter() - start
-        missing = STREAM_WINDOWS - len(engine.windows)
-        latencies.extend([math.inf] * max(missing, 0))
+        missing = max(STREAM_WINDOWS - len(engine.windows), 0)
+        latencies.extend([math.inf] * missing)
         return PassResult(
             digest=digest_of([self._table(engine)]),
             epochs=STREAM_WINDOW * STREAM_WINDOWS,
             busy_s=busy,
             wall_s=whole.seconds,
             attempted=attempted + STREAM_WINDOWS,
-            failed=failed + max(missing, 0),
+            failed=failed + missing,
             output_ops=STREAM_WINDOWS,
+            failed_outputs=missing,
             latencies_s=latencies,
             cache=_cache_delta(before),
         )
@@ -374,6 +397,8 @@ class StreamTreeShap:
 # ----------------------------------------------------------------------
 class MatrixSweep:
     name = "matrix-sweep"
+    suite = 8
+    cycle_s = 22.0
 
     def __init__(self, seed: int):
         self.seed = seed
@@ -419,6 +444,7 @@ class MatrixSweep:
             attempted=expected,
             failed=expected - cells,
             output_ops=expected,
+            failed_outputs=expected - cells,
             extra={"cells": cells},
             counters={
                 "matrix.cells": cells,
