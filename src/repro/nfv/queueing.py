@@ -109,9 +109,14 @@ def mm1k_loss_probability(lam: float, mu: float, k: int) -> float:
     rho = lam / mu
     if math.isclose(rho, 1.0, rel_tol=1e-12):
         return 1.0 / (k + 1)
-    # compute in log space to avoid overflow for large rho**k
     try:
         rho_k = rho**k
-        return (1.0 - rho) * rho_k / (1.0 - rho * rho_k)
     except OverflowError:
         return 1.0 - 1.0 / rho
+    denom = 1.0 - rho * rho_k
+    if not math.isfinite(denom):
+        # rho**(k+1) overflowed to inf without raising (rho**k did not):
+        # the formula would give -inf/-inf, while the loss sits at its
+        # large-K limit to within rho**-K
+        return 1.0 - 1.0 / rho
+    return (1.0 - rho) * rho_k / denom

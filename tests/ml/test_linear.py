@@ -136,3 +136,25 @@ class TestLogisticRegression:
     def test_bad_c_rejected(self):
         with pytest.raises(ValueError, match="c must be positive"):
             LogisticRegression(c=0.0)
+
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            ({"max_iter": 0}, "max_iter must be >= 1"),
+            ({"max_iter": -5}, "max_iter must be >= 1"),
+            ({"tol": -1e-6}, "tol must be non-negative"),
+            ({"tol": float("nan")}, "tol must be non-negative"),
+            ({"learning_rate": -1.0}, "learning_rate must be positive"),
+            ({"learning_rate": 0.0}, "learning_rate must be positive"),
+            ({"learning_rate": float("nan")}, "learning_rate must be positive"),
+        ],
+    )
+    def test_bad_hyper_parameters_rejected(self, params, message):
+        with pytest.raises(ValueError, match=message):
+            LogisticRegression(**params)
+
+    def test_single_iteration_and_zero_tol_accepted(self, rng):
+        X = rng.normal(size=(20, 2))
+        y = (X[:, 0] > 0).astype(int)
+        model = LogisticRegression(max_iter=1, tol=0.0).fit(X, y)
+        assert model.n_iter_ == 1

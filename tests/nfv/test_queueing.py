@@ -125,3 +125,24 @@ class TestMM1KLoss:
     def test_bad_buffer(self):
         with pytest.raises(ValueError, match="buffer"):
             mm1k_loss_probability(1.0, 1.0, 0)
+
+    def test_overflow_of_rho_to_k_plus_one(self):
+        # rho**131 is finite but rho * rho**131 overflows to inf without
+        # raising; the formula alone gives -inf/-inf = nan
+        rho = 22.0 / 0.1015625
+        assert np.isfinite(rho**131) and np.isinf(rho * rho**131)
+        p = mm1k_loss_probability(22.0, 0.1015625, 131)
+        assert p == pytest.approx(1.0 - 1.0 / rho, rel=1e-15)
+
+    def test_default_simulator_buffer_rho_sweep(self):
+        # the simulator's default buffer is 64 packets; rho in about
+        # (5.53e4, 6.55e4) used to give nan there
+        rhos = np.concatenate(
+            [np.geomspace(1.5, 5e4, 400), np.linspace(5.5e4, 6.6e4, 1101), [1e6]]
+        )
+        losses = np.array([mm1k_loss_probability(float(r), 1.0, 64) for r in rhos])
+        assert np.all(np.isfinite(losses))
+        assert np.all((losses >= 0.0) & (losses <= 1.0))
+        assert np.all(np.diff(losses) >= -1e-15)
+        heavy = rhos > 20.0
+        np.testing.assert_allclose(losses[heavy], 1.0 - 1.0 / rhos[heavy], rtol=1e-12)
