@@ -16,6 +16,11 @@ contract per the ``benchmarks/_util.py`` convention:
   forest configuration (16 rows, 256 coalition samples, same forest)
   and clear wins over both legacy recursions, gated on
   ``timing_enabled``.
+
+The batch-vs-per-row panel holds the kernel to the same contract
+against itself: one call on a batch returns exactly the stacked
+one-row results, and is no slower than one call per row from 4 rows
+up.
 """
 
 import numpy as np
@@ -32,10 +37,14 @@ from repro.core.explainers import (
 )
 from repro.core.explainers.base import Explainer
 from repro.ml import GradientBoostingClassifier
+from repro.ml.packed_shap import packed_tree_shap
 
 #: the BENCH_5 KernelSHAP-on-forest configuration this PR must beat
 KERNEL_ROWS = 16
 KERNEL_SAMPLES = 256
+
+#: batch sizes of the batch-vs-per-row panel
+SWEEP_ROWS = (1, 4, 16, 64, 256, 1024)
 
 ATOL = 1e-10
 
@@ -173,6 +182,42 @@ def test_e16_boosting_margin_attribution(benchmark, sla_data):
         )
 
 
+def test_e16_batch_vs_per_row_sweep(benchmark, sla_data, sla_forest):
+    """One packed TreeSHAP call on a batch against one call per row,
+    at 1 to 1024 rows on the 60-tree, depth-10 reference forest.
+
+    Each batch is a window of consecutive telemetry epochs, which is
+    what the stream engine and fleet triage explain; the kernel's
+    saving comes from such rows following the same path features.  The
+    batch must equal the stacked one-row results exactly (every row's
+    terms reach the final ``bincount`` in the same order), and from 4
+    rows up it must be no slower than the per-row calls."""
+    dataset = sla_data[0]
+    window = dataset.X.values[: max(SWEEP_ROWS)]
+    packed = sla_forest.packed_ensemble()
+    packed.path_table()
+    benchmark(packed_tree_shap, packed, window[:KERNEL_ROWS], column=1)
+    repeats = 3 if timing_enabled(benchmark) else 1
+    for size in SWEEP_ROWS:
+        rows = window[:size]
+        batch, per_row, speedup = _ab_compare(
+            f"batch vs per-row calls ({size} rows)",
+            lambda: packed_tree_shap(packed, rows, column=1),
+            lambda: np.vstack([
+                packed_tree_shap(packed, row[None], column=1)
+                for row in rows
+            ]),
+            repeats=repeats,
+            legacy_repeats=repeats,
+        )
+        assert np.array_equal(batch, per_row)
+        if timing_enabled(benchmark) and size >= 4:
+            assert speedup >= 1.0, (
+                f"{size}-row batch is {1 / speedup:.2f}x slower than "
+                f"{size} one-row calls"
+            )
+
+
 def test_e16_emit_table():
     if not _table:
         pytest.skip("no comparisons collected")
@@ -183,6 +228,8 @@ def test_e16_emit_table():
         "",
         "equality: vectorized == legacy recursion to <= 1e-10 in all rows",
         "(the kernel_shap row compares exact TreeSHAP against sampled",
-        " KernelSHAP wall-clock at the BENCH_5 config, not outputs)",
+        " KernelSHAP wall-clock at the BENCH_5 config, not outputs;",
+        " the batch rows compare one call against one call per row,",
+        " whose results are asserted byte-identical)",
     ]
     save_result("E16 (PR 6): vectorized TreeSHAP", "\n".join(lines))

@@ -363,9 +363,10 @@ class TreeShapExplainer(Explainer):
 
         Runs :func:`repro.ml.packed_shap.packed_tree_shap` on the
         model's packed node block — one polynomial sweep over every
-        (row, leaf) state instead of a Python recursion per (row,
-        tree).  Results match the per-row loop to <= 1e-10; models
-        without a packed form fall back to that loop.
+        distinct (leaf, follow-pattern) pair of the batch instead of a
+        Python recursion per (row, tree).  Results match the per-row
+        loop to <= 1e-10, and equal one-row calls on each row exactly;
+        models without a packed form fall back to that loop.
         """
         X = self._check_batch(X, expected_d=len(self.feature_names))
         if X.shape[0] == 0:

@@ -23,13 +23,19 @@ Python loop:
 * :func:`packed_tree_shap` — path-dependent TreeSHAP (Lundberg et
   al. 2018, Algorithm 2).  Per leaf the conditional-expectation game
   is multilinear in the unique path features, so Algorithm 2's
-  EXTEND recursion becomes a lock-step polynomial sweep over all
-  ``(row, leaf)`` states at once: one vectorized update per path
-  position, then one batched UNWIND (a backward recurrence shared by
-  every position) to read off each feature's permutation-weight sum.
-  Because a feature the instance does *not* follow contributes the
-  same weight sum regardless of its coverage (the ``z_i`` factors
-  cancel analytically), the cold side needs no unwind at all.
+  EXTEND recursion becomes a lock-step polynomial sweep: one
+  vectorized update per path position, then one batched UNWIND (a
+  backward recurrence shared by every position) to read off each
+  feature's permutation-weight sum.  Because a feature the instance
+  does *not* follow contributes the same weight sum regardless of its
+  coverage (the ``z_i`` factors cancel analytically), the cold side
+  needs no unwind at all.  A (row, leaf) pair's game depends on the
+  row only through its *follow pattern* — which of the leaf's path
+  features it satisfies — so the sweep runs once per distinct
+  (leaf, follow-pattern) pair of a row block (the idea of Fast
+  TreeSHAP v2, Yang 2021, without its pattern tables) and the result
+  is gathered back onto every (row, leaf) pair.  Rows of one window
+  are alike, so most pairs repeat.
 
 * :func:`packed_interventional_shap` — interventional TreeSHAP
   (Lundberg et al. 2020, "Independent TreeSHAP").  A leaf's
@@ -45,6 +51,10 @@ Both kernels reproduce the legacy per-row recursions to <= 1e-10
 (floating-point reassociation is the only difference); the equality
 sweep lives in ``tests/ml/test_packed_shap.py`` and the Shapley-axiom
 properties in ``tests/core/test_properties_explainers.py``.  The
+deduplicated path-dependent kernel equals the all-pairs grid it
+replaced bit for bit (``tests/ml/test_packed_shap_oracle.py``).  Both
+kernels reject NaN and infinite inputs, as the models' ``predict``
+does.  The
 Shapley ordering weights come from :func:`interventional_weight_table`
 / :func:`path_weight_table` — lgamma-based float tables, shared with
 the legacy recursion so deep paths never touch Python big-int
@@ -65,8 +75,9 @@ __all__ = [
     "path_weight_table",
 ]
 
-#: Soft cap on ``row_block * n_leaves * (max_path + 1)`` floats held by
-#: the path-dependent sweep; keeps the polynomial state cache-friendly.
+#: Soft cap on ``row_block * n_leaves * (max_path + 1)``: the (row,
+#: leaf, path position) entries one row block of the path-dependent
+#: kernel holds.  Pairs are deduplicated within a row block.
 _PAIR_STATE_BUDGET = 1 << 22
 
 #: Soft cap on ``rows * backgrounds * leaf_chunk`` floats held by the
@@ -238,13 +249,56 @@ class PackedPathTable:
         return (gathered > self._gather_lo) & (gathered <= self._gather_hi)
 
 
+def _check_finite(X: np.ndarray, name: str) -> np.ndarray:
+    """Reject NaN and infinite entries, as the models' own ``predict``
+    does (:func:`repro.utils.validation.check_array`).  The interval
+    test in :meth:`PackedPathTable.follows` would send such a value
+    down no branch, where tree traversal sends NaN right and ``-inf``
+    left, so the attributions would silently explain no prediction."""
+    if not np.isfinite(X).all():
+        raise ValueError(f"{name} contains NaN or infinite values")
+    return X
+
+
+def _pair_ids(one_pos: np.ndarray) -> np.ndarray:
+    """One int64 id per (row, leaf) pair of ``one_pos`` ``(r, L, m)``:
+    two pairs share an id iff they share the leaf and the follow
+    pattern (which of the leaf's path positions the row follows).
+
+    The id is ``leaf << m | pattern bits``.  When that would not fit
+    in 62 bits (very deep paths), the positions are folded in chunks,
+    re-ranking the partial ids between chunks so they stay small."""
+    r, n_leaves, m = one_pos.shape
+    pattern = one_pos.reshape(r * n_leaves, m)
+    ids = np.tile(np.arange(n_leaves, dtype=np.int64), r)
+    bound, p = n_leaves, 0
+    while True:
+        width = min(m - p, 62 - (bound - 1).bit_length())
+        place = np.left_shift(1, np.arange(width, dtype=np.int64))
+        ids = (ids << width) | (pattern[:, p:p + width] @ place)
+        p += width
+        if p == m:
+            return ids
+        ids = np.unique(ids, return_inverse=True)[1]
+        bound = int(ids.max()) + 1
+
+
 def packed_tree_shap(packed, X, *, column: int = 0) -> np.ndarray:
     """Path-dependent SHAP values of every row against one output
     column, shape ``(n_rows, n_features)`` — the ensemble-aggregated
     equivalent of summing :func:`repro.core.explainers.shap_tree.
-    tree_shap_values` over all trees, computed as one vectorized
-    sweep over all (row, leaf, path position) states."""
-    X = packed._check_X(X)
+    tree_shap_values` over all trees.  Raises ``ValueError`` on NaN or
+    infinite entries in ``X``.
+
+    A (row, leaf) pair's contribution at every path position depends
+    only on the leaf and on which of its path features the row follows,
+    so each row block runs one vectorized sweep over its *distinct*
+    (leaf, follow-pattern) pairs and gathers the result back onto every
+    (row, leaf) pair.  Every pair's floats are computed by the same
+    operations in the same order as a sweep over all pairs would, so
+    the output does not depend on how many pairs repeat, and a batch
+    equals its rows explained one at a time."""
+    X = _check_finite(packed._check_X(X), "X")
     table = packed.path_table()
     n = len(X)
     d = table.n_features
@@ -255,8 +309,6 @@ def packed_tree_shap(packed, X, *, column: int = 0) -> np.ndarray:
     m = table.max_path
     n_leaves = table.n_leaves
     leaf_value = table.value[table.leaves, column] * table.factor
-    weights = table.leaf_weights            # (L, m + 1)
-    z_pos = table.zero_pos                  # (L, m)
     block = max(1, _PAIR_STATE_BUDGET // max(1, n_leaves * (m + 1)))
 
     for start in range(0, n, block):
@@ -264,55 +316,88 @@ def packed_tree_shap(packed, X, *, column: int = 0) -> np.ndarray:
         r = len(Xb)
         follows = table.follows(Xb)                    # (r, E + 1)
         one_pos = follows[:, table.elem_index]         # (r, L, m) bool
-        one_f = one_pos.astype(float)
-
-        # EXTEND, lock-step over path positions: c[..., a] is the
-        # weightless Algorithm-2 polynomial — the sum over coalitions
-        # of a followed path features of the unfollowed features'
-        # coverage product.  The sentinel position (one=0, zero=1) is
-        # the identity, so ragged paths need no masking.
-        # after p steps only degrees 0..p are populated, so each step
-        # touches a growing slice instead of the full (m + 1) columns
-        c = np.zeros((r, n_leaves, m + 1))
-        c[..., 0] = 1.0
-        for p in range(m):
-            shifted = c[..., : p + 1] * one_f[..., p, None]
-            c[..., : p + 1] *= z_pos[:, p][None, :, None]
-            c[..., 1 : p + 2] += shifted
-
-        # a feature the row does not follow contributes the same
-        # permutation-weight sum regardless of its coverage (the z_i
-        # cancels), so one weighted reduction serves every cold feature
-        cold_sum = np.einsum("rla,la->rl", c, weights)
-
-        # UNWIND, batched across positions: u walks the backward
-        # recurrence c_without_i[a] = c[a+1] - z_i * c_without_i[a+1]
-        # for every position i at once, accumulating the weighted sum
-        unwound = np.zeros((r, n_leaves, m))
-        hot_sum = np.zeros((r, n_leaves, m))
-        weighted = np.empty_like(unwound)
-        for a in range(m - 1, -1, -1):
-            np.multiply(unwound, z_pos[None], out=unwound)
-            np.subtract(c[..., a + 1, None], unwound, out=unwound)
-            np.multiply(unwound, weights[:, a][None, :, None], out=weighted)
-            hot_sum += weighted
-
-        contrib = np.where(
-            one_pos,
-            (1.0 - z_pos)[None] * hot_sum,
-            -cold_sum[..., None],
+        _, first, inverse = np.unique(
+            _pair_ids(one_pos), return_index=True, return_inverse=True
         )
-        contrib *= leaf_value[None, :, None]
-        contrib *= table.valid_pos[None]
-
+        one_u = one_pos.reshape(r * n_leaves, m)[first]
+        leaf = first % n_leaves
+        # sweep the distinct pairs n_leaves at a time: no sweep holds
+        # more state than a one-row call does, so batching removes
+        # work without pushing the sweep state out of cache
+        contrib = np.empty((len(first), m))
+        for lo in range(0, len(first), n_leaves):
+            hi = lo + n_leaves
+            contrib[lo:hi] = _pattern_contrib(
+                table, one_u[lo:hi], leaf[lo:hi], leaf_value
+            )
         flat = (
             np.arange(r, dtype=np.int64)[:, None, None] * d
             + table.feature_pos[None]
         )
         phi[start:start + r] = np.bincount(
-            flat.ravel(), weights=contrib.ravel(), minlength=r * d
+            flat.ravel(),
+            weights=np.take(contrib, inverse, axis=0).ravel(),
+            minlength=r * d,
         ).reshape(r, d)
     return phi
+
+
+def _pattern_contrib(table, one, leaf, leaf_value) -> np.ndarray:
+    """Contribution ``(P, m)`` (a transposed view) of each of P
+    (leaf, follow-pattern) pairs at each path position: ``one`` is the
+    ``(P, m)`` follow pattern, ``leaf`` the leaf of each pair.
+
+    The sweep state is position-major, ``(position, pair)``, so every
+    op streams over contiguous rows of P floats.  Each float is the
+    same operation on the same operands as in the ``(pair, position)``
+    layout; only the ``einsum`` reduction, whose summation order
+    depends on the layout, runs on a pair-major copy."""
+    m = table.max_path
+    n_pairs = len(leaf)
+    one = np.ascontiguousarray(one.T)                     # (m, P) bool
+    z_pos = np.ascontiguousarray(table.zero_pos[leaf].T)  # (m, P)
+    weights = table.leaf_weights[leaf]                    # (P, m + 1)
+    w_pos = np.ascontiguousarray(weights.T)               # (m + 1, P)
+
+    # EXTEND, lock-step over path positions: c[a] is the weightless
+    # Algorithm-2 polynomial — the sum over coalitions of a followed
+    # path features of the unfollowed features' coverage product.  The
+    # sentinel position (one=0, zero=1) is the identity, so ragged
+    # paths need no masking.  After p steps only degrees 0..p are
+    # populated, so each step touches a growing slice of c.
+    c = np.zeros((m + 1, n_pairs))
+    c[0] = 1.0
+    scratch = np.empty((m, n_pairs))
+    for p in range(m):
+        shifted = scratch[: p + 1]
+        np.multiply(c[: p + 1], one[p], out=shifted)
+        c[: p + 1] *= z_pos[p]
+        c[1 : p + 2] += shifted
+
+    # a feature the row does not follow contributes the same
+    # permutation-weight sum regardless of its coverage (the z_i
+    # cancels), so one weighted reduction serves every cold feature
+    cold_sum = np.einsum(
+        "rla,la->rl", np.ascontiguousarray(c.T)[None], weights
+    )[0]
+
+    # UNWIND, batched across positions: u walks the backward
+    # recurrence c_without_i[a] = c[a+1] - z_i * c_without_i[a+1]
+    # for every position i at once, accumulating the weighted sum
+    unwound = scratch
+    unwound.fill(0.0)
+    hot_sum = np.zeros((m, n_pairs))
+    weighted = np.empty((m, n_pairs))
+    for a in range(m - 1, -1, -1):
+        np.multiply(unwound, z_pos, out=unwound)
+        np.subtract(c[a + 1], unwound, out=unwound)
+        np.multiply(unwound, w_pos[a], out=weighted)
+        hot_sum += weighted
+
+    contrib = np.where(one, (1.0 - z_pos) * hot_sum, -cold_sum)
+    contrib *= leaf_value[leaf]
+    contrib *= table.valid_pos[leaf].T
+    return contrib.T
 
 
 def packed_interventional_shap(
@@ -322,9 +407,11 @@ def packed_interventional_shap(
     shape ``(n_rows, n_features)`` — the ensemble-aggregated
     equivalent of :func:`repro.core.explainers.
     shap_tree_interventional.tree_shap_interventional` summed over
-    trees, computed as batched per-leaf game contractions."""
-    X = packed._check_X(X)
-    background = packed._check_X(background)
+    trees, computed as batched per-leaf game contractions.  Raises
+    ``ValueError`` on NaN or infinite entries in ``X`` or
+    ``background``."""
+    X = _check_finite(packed._check_X(X), "X")
+    background = _check_finite(packed._check_X(background), "background")
     table = packed.path_table()
     n, n_bg = len(X), len(background)
     d = table.n_features
