@@ -362,7 +362,7 @@ class TreeShapExplainer(Explainer):
         """Vectorized path-dependent TreeSHAP over all rows at once.
 
         Runs :func:`repro.ml.packed_shap.packed_tree_shap` on the
-        model's packed node block — one polynomial sweep over every
+        model's packed node block — a polynomial sweep over every
         distinct (leaf, follow-pattern) pair of the batch instead of a
         Python recursion per (row, tree).  Results match the per-row
         loop to <= 1e-10, and equal one-row calls on each row exactly;

@@ -292,9 +292,9 @@ def packed_tree_shap(packed, X, *, column: int = 0) -> np.ndarray:
 
     A (row, leaf) pair's contribution at every path position depends
     only on the leaf and on which of its path features the row follows,
-    so each row block runs one vectorized sweep over its *distinct*
-    (leaf, follow-pattern) pairs and gathers the result back onto every
-    (row, leaf) pair.  Every pair's floats are computed by the same
+    so each row block runs the vectorized sweep over its *distinct*
+    (leaf, follow-pattern) pairs only and gathers the result back onto
+    every (row, leaf) pair.  Every pair's floats are computed by the same
     operations in the same order as a sweep over all pairs would, so
     the output does not depend on how many pairs repeat, and a batch
     equals its rows explained one at a time."""
