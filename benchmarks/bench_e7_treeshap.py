@@ -9,13 +9,13 @@ tree) (interventional).  The vectorized kernels in
 the packed node block; this bench asserts the two halves of the
 contract per the ``benchmarks/_util.py`` convention:
 
-* **equality always** — vectorized attributions match the legacy
-  per-row recursions to <= 1e-10 (same games, reassociated floats),
-  asserted in every mode including ``--benchmark-disable`` CI smoke;
+* **equality always** — vectorized attributions match the per-tree
+  recursions of ``tests/oracles/tree_shap_recursion.py`` to <= 1e-10
+  (same games, reassociated floats), asserted in every mode including
+  ``--benchmark-disable`` CI smoke;
 * **speedup when timed** — >= 10x over the BENCH_5 KernelSHAP-on-
   forest configuration (16 rows, 256 coalition samples, same forest)
-  and clear wins over both legacy recursions, gated on
-  ``timing_enabled``.
+  and clear wins over both recursions, gated on ``timing_enabled``.
 
 The batch-vs-per-row panel holds the kernel to the same contract
 against itself: one call on a batch returns exactly the stacked
@@ -25,6 +25,7 @@ up.
 
 import numpy as np
 import pytest
+from oracles.tree_shap_recursion import reference_batch
 
 from benchmarks._util import timed, timing_enabled
 from benchmarks.conftest import save_result
@@ -35,7 +36,6 @@ from repro.core.explainers import (
     TreeShapExplainer,
     model_output_fn,
 )
-from repro.core.explainers.base import Explainer
 from repro.ml import GradientBoostingClassifier
 from repro.ml.packed_shap import packed_tree_shap
 
@@ -81,7 +81,7 @@ def test_e16_path_dependent_vs_legacy(benchmark, sla_data, sla_forest):
     vec, legacy, speedup = _ab_compare(
         f"tree_shap batch ({KERNEL_ROWS} rows, 60 trees)",
         lambda: explainer.explain_batch(fleet),
-        lambda: Explainer.explain_batch(explainer, fleet),
+        lambda: reference_batch(explainer, fleet),
     )
     # equality is unconditional: the same games, vectorized
     np.testing.assert_allclose(vec.values, legacy.values, atol=ATOL)
@@ -146,7 +146,7 @@ def test_e16_interventional_vs_legacy(benchmark, sla_data, sla_forest):
     vec, legacy, speedup = _ab_compare(
         "interventional batch (8 x 20 refs)",
         lambda: explainer.explain_batch(fleet),
-        lambda: Explainer.explain_batch(explainer, fleet),
+        lambda: reference_batch(explainer, fleet),
     )
     np.testing.assert_allclose(vec.values, legacy.values, atol=ATOL)
     np.testing.assert_allclose(result.values, legacy.values, atol=ATOL)
@@ -169,7 +169,7 @@ def test_e16_boosting_margin_attribution(benchmark, sla_data):
     vec, legacy, speedup = _ab_compare(
         f"boosting tree_shap ({KERNEL_ROWS} rows)",
         lambda: explainer.explain_batch(fleet),
-        lambda: Explainer.explain_batch(explainer, fleet),
+        lambda: reference_batch(explainer, fleet),
     )
     np.testing.assert_allclose(vec.values, legacy.values, atol=ATOL)
     np.testing.assert_allclose(result.values, legacy.values, atol=ATOL)

@@ -6,6 +6,7 @@ numbers survive output capture: see ``benchmarks/results/``.
 """
 
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -16,6 +17,11 @@ from repro.ml import RandomForestClassifier
 from repro.ml.model_selection import train_test_split
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
+
+# the reference oracles in tests/oracles are the benches' baseline arms
+sys.path.insert(
+    0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "tests")
+)
 
 #: One seed for the whole evaluation — every bench sees the same world.
 SEED = 2020

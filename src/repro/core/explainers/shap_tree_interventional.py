@@ -21,6 +21,12 @@ z-features on its divergence list contributes
 with ``W(a, b) = a! b! / (a + b + 1)!``.  Averaging over the background
 rows yields interventional SHAP values.  Cost is O(leaves) per
 (instance, reference) pair per tree.
+
+Attributions come from one path, the packed kernel
+:func:`repro.ml.packed_shap.packed_interventional_shap`, which
+contracts every (row, reference, tree) game at once.  The per-tree
+recursion it must reproduce lives in
+``tests/oracles/tree_shap_recursion.py``.
 """
 
 from __future__ import annotations
@@ -29,85 +35,9 @@ import numpy as np
 
 from repro.core.explainers.base import BatchExplanation, Explainer, Explanation
 from repro.core.explainers.shap_tree import TreeShapExplainer
-from repro.ml.packed_shap import (
-    interventional_weight_table,
-    packed_interventional_shap,
-)
+from repro.ml.packed_shap import packed_interventional_shap
 
-__all__ = ["InterventionalTreeShapExplainer", "tree_shap_interventional"]
-
-# precomputed W(a, b) table, grown on demand — float throughout
-# (lgamma-based), so deep paths never build huge-int factorials; the
-# same table feeds the vectorized kernel in repro.ml.packed_shap
-_W_TABLE = interventional_weight_table(32)
-
-
-def _weight(a: int, b: int) -> float:
-    """``W(a, b) = a! b! / (a + b + 1)!`` — Shapley ordering weight."""
-    global _W_TABLE
-    if max(a, b) >= _W_TABLE.shape[0]:
-        _W_TABLE = interventional_weight_table(2 * max(a, b))
-    return float(_W_TABLE[a, b])
-
-
-def _single_reference_shap(
-    tree, x: np.ndarray, z: np.ndarray, phi: np.ndarray, output: int
-) -> None:
-    """Accumulate SHAP values of the game ``v(S) = tree(x_S, z_!S)``."""
-
-    # assignment[feature] is 'x' or 'z' once the paths diverged on it
-    def recurse(node: int, assignment: dict[int, str]) -> None:
-        if tree.is_leaf(node):
-            value = tree.value[node, output]
-            a = sum(1 for side in assignment.values() if side == "x")
-            b = len(assignment) - a
-            if a > 0:
-                w_x = _weight(a - 1, b) * value
-            if b > 0:
-                w_z = _weight(a, b - 1) * value
-            for feature, side in assignment.items():
-                if side == "x":
-                    phi[feature] += w_x
-                else:
-                    phi[feature] -= w_z
-            return
-        feature = tree.feature[node]
-        threshold = tree.threshold[node]
-        x_child = (
-            tree.children_left[node]
-            if x[feature] <= threshold
-            else tree.children_right[node]
-        )
-        z_child = (
-            tree.children_left[node]
-            if z[feature] <= threshold
-            else tree.children_right[node]
-        )
-        if x_child == z_child:
-            recurse(x_child, assignment)
-            return
-        side = assignment.get(feature)
-        if side == "x":
-            recurse(x_child, assignment)
-        elif side == "z":
-            recurse(z_child, assignment)
-        else:
-            recurse(x_child, {**assignment, feature: "x"})
-            recurse(z_child, {**assignment, feature: "z"})
-
-    recurse(0, {})
-
-
-def tree_shap_interventional(
-    tree, x: np.ndarray, background: np.ndarray, *, output: int = 0
-) -> np.ndarray:
-    """Interventional SHAP values of one tree against ``background``."""
-    x = np.asarray(x, dtype=float).ravel()
-    background = np.asarray(background, dtype=float)
-    phi = np.zeros(len(x))
-    for z in background:
-        _single_reference_shap(tree, x, z, phi, output)
-    return phi / len(background)
+__all__ = ["InterventionalTreeShapExplainer"]
 
 
 class InterventionalTreeShapExplainer(Explainer):
@@ -139,6 +69,10 @@ class InterventionalTreeShapExplainer(Explainer):
                 f"background has {background.shape[1]} features, model "
                 f"expects {model.n_features_in_}"
             )
+        if len(background) == 0:
+            raise ValueError("background must have at least one row")
+        if not np.isfinite(background).all():
+            raise ValueError("background contains NaN or infinite values")
         # reuse the ensemble decomposition logic from the path-dependent
         # explainer (same weights, offsets, and output-column handling)
         self._delegate = TreeShapExplainer(
@@ -169,47 +103,14 @@ class InterventionalTreeShapExplainer(Explainer):
         return float(tree.value[node, output])
 
     def explain(self, x) -> Explanation:
-        """Attributions for one instance.
-
-        Routed through :meth:`explain_batch` as a 1-row batch, so the
-        single-row path exercises the same vectorized kernel as batch
-        attribution (one code path to trust, and the packed snapshot is
-        shared across calls).  Models without a packed form fall back
-        to the per-(tree, background) recursion
-        (:meth:`_explain_recursion`).
-        """
+        """Attributions for one instance: a 1-row :meth:`explain_batch`,
+        so single rows and batches share one kernel (and the packed
+        snapshot is shared across calls)."""
         x = np.asarray(x, dtype=float).ravel()
         d = len(self.feature_names)
         if len(x) != d:
             raise ValueError(f"x has {len(x)} features, expected {d}")
-        packed, _ = self._delegate._packed_column()
-        if packed is None:
-            return self._explain_recursion(x)
         return self.explain_batch(x[np.newaxis, :])[0]
-
-    def _explain_recursion(self, x) -> Explanation:
-        """Per-(tree, background-row) recursive interventional SHAP
-        (:func:`tree_shap_interventional`) — the reference the packed
-        kernel must reproduce, and the fallback for unpacked models."""
-        x = np.asarray(x, dtype=float).ravel()
-        d = len(self.feature_names)
-        if len(x) != d:
-            raise ValueError(f"x has {len(x)} features, expected {d}")
-        phi = np.zeros(d)
-        for tree, weight, output in self._delegate._components:
-            phi += weight * tree_shap_interventional(
-                tree, x, self.background, output=output
-            )
-        prediction = self.expected_value_ + float(phi.sum())
-        return Explanation(
-            feature_names=self.feature_names,
-            values=phi,
-            base_value=self.expected_value_,
-            prediction=prediction,
-            x=x,
-            method=self.method_name,
-            extras={"n_background": len(self.background)},
-        )
 
     def explain_batch(self, X) -> BatchExplanation:
         """Vectorized interventional TreeSHAP over all rows at once.
@@ -217,19 +118,19 @@ class InterventionalTreeShapExplainer(Explainer):
         Runs :func:`repro.ml.packed_shap.packed_interventional_shap`
         on the model's packed node block — batched per-leaf game
         contractions over every (row, background, tree) triple instead
-        of a Python recursion per pair.  Results match the per-row
-        loop to <= 1e-10; models without a packed form fall back to
-        that loop.
+        of a Python recursion per pair.  Results match the per-tree
+        recursion to <= 1e-10.
         """
         X = self._check_batch(X, expected_d=len(self.feature_names))
         if X.shape[0] == 0:
             return self._empty_batch(X)
         packed, column = self._delegate._packed_column()
-        if packed is None:
-            return super().explain_batch(X)
-        phi = packed_interventional_shap(
-            packed, X, self.background, column=column
-        )
+        if column is None:
+            phi = np.zeros(X.shape)
+        else:
+            phi = packed_interventional_shap(
+                packed, X, self.background, column=column
+            )
         return self._batch_from_matrix(
             X,
             phi,

@@ -442,9 +442,8 @@ class PackedEnsemble:
     def node_weights(self) -> np.ndarray:
         """Coverage weight of every node: the fraction of feature-absent
         descent paths that flow through it (roots at 1.0), computed with
-        one vectorized level walk — the quantity
-        :func:`repro.core.explainers.shap_tree.tree_expected_value`
-        derives per tree with a Python stack."""
+        one vectorized level walk instead of a Python stack per
+        tree."""
         weights = np.zeros(self.n_nodes)
         weights[self.roots] = 1.0
         frontier = self.roots[~self._is_leaf[self.roots]]
@@ -527,11 +526,9 @@ class PackedModelMixin:
 
     def packed_ensemble(self) -> PackedEnsemble:
         """The memoized packed form of this fitted model."""
-        packed = getattr(self, "_packed", None)
-        if packed is None:
-            packed = PackedEnsemble.from_model(self)
-            self._packed = packed
-        return packed
+        if getattr(self, "_packed", None) is None:
+            self._packed = PackedEnsemble.from_model(self)
+        return self._packed
 
     def _invalidate_packed(self) -> None:
         """Drop the packed snapshot (call after mutating fitted trees)."""

@@ -47,18 +47,18 @@ Python loop:
   positions, so the whole (row × background × leaf) game matrix is
   three ``einsum`` contractions instead of a recursion per pair.
 
-Both kernels reproduce the legacy per-row recursions to <= 1e-10
-(floating-point reassociation is the only difference); the equality
-sweep lives in ``tests/ml/test_packed_shap.py`` and the Shapley-axiom
+Both kernels reproduce the per-tree recursions kept in
+``tests/oracles/tree_shap_recursion.py`` to <= 1e-10 (floating-point
+reassociation is the only difference); the equality sweep lives in
+``tests/ml/test_packed_shap.py`` and the Shapley-axiom
 properties in ``tests/core/test_properties_explainers.py``.  The
 deduplicated path-dependent kernel equals the all-pairs grid it
 replaced bit for bit (``tests/ml/test_packed_shap_oracle.py``).  Both
 kernels reject NaN and infinite inputs, as the models' ``predict``
 does.  The
 Shapley ordering weights come from :func:`interventional_weight_table`
-/ :func:`path_weight_table` — lgamma-based float tables, shared with
-the legacy recursion so deep paths never touch Python big-int
-factorials.
+/ :func:`path_weight_table` — lgamma-based float tables, so deep paths
+never touch Python big-int factorials.
 """
 
 from __future__ import annotations
@@ -286,8 +286,8 @@ def _pair_ids(one_pos: np.ndarray) -> np.ndarray:
 def packed_tree_shap(packed, X, *, column: int = 0) -> np.ndarray:
     """Path-dependent SHAP values of every row against one output
     column, shape ``(n_rows, n_features)`` — the ensemble-aggregated
-    equivalent of summing :func:`repro.core.explainers.shap_tree.
-    tree_shap_values` over all trees.  Raises ``ValueError`` on NaN or
+    equivalent of summing the per-tree path-dependent recursion over
+    all trees.  Raises ``ValueError`` on NaN or
     infinite entries in ``X``.
 
     A (row, leaf) pair's contribution at every path position depends
@@ -405,8 +405,7 @@ def packed_interventional_shap(
 ) -> np.ndarray:
     """Interventional SHAP values of every row against ``background``,
     shape ``(n_rows, n_features)`` — the ensemble-aggregated
-    equivalent of :func:`repro.core.explainers.
-    shap_tree_interventional.tree_shap_interventional` summed over
+    equivalent of the per-tree interventional recursion summed over
     trees, computed as batched per-leaf game contractions.  Raises
     ``ValueError`` on NaN or infinite entries in ``X`` or
     ``background``."""

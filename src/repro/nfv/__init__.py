@@ -40,7 +40,6 @@ from repro.nfv.scenarios import (
     build_scenario,
     list_scenarios,
     register_recipe,
-    register_scenario,
     scenario_descriptions,
     scenario_knobs,
     scenario_recipe,
@@ -69,7 +68,6 @@ __all__ = [
     "PlacementError",
     "RandomPlacement",
     "register_recipe",
-    "register_scenario",
     "scenario_descriptions",
     "scenario_knobs",
     "scenario_recipe",

@@ -7,10 +7,10 @@ fleets, ...).  An explainer that looks faithful under one regime may
 fall apart under another, so every explainer/model pairing should be
 stress-tested across a *catalog* of conditions.
 
-This module is that catalog: a registry of scenario builders, each a
-function of a random generator (plus scenario-specific knobs) that
-returns a fully-configured :class:`ScenarioSpec` — a placed testbed, a
-fault injector, and simulator parameters.  Everything downstream
+This module is that catalog: a registry of scenario recipes, each
+lowered with a random generator (plus scenario-specific knobs) to a
+fully-configured :class:`ScenarioSpec` — a placed testbed, a fault
+injector, and simulator parameters.  Everything downstream
 (dataset builders, the matrix experiment runner, the CLI, benches)
 refers to scenarios by name::
 
@@ -27,11 +27,10 @@ Since the scenario-grammar rework, the *source of truth* for the
 catalog is :mod:`repro.nfv.grammar`: the 8 legacy regimes are
 declarative :class:`~repro.nfv.grammar.recipe.ScenarioRecipe` objects
 (see ``repro.nfv.grammar.catalog``), registered here through
-:func:`register_recipe`.  The re-expression is byte-exact — golden
-tests pin each recipe's :func:`repro.datasets.make_scenario_dataset`
-output against hashes captured before the grammar existed.  Custom
-function-style generators can still be registered with
-:func:`register_scenario`.
+:func:`register_recipe`, which also registers custom recipes.  The
+re-expression is byte-exact — golden tests pin each recipe's
+:func:`repro.datasets.make_scenario_dataset` output against hashes
+captured before the grammar existed.
 
 Scenarios are deterministic: the same name and integer seed always
 produce the same testbed, schedule distribution, and (through
@@ -48,7 +47,6 @@ from repro.utils.rng import check_random_state, spawn_rngs
 
 __all__ = [
     "ScenarioSpec",
-    "register_scenario",
     "register_recipe",
     "list_scenarios",
     "scenario_descriptions",
@@ -122,41 +120,17 @@ class ScenarioSpec:
         )
 
 
-#: name -> (builder, description, default knobs)
-_REGISTRY: dict[str, tuple] = {}
-
-#: name -> ScenarioRecipe, for scenarios registered through
-#: :func:`register_recipe` (function-style scenarios have no recipe).
+#: name -> the registered :class:`ScenarioRecipe`
 _RECIPES: dict = {}
 
 
-def register_scenario(name: str, description: str, **default_knobs):
-    """Decorator registering ``fn(rng, **knobs) -> ScenarioSpec``.
-
-    ``default_knobs`` document (and default) the tunable parameters of
-    the scenario; callers may override any of them through
-    :func:`build_scenario`.
-    """
-
-    def decorator(fn):
-        if name in _REGISTRY:
-            raise ValueError(f"scenario {name!r} is already registered")
-        _REGISTRY[name] = (fn, description, dict(default_knobs))
-        return fn
-
-    return decorator
-
-
-def register_recipe(recipe, *, replace: bool = False) -> None:
+def register_recipe(recipe) -> None:
     """Register a grammar :class:`ScenarioRecipe` as a named scenario.
 
     The recipe's ``knob_paths`` become the scenario's tunable knobs
     (``build_scenario(name, knob=value)`` routes overrides through
     :meth:`ScenarioRecipe.with_knobs`), and the recipe itself stays
     reachable via :func:`scenario_recipe` for mutation and search.
-
-    ``replace=True`` allows re-registration under an existing name —
-    used when reloading generated-recipe stores, never by the catalog.
     """
     from repro.nfv.grammar.recipe import ScenarioRecipe
 
@@ -164,59 +138,35 @@ def register_recipe(recipe, *, replace: bool = False) -> None:
         raise TypeError(
             f"recipe must be a ScenarioRecipe, got {type(recipe).__name__}"
         )
-    if recipe.name in _REGISTRY and not replace:
+    if recipe.name in _RECIPES:
         raise ValueError(f"scenario {recipe.name!r} is already registered")
-
-    def _builder(rng, **knobs):
-        return recipe.with_knobs(**knobs).build(rng)
-
-    _REGISTRY[recipe.name] = (
-        _builder,
-        recipe.description,
-        recipe.knob_defaults(),
-    )
     _RECIPES[recipe.name] = recipe
 
 
 def scenario_recipe(name: str):
-    """The :class:`ScenarioRecipe` behind one registered scenario.
-
-    Raises ``KeyError`` for unknown scenarios and for function-style
-    scenarios that were registered without a recipe.
-    """
-    _lookup(name)  # raises the canonical unknown-scenario KeyError
+    """The :class:`ScenarioRecipe` behind one registered scenario;
+    ``KeyError`` for unknown names."""
     try:
         return _RECIPES[name]
     except KeyError:
         raise KeyError(
-            f"scenario {name!r} is not recipe-backed; recipe-backed "
-            f"scenarios: {sorted(_RECIPES)}"
+            f"unknown scenario {name!r}; available: {list_scenarios()}"
         ) from None
 
 
 def list_scenarios() -> list[str]:
     """Sorted names of every registered scenario."""
-    return sorted(_REGISTRY)
+    return sorted(_RECIPES)
 
 
 def scenario_descriptions() -> dict[str, str]:
     """Mapping of scenario name to its one-line description."""
-    return {name: entry[1] for name, entry in sorted(_REGISTRY.items())}
+    return {name: _RECIPES[name].description for name in list_scenarios()}
 
 
 def scenario_knobs(name: str) -> dict:
     """Default knob values of one scenario (for docs and reports)."""
-    _, _, knobs = _lookup(name)
-    return dict(knobs)
-
-
-def _lookup(name: str):
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown scenario {name!r}; available: {list_scenarios()}"
-        ) from None
+    return scenario_recipe(name).knob_defaults()
 
 
 def build_scenario(name: str, *, random_state=None, **knobs) -> ScenarioSpec:
@@ -234,19 +184,10 @@ def build_scenario(name: str, *, random_state=None, **knobs) -> ScenarioSpec:
         Scenario-specific overrides; unknown knobs raise ``TypeError``
         so typos fail loudly.
     """
-    fn, description, defaults = _lookup(name)
-    unknown = set(knobs) - set(defaults)
-    if unknown:
-        raise TypeError(
-            f"scenario {name!r} got unknown knobs {sorted(unknown)}; "
-            f"accepted: {sorted(defaults)}"
-        )
-    resolved = {**defaults, **knobs}
-    rng = check_random_state(random_state)
-    spec = fn(rng, **resolved)
-    spec.name = name
-    spec.description = description
-    spec.knobs = resolved
+    recipe = scenario_recipe(name)
+    defaults = recipe.knob_defaults()
+    spec = recipe.with_knobs(**knobs).build(check_random_state(random_state))
+    spec.knobs = {**defaults, **knobs}
     return spec
 
 

@@ -5,9 +5,9 @@ from math import comb
 
 import numpy as np
 import pytest
+from oracles.tree_shap_recursion import tree_expected_value, tree_shap_values
 
 from repro.core.explainers import TreeShapExplainer
-from repro.core.explainers.shap_tree import tree_expected_value, tree_shap_values
 from repro.ml import (
     DecisionTreeClassifier,
     DecisionTreeRegressor,
@@ -226,3 +226,11 @@ class TestEnsembles:
         model = DecisionTreeClassifier(max_depth=3).fit(X, y)
         with pytest.raises(ValueError, match="class_index"):
             TreeShapExplainer(model, class_index=5)
+
+    def test_negative_class_index_rejected_for_forest(self, classification_data):
+        """A negative index names no class column: rejected rather than
+        explained as all zeros next to a last-class model output."""
+        X, y = classification_data
+        model = RandomForestClassifier(n_estimators=5, random_state=0).fit(X, y)
+        with pytest.raises(ValueError, match="class_index -1 out of range"):
+            TreeShapExplainer(model, class_index=-1)

@@ -6,23 +6,20 @@ defining identities: the Shapley ordering weights ``W(a, b)``, the
 single-reference game (attributions sum to ``f(x) - f(z)``),
 background averaging, the boosting learning-rate decomposition, and
 exact agreement with brute-force Shapley enumeration on small-feature
-models — the third independent oracle next to the legacy recursion
-and the vectorized kernel.
+models — the third independent oracle next to the recursion in
+``tests/oracles/tree_shap_recursion.py`` and the vectorized kernel.
 """
 
 from math import factorial
 
 import numpy as np
 import pytest
+from oracles.tree_shap_recursion import _weight, tree_shap_interventional
 
 from repro.core.explainers import (
     ExactShapleyExplainer,
     InterventionalTreeShapExplainer,
     model_output_fn,
-)
-from repro.core.explainers.shap_tree_interventional import (
-    _weight,
-    tree_shap_interventional,
 )
 from repro.ml import (
     DecisionTreeClassifier,
@@ -276,3 +273,22 @@ class TestExactAgreement:
             np.testing.assert_allclose(
                 batch.values[row], exact.explain(X[row]).values, atol=1e-10
             )
+
+
+class TestBackgroundValidation:
+    def test_empty_background_rejected(self, forest_setup):
+        """An empty background has no mean game: the base value would
+        be NaN, so construction refuses it."""
+        model, X = forest_setup
+        with pytest.raises(ValueError, match="at least one row"):
+            InterventionalTreeShapExplainer(model, X[:0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_background_rejected(self, forest_setup, bad):
+        """A non-finite reference row fails at construction, with the
+        kernel's message, not later in ``explain``."""
+        model, X = forest_setup
+        background = X[:4].copy()
+        background[2, 1] = bad
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            InterventionalTreeShapExplainer(model, background)

@@ -699,8 +699,8 @@ class TestPackedWindowAttribution:
     ``explain_batch`` override when one exists — for ``tree_shap`` on a
     forest that is the packed kernel.  These tests pin (a) the voucher
     in ``StreamReport.extras`` and (b) byte-equality of the report when
-    the packed snapshot is forcibly disabled (per-tree recursion
-    fallback)."""
+    attribution runs through the per-tree recursion of
+    ``tests/oracles/tree_shap_recursion.py`` instead."""
 
     CONFIG = dict(
         window_epochs=64,
@@ -723,14 +723,14 @@ class TestPackedWindowAttribution:
         assert report.windows  # the run actually explained windows
 
     def test_packed_path_byte_identical_to_recursion(self, monkeypatch):
+        from oracles.tree_shap_recursion import reference_batch
+
         from repro.core.explainers.shap_tree import TreeShapExplainer
 
         packed = self._forest_engine().run(_stream())
-        monkeypatch.setattr(
-            TreeShapExplainer, "_packed_column", lambda self: (None, None)
-        )
-        fallback = self._forest_engine().run(_stream())
-        assert packed.format_table(timing=False) == fallback.format_table(
+        monkeypatch.setattr(TreeShapExplainer, "explain_batch", reference_batch)
+        recursion = self._forest_engine().run(_stream())
+        assert packed.format_table(timing=False) == recursion.format_table(
             timing=False
         )
 

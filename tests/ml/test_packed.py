@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles.tree_shap_recursion import tree_expected_value
 
-from repro.core.explainers.shap_tree import TreeShapExplainer, tree_expected_value
+from repro.core.explainers.shap_tree import TreeShapExplainer
 from repro.ml import (
     DecisionTreeClassifier,
     DecisionTreeRegressor,

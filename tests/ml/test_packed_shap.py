@@ -1,15 +1,13 @@
 """Exact-equality sweep for the vectorized TreeSHAP kernels.
 
-ISSUE 6 tentpole contract: the vectorized kernels in
-:mod:`repro.ml.packed_shap` must agree with the legacy per-row
-recursions (``tree_shap_values`` and ``tree_shap_interventional``) to
-<= 1e-10 on **every** supported model shape — the kernels are a faster
-arrangement of the same games, never an approximation.  Since the
-path-dependent explainer's single-row ``explain`` now rides the packed
-kernel itself, ``legacy_batch`` builds its reference batches from the
-recursion method directly.  The sweep
-mirrors ``test_packed.py``'s adversarial shapes: stumps, pure leaves,
-unbounded depth, missing-class bootstraps, subsampled boosting,
+The vectorized kernels in :mod:`repro.ml.packed_shap` must agree with
+the per-tree recursions kept in ``tests/oracles/tree_shap_recursion.py``
+(``tree_shap_values`` and ``tree_shap_interventional``) to <= 1e-10 on
+**every** supported model shape — the kernels are a faster arrangement
+of the same games, never an approximation.  ``reference_batch`` builds
+each reference batch from those recursions, never through a kernel.
+The sweep mirrors ``test_packed.py``'s adversarial shapes: stumps, pure
+leaves, unbounded depth, missing-class bootstraps, subsampled boosting,
 single-row and single-background batches, and pickle round-trips.
 """
 
@@ -17,13 +15,14 @@ import pickle
 
 import numpy as np
 import pytest
+from oracles.tree_shap_recursion import reference_batch, tree_shap_values
 
 from repro.core.explainers import (
     InterventionalTreeShapExplainer,
     TreeShapExplainer,
+    shap_tree,
+    shap_tree_interventional,
 )
-from repro.core.explainers.base import BatchExplanation
-from repro.core.explainers.shap_tree import tree_shap_values
 from repro.ml import (
     DecisionTreeClassifier,
     DecisionTreeRegressor,
@@ -32,6 +31,7 @@ from repro.ml import (
     RandomForestClassifier,
     RandomForestRegressor,
 )
+from repro.ml import packed_shap
 from repro.ml.packed_shap import packed_tree_shap
 
 ATOL = 1e-10
@@ -44,26 +44,14 @@ def _toy_data(seed=0, n=300, d=6):
     return X, y
 
 
-def legacy_batch(explainer, X):
-    """A batch built row-by-row from the per-instance recursion — the
-    reference every vectorized override must reproduce.  Uses
-    ``_explain_recursion`` where the explainer routes ``explain``
-    through the packed kernel (path-dependent TreeSHAP), and the plain
-    ``explain`` loop otherwise (interventional)."""
-    explain_one = getattr(explainer, "_explain_recursion", explainer.explain)
-    return BatchExplanation.from_explanations(
-        [explain_one(row) for row in X], method=explainer.method_name
-    )
-
-
-def assert_batches_equal(vectorized, legacy):
-    assert vectorized.values.shape == legacy.values.shape
-    np.testing.assert_allclose(vectorized.values, legacy.values, atol=ATOL)
+def assert_batches_equal(vectorized, reference):
+    assert vectorized.values.shape == reference.values.shape
+    np.testing.assert_allclose(vectorized.values, reference.values, atol=ATOL)
     np.testing.assert_allclose(
-        vectorized.base_values, legacy.base_values, atol=ATOL
+        vectorized.base_values, reference.base_values, atol=ATOL
     )
     np.testing.assert_allclose(
-        vectorized.predictions, legacy.predictions, atol=ATOL
+        vectorized.predictions, reference.predictions, atol=ATOL
     )
 
 
@@ -73,7 +61,7 @@ class TestPathDependentEquality:
         explainer = TreeShapExplainer(fitted_rf, class_index=1)
         assert_batches_equal(
             explainer.explain_batch(X_test[:12]),
-            legacy_batch(explainer, X_test[:12]),
+            reference_batch(explainer, X_test[:12]),
         )
 
     def test_forest_classifier_other_class(self, fitted_rf, sla_split):
@@ -81,7 +69,7 @@ class TestPathDependentEquality:
         explainer = TreeShapExplainer(fitted_rf, class_index=0)
         assert_batches_equal(
             explainer.explain_batch(X_test[:6]),
-            legacy_batch(explainer, X_test[:6]),
+            reference_batch(explainer, X_test[:6]),
         )
 
     def test_forest_regressor(self, regression_data):
@@ -91,7 +79,8 @@ class TestPathDependentEquality:
         ).fit(X, y)
         explainer = TreeShapExplainer(forest)
         assert_batches_equal(
-            explainer.explain_batch(X[:10]), legacy_batch(explainer, X[:10])
+            explainer.explain_batch(X[:10]),
+            reference_batch(explainer, X[:10]),
         )
 
     def test_unbounded_depth_forest(self):
@@ -99,12 +88,12 @@ class TestPathDependentEquality:
         forest = RandomForestClassifier(n_estimators=10, random_state=1).fit(X, y)
         explainer = TreeShapExplainer(forest, class_index=1)
         assert_batches_equal(
-            explainer.explain_batch(X[:8]), legacy_batch(explainer, X[:8])
+            explainer.explain_batch(X[:8]), reference_batch(explainer, X[:8])
         )
 
     def test_missing_class_bootstraps(self):
         """Rare third class: bootstraps that never saw it carry zero
-        value columns after packing; the legacy loop skips those trees
+        value columns after packing; the recursion skips those trees
         entirely.  Both paths must agree for the rare class itself."""
         X, y = _toy_data(7, n=250)
         y = y.copy()
@@ -116,7 +105,8 @@ class TestPathDependentEquality:
         for class_index in (1, 2):
             explainer = TreeShapExplainer(forest, class_index=class_index)
             assert_batches_equal(
-                explainer.explain_batch(X[:8]), legacy_batch(explainer, X[:8])
+                explainer.explain_batch(X[:8]),
+                reference_batch(explainer, X[:8]),
             )
 
     def test_boosting_classifier_margin(self):
@@ -126,7 +116,7 @@ class TestPathDependentEquality:
         ).fit(X, y)
         explainer = TreeShapExplainer(model)
         assert_batches_equal(
-            explainer.explain_batch(X[:8]), legacy_batch(explainer, X[:8])
+            explainer.explain_batch(X[:8]), reference_batch(explainer, X[:8])
         )
 
     def test_boosting_with_subsample(self):
@@ -136,7 +126,7 @@ class TestPathDependentEquality:
         ).fit(X, y)
         explainer = TreeShapExplainer(model)
         assert_batches_equal(
-            explainer.explain_batch(X[:8]), legacy_batch(explainer, X[:8])
+            explainer.explain_batch(X[:8]), reference_batch(explainer, X[:8])
         )
 
     def test_boosting_regressor(self, regression_data):
@@ -146,7 +136,7 @@ class TestPathDependentEquality:
         ).fit(X, y)
         explainer = TreeShapExplainer(model)
         assert_batches_equal(
-            explainer.explain_batch(X[:8]), legacy_batch(explainer, X[:8])
+            explainer.explain_batch(X[:8]), reference_batch(explainer, X[:8])
         )
 
     def test_single_tree_classifier(self):
@@ -154,7 +144,7 @@ class TestPathDependentEquality:
         tree = DecisionTreeClassifier(max_depth=4, random_state=0).fit(X, y)
         explainer = TreeShapExplainer(tree, class_index=0)
         assert_batches_equal(
-            explainer.explain_batch(X[:8]), legacy_batch(explainer, X[:8])
+            explainer.explain_batch(X[:8]), reference_batch(explainer, X[:8])
         )
 
     def test_stump_forest(self):
@@ -165,7 +155,8 @@ class TestPathDependentEquality:
         ).fit(X, y)
         explainer = TreeShapExplainer(forest, class_index=1)
         assert_batches_equal(
-            explainer.explain_batch(X[:10]), legacy_batch(explainer, X[:10])
+            explainer.explain_batch(X[:10]),
+            reference_batch(explainer, X[:10]),
         )
 
     def test_pure_leaf_tree_all_zero(self):
@@ -196,7 +187,7 @@ class TestPathDependentEquality:
         explainer = TreeShapExplainer(fitted_rf, class_index=1)
         single = explainer.explain(X_test[0])
         assert single.extras.get("vectorized") is True
-        recursion = explainer._explain_recursion(X_test[0])
+        recursion = reference_batch(explainer, X_test[:1])[0]
         np.testing.assert_allclose(single.values, recursion.values, atol=ATOL)
         assert single.prediction == pytest.approx(
             recursion.prediction, abs=ATOL
@@ -210,7 +201,6 @@ class TestPathDependentEquality:
         forest = RandomForestClassifier(n_estimators=4, random_state=0).fit(X, y)
         explainer = TreeShapExplainer(forest, class_index=5)
         single = explainer.explain(X[0])
-        assert "vectorized" not in single.extras
         assert np.array_equal(single.values, np.zeros(X.shape[1]))
 
     def test_empty_batch(self, fitted_rf, sla_split):
@@ -221,8 +211,8 @@ class TestPathDependentEquality:
         assert batch.values.shape == (0, X_test.shape[1])
 
     def test_out_of_range_class_batch_is_zero(self):
-        """A class no tree ever saw rides the legacy fallback and
-        explains as all-zero with a zero base value."""
+        """A class no tree ever saw skips the kernel and explains as
+        all-zero with a zero base value."""
         X, y = _toy_data(43)
         forest = RandomForestClassifier(n_estimators=4, random_state=0).fit(X, y)
         explainer = TreeShapExplainer(forest, class_index=5)
@@ -252,6 +242,40 @@ class TestPathDependentEquality:
             np.testing.assert_allclose(phi[row], expected, atol=ATOL)
 
 
+class TestOracleIndependence:
+    def test_reference_batch_never_calls_a_kernel(self, monkeypatch):
+        """The reference is the recursion itself: with both packed
+        kernels raising, it still builds, and the explainers' own
+        batches (taken before the patch) still match it."""
+        X, y = _toy_data(53, n=200, d=4)
+        forest = RandomForestClassifier(
+            n_estimators=6, max_depth=4, random_state=0
+        ).fit(X, y)
+        path = TreeShapExplainer(forest, class_index=1)
+        interventional = InterventionalTreeShapExplainer(
+            forest, X[:6], class_index=1
+        )
+        expected = [
+            path.explain_batch(X[:4]),
+            interventional.explain_batch(X[:4]),
+        ]
+
+        def kernel_called(*args, **kwargs):
+            raise AssertionError("the reference reached a packed kernel")
+
+        for name in ("packed_tree_shap", "packed_interventional_shap"):
+            monkeypatch.setattr(packed_shap, name, kernel_called)
+        monkeypatch.setattr(shap_tree, "packed_tree_shap", kernel_called)
+        monkeypatch.setattr(
+            shap_tree_interventional, "packed_interventional_shap",
+            kernel_called,
+        )
+        with pytest.raises(AssertionError, match="packed kernel"):
+            path.explain_batch(X[:1])
+        for explainer, vectorized in zip((path, interventional), expected):
+            assert_batches_equal(vectorized, reference_batch(explainer, X[:4]))
+
+
 class TestInterventionalEquality:
     def test_forest_classifier(self, fitted_rf, sla_split):
         X_train, X_test, _, _ = sla_split
@@ -260,7 +284,7 @@ class TestInterventionalEquality:
         )
         assert_batches_equal(
             explainer.explain_batch(X_test[:5]),
-            legacy_batch(explainer, X_test[:5]),
+            reference_batch(explainer, X_test[:5]),
         )
 
     def test_forest_regressor(self, regression_data):
@@ -270,7 +294,7 @@ class TestInterventionalEquality:
         ).fit(X, y)
         explainer = InterventionalTreeShapExplainer(forest, X[:12])
         assert_batches_equal(
-            explainer.explain_batch(X[:6]), legacy_batch(explainer, X[:6])
+            explainer.explain_batch(X[:6]), reference_batch(explainer, X[:6])
         )
 
     def test_unbounded_depth_forest(self):
@@ -280,7 +304,7 @@ class TestInterventionalEquality:
             forest, X[:8], class_index=1
         )
         assert_batches_equal(
-            explainer.explain_batch(X[:5]), legacy_batch(explainer, X[:5])
+            explainer.explain_batch(X[:5]), reference_batch(explainer, X[:5])
         )
 
     def test_missing_class_bootstraps(self):
@@ -295,7 +319,7 @@ class TestInterventionalEquality:
             forest, X[:10], class_index=2
         )
         assert_batches_equal(
-            explainer.explain_batch(X[:5]), legacy_batch(explainer, X[:5])
+            explainer.explain_batch(X[:5]), reference_batch(explainer, X[:5])
         )
 
     def test_boosting_with_subsample(self):
@@ -305,7 +329,7 @@ class TestInterventionalEquality:
         ).fit(X, y)
         explainer = InterventionalTreeShapExplainer(model, X[:10])
         assert_batches_equal(
-            explainer.explain_batch(X[:5]), legacy_batch(explainer, X[:5])
+            explainer.explain_batch(X[:5]), reference_batch(explainer, X[:5])
         )
 
     def test_stump_forest(self):
@@ -317,7 +341,7 @@ class TestInterventionalEquality:
             forest, X[:15], class_index=1
         )
         assert_batches_equal(
-            explainer.explain_batch(X[:8]), legacy_batch(explainer, X[:8])
+            explainer.explain_batch(X[:8]), reference_batch(explainer, X[:8])
         )
 
     def test_pure_leaf_tree_all_zero(self):
@@ -339,7 +363,7 @@ class TestInterventionalEquality:
             forest, X[:1], class_index=1
         )
         assert_batches_equal(
-            explainer.explain_batch(X[:6]), legacy_batch(explainer, X[:6])
+            explainer.explain_batch(X[:6]), reference_batch(explainer, X[:6])
         )
 
     def test_single_row_batch(self):

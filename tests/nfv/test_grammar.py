@@ -400,7 +400,7 @@ class TestRegistryIntegration:
             assert scenario_recipe(name) == CATALOG_RECIPES[name]
 
     def test_register_recipe_round_trip(self):
-        from repro.nfv.scenarios import _RECIPES, _REGISTRY
+        from repro.nfv.scenarios import _RECIPES
 
         recipe = replace(
             CATALOG_RECIPES["baseline"], name="test-grammar-reg",
@@ -418,7 +418,6 @@ class TestRegistryIntegration:
             )
             assert spec.knobs["fault_rate"] == 0.05
         finally:
-            _REGISTRY.pop("test-grammar-reg", None)
             _RECIPES.pop("test-grammar-reg", None)
 
     def test_register_duplicate_rejected(self):

@@ -9,7 +9,6 @@ from repro.nfv.scenarios import (
     ScenarioSpec,
     build_scenario,
     list_scenarios,
-    register_scenario,
     scenario_descriptions,
     scenario_knobs,
 )
@@ -51,10 +50,6 @@ class TestRegistry:
     def test_unknown_knob_fails_loudly(self):
         with pytest.raises(TypeError, match="unknown knobs"):
             build_scenario("baseline", random_state=0, no_such_knob=1)
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_scenario("baseline", "dup")(lambda rng: None)
 
     def test_knob_override_applies(self):
         spec = build_scenario("baseline", random_state=0, fault_rate=0.05)

@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from oracles.tree_shap_recursion import tree_expected_value, tree_shap_values
 
 from repro.core.explainers import KernelShapExplainer
-from repro.core.explainers.shap_tree import tree_expected_value, tree_shap_values
 from repro.ml import (
     DecisionTreeRegressor,
     MinMaxScaler,

@@ -46,6 +46,7 @@ from datetime import datetime, timezone
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
+sys.path.insert(0, os.path.join(REPO_ROOT, "tests"))
 sys.path.insert(0, REPO_ROOT)
 
 import numpy as np  # noqa: E402  (path set up first)
@@ -58,6 +59,9 @@ from benchmarks.bench_e6_inference import (  # noqa: E402
     legacy_boosting_raw as _legacy_boosting_raw,
     legacy_forest_proba as _legacy_forest_proba,
 )
+# the TreeSHAP baseline arms are the per-tree recursions the packed
+# kernels must reproduce, the same oracle the tests and bench E16 use
+from oracles.tree_shap_recursion import reference_batch  # noqa: E402
 from repro.core.cache import clear_cache  # noqa: E402
 from repro.core.explainers import (  # noqa: E402
     InterventionalTreeShapExplainer,
@@ -65,20 +69,12 @@ from repro.core.explainers import (  # noqa: E402
     TreeShapExplainer,
     model_output_fn,
 )
-from repro.core.explainers.base import (  # noqa: E402
-    Explainer as _ExplainerBase,
-)
 from repro.datasets import make_sla_violation_dataset  # noqa: E402
 from repro.ml import (  # noqa: E402
     GradientBoostingClassifier,
     RandomForestClassifier,
 )
 from repro.ml.model_selection import train_test_split  # noqa: E402
-
-
-# the per-row fallback every explainer inherits — calling it unbound
-# bypasses the vectorized explain_batch overrides
-_legacy_explain_batch = _ExplainerBase.explain_batch
 
 
 def _best_of(fn, repeats):
@@ -200,7 +196,7 @@ def measure(rows: int, kernel_rows: int, repeats: int) -> list[dict]:
         _ab(
             "tree_shap_batch_forest",
             lambda: tree_explainer.explain_batch(explained).values,
-            lambda: _legacy_explain_batch(tree_explainer, explained).values,
+            lambda: reference_batch(tree_explainer, explained).values,
             repeats=repeats,
             legacy_repeats=1,  # the recursion loop is slow and stable
             equal_fn=shap_close,
@@ -216,7 +212,7 @@ def measure(rows: int, kernel_rows: int, repeats: int) -> list[dict]:
         _ab(
             "interventional_tree_shap",
             lambda: interventional.explain_batch(explained[:8]).values,
-            lambda: _legacy_explain_batch(interventional, explained[:8]).values,
+            lambda: reference_batch(interventional, explained[:8]).values,
             repeats=repeats,
             legacy_repeats=1,
             equal_fn=shap_close,
