@@ -4,8 +4,8 @@ The claim under test has two halves, and both matter:
 
 * **throughput** — the streaming engine's fast path (one fitted model
   reused across windows between cadenced refits, one *batched*
-  KernelSHAP call per window, background predictions memoized by the
-  explainer cache) must sustain >= 3x the epoch rate of the naive
+  KernelSHAP call per window, one explainer reused until the next
+  refit) must sustain >= 3x the epoch rate of the naive
   online loop that refits the model and explains each violation epoch
   individually, from a cold cache, as the epoch arrives;
 * **equivalence** — the speedup must cost nothing in semantics:

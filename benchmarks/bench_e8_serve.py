@@ -2,7 +2,7 @@
 
 The serve layer's claim: multiplexing a fleet of tenants through one
 :class:`~repro.serve.DiagnosisService` — shared executor, shared
-explainer cache, one seed tree — costs nothing in semantics.  Three
+coalition-design memo, one seed tree — costs nothing in semantics.  Three
 properties, the first two asserted **unconditionally** (they are
 correctness, not timing):
 
@@ -143,7 +143,7 @@ def test_serve_fleet_sessions(benchmark):
         f"windows closed: {n_windows}  "
         f"(p50 {p50 * 1e3:.1f} ms, p99 {p99 * 1e3:.1f} ms per window)",
         f"shared cache: {stats['hits']} hits / {stats['misses']} misses, "
-        f"{stats['background_token_entries']} token entries",
+        f"{stats['design_entries']} design entries",
         "isolation: 3 sampled tenants byte-identical to lone engines",
         f"snapshot/restore: all {N_SESSIONS} resumed reports "
         "byte-identical to the uninterrupted fleet",

@@ -11,7 +11,7 @@ three machine-checkable invariants:
   round-trip;
 * **lock discipline** (C-rules) — modules declaring a
   ``threading.Lock`` must mutate their shared module-level state only
-  under it (the :mod:`repro.core.cache` contract).
+  under it.
 
 Run it as ``repro lint src`` (see ``docs/linting.md``), embed it via
 :func:`run_lint`, or test single snippets with :func:`lint_source`.

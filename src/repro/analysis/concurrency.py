@@ -1,10 +1,10 @@
 """C-family checker: the lock contract for shared module state.
 
-:mod:`repro.core.cache` set the pattern: a module that declares a
-``threading.Lock``/``RLock`` is advertising that its state is shared
-with the thread backend, and every mutation of module-level mutable
-containers must happen inside ``with <lock>:``.  This checker encodes
-that contract so the next cache-like module cannot silently regress it.
+A module that declares a ``threading.Lock``/``RLock`` is advertising
+that its state is shared with the thread backend, and every mutation
+of module-level mutable containers must happen inside
+``with <lock>:``.  This checker encodes that contract so a module that
+shares state with threads cannot silently regress it.
 """
 
 from __future__ import annotations

@@ -14,8 +14,7 @@ suites, hypothesis properties):
   nested functions never do.
 * ``C`` — concurrency: a module that declares a ``threading.Lock``
   advertises that its module-level mutable state is shared; mutating
-  that state outside a ``with <lock>:`` block breaks the contract
-  (:mod:`repro.core.cache` is the reference implementation).
+  that state outside a ``with <lock>:`` block breaks the contract.
 * ``U`` — analyzer hygiene (unused suppressions).
 
 Checkers register their rules here so reporters, documentation, and the
@@ -183,8 +182,8 @@ C301 = register_rule(Rule(
     ),
     rationale=(
         "Declaring a lock advertises that the module's state is shared "
-        "across threads (the repro.core.cache contract); mutations that "
-        "bypass the lock race with the thread backend."
+        "across threads; mutations that bypass the lock race with the "
+        "thread backend."
     ),
 ))
 

@@ -129,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     train = sub.add_parser("train", help="train an SLA-violation model")
     train.add_argument("--epochs", type=_positive_int, default=3000)
     train.add_argument("--seed", type=int, default=0)
-    train.add_argument("--horizon", type=int, default=0)
+    train.add_argument("--horizon", type=_nonnegative_int, default=0)
     train.add_argument(
         "--model", choices=_MODEL_NAMES, default="random_forest"
     )
@@ -145,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--method", default="auto",
         help="explainer (auto, tree_shap, kernel_shap, lime, ...)",
     )
-    explain.add_argument("--top-k", type=int, default=5)
+    explain.add_argument("--top-k", type=_positive_int, default=5)
 
     batch = sub.add_parser(
         "explain-batch",
@@ -166,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--method", default="auto",
         help="explainer (auto, tree_shap, kernel_shap, lime, ...)",
     )
-    batch.add_argument("--top-k", type=int, default=3)
+    batch.add_argument("--top-k", type=_positive_int, default=3)
     batch.add_argument(
         "--no-timing", action="store_true",
         help="drop wall-clock output (the report becomes byte-comparable "

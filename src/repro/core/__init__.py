@@ -14,7 +14,7 @@
   Page–Hinkley drift alarms.
 """
 
-from repro.core.cache import cache_stats, clear_cache, get_cache
+from repro.core.cache import cache_stats, clear_cache
 from repro.core.executor import (
     ProcessExecutor,
     SerialExecutor,
@@ -71,7 +71,6 @@ __all__ = [
     "default_model_factories",
     "ExactShapleyExplainer",
     "Explanation",
-    "get_cache",
     "get_executor",
     "ProcessExecutor",
     "SerialExecutor",

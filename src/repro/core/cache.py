@@ -1,448 +1,61 @@
-"""Memoization for the hot, re-payable parts of explanation.
+"""Memoization of KernelSHAP coalition designs.
 
-Two costs dominate repeated explanation of the same model:
+KernelSHAP's enumeration of coalition masks and kernel weights is pure
+Python combinatorics: it depends only on the feature dimension and the
+sampling configuration, never on the explained instance, and one build
+costs a fifth or more of a small ``explain_batch``.  Designs drawn from
+an integer seed are therefore memoized here, keyed by
+``(d, n_samples, paired, seed)`` and shared read-only by every explainer
+in the process.  A live ``Generator`` must advance between calls, so
+explainers seeded with one bypass the memo.
 
-* **Background predictions** — every SHAP-family explainer starts by
-  evaluating the model over its background dataset to get the expected
-  value.  Building several explainers (or re-building one per incident)
-  re-pays that model sweep each time.
-* **Coalition designs** — KernelSHAP's enumeration of coalition masks
-  and kernel weights is pure Python combinatorics; it depends only on
-  the feature dimension and sampling configuration, never on the
-  explained instance.
-
-Both are memoized here, keyed and validated so a hit is safe:
-
-* background predictions are keyed by the *identity* of the predict
-  function (held weakly, so a collected model can never alias a new
-  one) plus a content fingerprint of the background array; because a
-  model can be refit *in place* behind the same predict function,
-  every hit is spot-checked by re-predicting the first/middle/last
-  background rows and the entry is recomputed on any mismatch (a
-  refit that coincides with the old model on all three probe rows is
-  undetectable — refit models should get a fresh predict function);
-* coalition designs are keyed by ``(d, n_samples, paired, seed)`` and
-  cached only for deterministic integer seeds — a live ``Generator``
-  must advance, so those requests bypass the cache.
-
-Parallel execution adds two constraints, both handled here:
-
-* **Threads** — the thread backend explains chunks of one fleet
-  concurrently through the same module-level cache, so every public
-  operation takes an internal lock.  Lookups release it around model
-  calls (probes and recomputes); a racing miss computes the same value
-  twice and stores it idempotently, which costs a little work, never
-  correctness.
-* **Processes** — weakref identity keys cannot cross a process
-  boundary: a worker that unpickles an explainer gets a brand-new
-  predict-function object, so identity lookups silently miss and every
-  shard would cold-start its background sweep.  Predict functions that
-  expose a ``cache_token()`` (see
-  :class:`~repro.core.explainers.ModelOutputFn`) therefore get a
-  *fallback* entry keyed by ``(token, background fingerprint)`` — the
-  token is built from the model's constructor repr, so a rebuilt
-  wrapper around an equal model still hits.  Token collisions (two
-  differently-fit models with identical parameters) are rendered
-  harmless by the same probe-row spot-check that guards in-place
-  refits.
-
-Every tier is LRU-bounded.  Per-function background entries and
-coalition designs have had per-key caps from the start
-(``max_backgrounds`` / ``max_designs``); ``max_total_entries``
-additionally bounds the *total* number of identity-tier background
-entries across all predict functions, and ``max_token_entries``
-(defaulting to it) bounds the global token-fallback tier the same way.  Without it a long
-``repro stream run`` session — which builds a fresh predict function
-at every refit window and keeps explainers (and therefore weak keys)
-alive in its sliding history — could grow the cache without limit;
-with it the oldest entries are evicted and simply recomputed if ever
-requested again, so eviction can never change results, only timings.
-
-The module-level singleton is what the explainers use; call
-:func:`clear_cache` between unrelated experiments if you want cold
-timings, and :func:`cache_stats` to see hit rates.
+The memo is a bounded :func:`functools.lru_cache`, which is safe under
+the thread backend: racing misses may build the same deterministic
+design twice, which costs work, never correctness.  Process workers
+each hold their own memo.  Call :func:`clear_cache` between unrelated
+experiments for cold timings, and :func:`cache_stats` to see hit rates.
 """
 
 from __future__ import annotations
 
-import hashlib
-import threading
-import weakref
-from collections import OrderedDict
+from functools import lru_cache
 
-import numpy as np
+__all__ = ["MAX_DESIGNS", "cache_stats", "clear_cache", "coalition_design"]
 
-__all__ = [
-    "ExplainerCache",
-    "array_fingerprint",
-    "background_predictions",
-    "cache_stats",
-    "clear_cache",
-    "coalition_design",
-    "get_cache",
-]
+#: Distinct designs kept; the least recently used one is dropped first.
+MAX_DESIGNS = 64
 
 
-def array_fingerprint(a) -> str:
-    """Content hash of an array (dtype, shape, and bytes).
+@lru_cache(maxsize=MAX_DESIGNS)
+def coalition_design(build, d: int, n_samples: int, paired: bool, seed: int):
+    """``build(d, n_samples, paired, seed) -> (masks, weights)``, memoized.
 
-    Two arrays share a fingerprint iff they are element-wise identical,
-    so cache hits can never return results for different data.
+    ``build`` is part of the key, so it must be a plain function with a
+    stable identity (not a bound method or a fresh lambda), and it must
+    be deterministic in its arguments.  The returned arrays are read-only
+    and shared between callers.
     """
-    a = np.ascontiguousarray(a)
-    digest = hashlib.sha1()
-    digest.update(str(a.dtype).encode())
-    digest.update(str(a.shape).encode())
-    digest.update(a.tobytes())
-    return digest.hexdigest()
-
-
-class ExplainerCache:
-    """LRU caches for background predictions and coalition designs.
-
-    Parameters
-    ----------
-    max_backgrounds:
-        Distinct ``(predict_fn, background)`` prediction vectors kept
-        per predict function.
-    max_designs:
-        Distinct coalition designs kept across all explainers.
-    max_total_entries:
-        Total identity-tier background entries kept across *all*
-        predict functions.  The global LRU: with many live predict
-        functions (e.g. a streaming session refitting every window),
-        the least recently used entries are evicted once this cap is
-        reached.  Eviction only ever forces a recompute on the next
-        request — it cannot change returned values.
-    max_token_entries:
-        Total token-fallback entries kept across all cache tokens
-        (default: ``max_total_entries``).  The token tier is a *global*
-        tier — many tenants' refit models share it — so bounding it by
-        the per-function ``max_backgrounds`` cap (the pre-PR-8 bug)
-        made concurrent sessions thrash each other's entries and forced
-        process shards to cold-start their background sweeps.
-    """
-
-    def __init__(
-        self,
-        *,
-        max_backgrounds: int = 32,
-        max_designs: int = 64,
-        max_total_entries: int = 256,
-        max_token_entries: int | None = None,
-    ):
-        if max_token_entries is None:
-            max_token_entries = max_total_entries
-        if (
-            max_backgrounds < 1
-            or max_designs < 1
-            or max_total_entries < 1
-            or max_token_entries < 1
-        ):
-            raise ValueError("cache sizes must be >= 1")
-        self.max_backgrounds = int(max_backgrounds)
-        self.max_designs = int(max_designs)
-        self.max_total_entries = int(max_total_entries)
-        self.max_token_entries = int(max_token_entries)
-        # predict_fn (weak) -> OrderedDict[fingerprint -> predictions]
-        self._backgrounds: "weakref.WeakKeyDictionary" = (
-            weakref.WeakKeyDictionary()
-        )
-        # global LRU over identity-tier entries: (weakref, fingerprint)
-        # in least-recently-used-first order.  Entries whose referent
-        # died linger until they age out of the front; they are skipped
-        # (their predictions already vanished with the weak key).
-        self._bg_order: OrderedDict[tuple, None] = OrderedDict()
-        # (cache_token, fingerprint) -> predictions; survives the loss
-        # of object identity across pickling/process boundaries
-        self._background_tokens: OrderedDict[tuple, np.ndarray] = OrderedDict()
-        self._designs: OrderedDict[tuple, tuple] = OrderedDict()
-        self._lock = threading.RLock()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.token_evictions = 0
-
-    # -- background predictions ---------------------------------------
-    @staticmethod
-    def _token_of(predict_fn) -> str | None:
-        """The predict function's ``cache_token()``, when it offers one."""
-        token_fn = getattr(predict_fn, "cache_token", None)
-        if callable(token_fn):
-            return str(token_fn())
-        return None
-
-    @staticmethod
-    def _probe_matches(predict_fn, background, cached) -> bool:
-        """Spot-check a cached entry against live predictions on the
-        first, middle, and last background rows."""
-        if len(background) == 0:
-            return True
-        idx = sorted({0, len(background) // 2, len(background) - 1})
-        probe = np.asarray(predict_fn(background[idx]), dtype=float)
-        return probe.shape == cached[idx].shape and np.array_equal(
-            probe, cached[idx]
-        )
-
-    # -- global LRU over identity-tier entries (caller holds the lock) --
-    def _note_use(self, predict_fn, key: str) -> None:
-        """Mark an identity-tier entry as most recently used."""
-        try:
-            order_key = (weakref.ref(predict_fn), key)
-        except TypeError:  # not weak-referenceable: not in this tier
-            return
-        if order_key in self._bg_order:
-            self._bg_order.move_to_end(order_key)
-
-    def _forget_entry(self, predict_fn, key: str) -> None:
-        """Drop an identity-tier entry from the global LRU order."""
-        try:
-            self._bg_order.pop((weakref.ref(predict_fn), key), None)
-        except TypeError:
-            pass
-
-    def _record_entry(self, predict_fn, key: str) -> None:
-        """Register a fresh identity-tier entry, then evict the global
-        LRU down to ``max_total_entries``."""
-        try:
-            order_key = (weakref.ref(predict_fn), key)
-        except TypeError:
-            return
-        self._bg_order[order_key] = None
-        self._bg_order.move_to_end(order_key)
-        while len(self._bg_order) > self.max_total_entries:
-            (ref, old_key), _ = self._bg_order.popitem(last=False)
-            fn = ref()
-            if fn is None:
-                continue  # predictions already died with the weak key
-            per_fn = self._backgrounds.get(fn)
-            if per_fn is not None and per_fn.pop(old_key, None) is not None:
-                self.evictions += 1
-
-    def _store_token(self, token: str, key: str, preds: np.ndarray) -> None:
-        """Insert/refresh a token-fallback entry (caller holds the lock).
-
-        The tier has its own LRU bound, ``max_token_entries`` — *not*
-        the per-function ``max_backgrounds`` cap: token entries are
-        global across every model in the process, and a multi-tenant
-        service refitting many sessions would otherwise thrash them.
-        """
-        self._background_tokens[(token, key)] = preds
-        self._background_tokens.move_to_end((token, key))
-        while len(self._background_tokens) > self.max_token_entries:
-            self._background_tokens.popitem(last=False)
-            self.token_evictions += 1
-
-    def background_predictions(self, predict_fn, background) -> np.ndarray:
-        """``predict_fn(background)`` memoized by function identity and
-        background content.  Returns a read-only 1-D float array.
-
-        Lookup is two-tier.  The primary key is the *identity* of
-        ``predict_fn`` (held weakly).  Identity does not survive
-        pickling — every process-backend shard unpickles a fresh
-        function object — so functions exposing ``cache_token()``
-        (e.g. :class:`~repro.core.explainers.ModelOutputFn`) also get a
-        fallback entry keyed by ``(token, background fingerprint)``,
-        which a rebuilt wrapper around an equal model still hits.
-
-        Every hit from either tier is spot-checked by re-predicting the
-        first, middle, and last background rows: if the model behind
-        ``predict_fn`` was refit in place (or a token collision aliases
-        two models with equal constructor parameters), any mismatch
-        discards the entry instead of serving stale predictions.  A
-        wrong model that coincides with the cached one on all three
-        probe rows is undetectable — build a fresh predict function for
-        a refit model to be certain.
-
-        Identity-tier entries across all predict functions share one
-        global LRU bounded by ``max_total_entries``; the least recently
-        used entries are evicted (and recomputed if requested again),
-        so long-running sessions cannot grow the cache without limit.
-
-        Thread-safe: bookkeeping happens under the cache lock, model
-        calls (probes, recomputes) outside it.
-        """
-        background = np.asarray(background, dtype=float)
-        key = array_fingerprint(background)
-        token = self._token_of(predict_fn)
-        cached = None
-        uncacheable = False
-        with self._lock:
-            try:
-                per_fn = self._backgrounds.get(predict_fn)
-            except TypeError:  # not weak-referenceable
-                per_fn = None
-                if token is None:  # and no token either -> uncacheable
-                    self.misses += 1
-                    uncacheable = True
-            if not uncacheable:
-                if per_fn is not None and key in per_fn:
-                    cached = per_fn[key]
-                elif token is not None:
-                    cached = self._background_tokens.get((token, key))
-        if uncacheable:  # model call outside the lock
-            return np.asarray(predict_fn(background), dtype=float)
-        if cached is not None:
-            if self._probe_matches(predict_fn, background, cached):
-                with self._lock:
-                    self.hits += 1
-                    if per_fn is not None and key in per_fn:
-                        per_fn.move_to_end(key)
-                        self._note_use(predict_fn, key)
-                    if token is not None:
-                        self._store_token(token, key, cached)
-                return cached
-            with self._lock:  # model changed behind the key(s)
-                if per_fn is not None:
-                    per_fn.pop(key, None)
-                    self._forget_entry(predict_fn, key)
-                if token is not None:
-                    self._background_tokens.pop((token, key), None)
-        preds = np.asarray(predict_fn(background), dtype=float).copy()
-        preds.flags.writeable = False
-        with self._lock:
-            self.misses += 1
-            try:
-                per_fn = self._backgrounds.get(predict_fn)
-                if per_fn is None:
-                    per_fn = OrderedDict()
-                    self._backgrounds[predict_fn] = per_fn
-                per_fn[key] = preds
-                self._record_entry(predict_fn, key)
-                while len(per_fn) > self.max_backgrounds:
-                    evicted_key, _ = per_fn.popitem(last=False)
-                    self._forget_entry(predict_fn, evicted_key)
-            except TypeError:  # not weak-referenceable: token tier only
-                pass
-            if token is not None:
-                self._store_token(token, key, preds)
-        return preds
-
-    # -- coalition designs --------------------------------------------
-    def coalition_design(self, key: tuple, build_fn):
-        """Memoize ``build_fn() -> (masks, weights)`` under ``key``.
-
-        ``key`` must fully determine the design (feature dimension,
-        sample budget, pairing, integer seed).  Arrays are stored
-        read-only and shared between callers.
-        """
-        with self._lock:
-            if key in self._designs:
-                self.hits += 1
-                self._designs.move_to_end(key)
-                return self._designs[key]
-        # build outside the lock: racing threads may build the same
-        # design twice, but it is deterministic, so either copy is valid
-        masks, weights = build_fn()
-        masks = np.asarray(masks)
-        weights = np.asarray(weights, dtype=float)
-        masks.flags.writeable = False
-        weights.flags.writeable = False
-        with self._lock:
-            self.misses += 1
-            if key not in self._designs:
-                self._designs[key] = (masks, weights)
-            while len(self._designs) > self.max_designs:
-                self._designs.popitem(last=False)
-            return self._designs[key]
-
-    # -- bookkeeping ---------------------------------------------------
-    def resize(
-        self,
-        *,
-        max_backgrounds: int | None = None,
-        max_designs: int | None = None,
-        max_total_entries: int | None = None,
-        max_token_entries: int | None = None,
-    ) -> None:
-        """Re-bound one or more tiers in place (omitted caps keep their
-        current value).
-
-        Shrinking a tier evicts its least recently used entries down to
-        the new cap immediately; growing takes effect on the next
-        insert.  Used by :class:`repro.serve.DiagnosisService` to size
-        the shared cross-session cache to the tenant count — eviction
-        only ever costs recomputes, never changes returned values.
-        """
-        with self._lock:
-            for name, value in (
-                ("max_backgrounds", max_backgrounds),
-                ("max_designs", max_designs),
-                ("max_total_entries", max_total_entries),
-                ("max_token_entries", max_token_entries),
-            ):
-                if value is None:
-                    continue
-                if value < 1:
-                    raise ValueError("cache sizes must be >= 1")
-                setattr(self, name, int(value))
-            while len(self._background_tokens) > self.max_token_entries:
-                self._background_tokens.popitem(last=False)
-                self.token_evictions += 1
-            while len(self._designs) > self.max_designs:
-                self._designs.popitem(last=False)
-            while len(self._bg_order) > self.max_total_entries:
-                (ref, old_key), _ = self._bg_order.popitem(last=False)
-                fn = ref()
-                if fn is None:
-                    continue
-                per_fn = self._backgrounds.get(fn)
-                if per_fn is not None and per_fn.pop(old_key, None) is not None:
-                    self.evictions += 1
-            # per-function max_backgrounds is enforced on insert: live
-            # oversize per-fn dicts shrink as their functions are next
-            # stored into, which preserves the hottest entries
-
-    def clear(self) -> None:
-        """Drop every cached entry and reset the hit/miss counters."""
-        with self._lock:
-            self._backgrounds.clear()
-            self._bg_order.clear()
-            self._background_tokens.clear()
-            self._designs.clear()
-            self.hits = 0
-            self.misses = 0
-            self.evictions = 0
-            self.token_evictions = 0
-
-    def stats(self) -> dict:
-        """Hit/miss counters and current entry counts."""
-        with self._lock:
-            n_bg = sum(len(d) for d in self._backgrounds.values())
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-                "token_evictions": self.token_evictions,
-                "background_entries": n_bg,
-                "background_token_entries": len(self._background_tokens),
-                "design_entries": len(self._designs),
-            }
-
-
-_GLOBAL_CACHE = ExplainerCache()
-
-
-def get_cache() -> ExplainerCache:
-    """The process-wide cache shared by all explainers."""
-    return _GLOBAL_CACHE
-
-
-def background_predictions(predict_fn, background) -> np.ndarray:
-    """Module-level shortcut to the global cache."""
-    return _GLOBAL_CACHE.background_predictions(predict_fn, background)
-
-
-def coalition_design(key: tuple, build_fn):
-    """Module-level shortcut to the global cache."""
-    return _GLOBAL_CACHE.coalition_design(key, build_fn)
+    masks, weights = build(d, n_samples, paired, seed)
+    masks.flags.writeable = False
+    weights.flags.writeable = False
+    return masks, weights
 
 
 def clear_cache() -> None:
-    """Reset the global cache (useful between timed experiments)."""
-    _GLOBAL_CACHE.clear()
+    """Drop every memoized design and reset the counters."""
+    coalition_design.cache_clear()
 
 
 def cache_stats() -> dict:
-    """Hit/miss statistics of the global cache."""
-    return _GLOBAL_CACHE.stats()
+    """Hit/miss counters and the number of memoized designs."""
+    info = coalition_design.cache_info()
+    return {
+        "hits": info.hits,
+        "misses": info.misses,
+        # each miss stores one design; the ones no longer held were evicted
+        # (a racing duplicate miss under the thread backend also counts)
+        "evictions": info.misses - info.currsize,
+        # no token tier exists any more; the key stays for existing readers
+        "token_evictions": 0,
+        "design_entries": info.currsize,
+    }

@@ -12,7 +12,7 @@ shape one abstraction — an :class:`Executor` with an ordered
   interpreter, but the heavy lifting here is numpy, which releases the
   GIL inside BLAS/ufunc kernels, so threads pay no pickling cost and
   win whenever the workload is model-evaluation-bound.  Shared state
-  (the explainer cache) is protected by a lock, not by luck.
+  (the coalition-design memo) is a thread-safe ``lru_cache``.
 * :class:`ProcessExecutor` — a process pool for interpreter-bound
   work (tree traversals, per-row solves, pure-Python combinatorics).
   Tasks and results cross the boundary by pickling, so task payloads

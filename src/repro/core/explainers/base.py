@@ -447,27 +447,12 @@ class ModelOutputFn:
     worker processes — which is why this is a class rather than a
     closure: closures cannot be pickled, instances can, as long as the
     wrapped model can.
-
-    Instances also expose :meth:`cache_token`, a content-style identity
-    used by :mod:`repro.core.cache` as a fallback key when function
-    *object* identity is unavailable (a fresh unpickled copy in a
-    worker process is a new object wrapping the same model).
     """
 
     def __init__(self, model, output: str, class_index: int):
         self.model = model
         self.output = output
         self.class_index = int(class_index)
-
-    def cache_token(self) -> str:
-        """Stable identity across pickling: output mode, class index,
-        and the model's constructor repr.  The repr covers parameters
-        only (not fitted state), so two differently-fit models with the
-        same parameters share a token — safe because every cache hit is
-        spot-checked against live predictions (see
-        :meth:`repro.core.cache.ExplainerCache.background_predictions`).
-        """
-        return f"{self.output}[{self.class_index}]:{self.model!r}"
 
     def __call__(self, X) -> np.ndarray:
         X = np.atleast_2d(X)

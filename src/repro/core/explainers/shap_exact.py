@@ -18,7 +18,6 @@ from math import comb
 
 import numpy as np
 
-from repro.core.cache import background_predictions
 from repro.core.explainers.base import BatchExplanation, Explainer, Explanation
 
 __all__ = ["ExactShapleyExplainer", "coalition_value"]
@@ -79,7 +78,7 @@ class ExactShapleyExplainer(Explainer):
                 f"{len(self.feature_names)} names for {d} features"
             )
         self.expected_value_ = float(
-            np.mean(background_predictions(predict_fn, self.background))
+            np.mean(np.asarray(predict_fn(self.background), dtype=float))
         )
 
     def explain(self, x) -> Explanation:

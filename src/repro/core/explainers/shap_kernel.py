@@ -27,7 +27,7 @@ from math import comb
 
 import numpy as np
 
-from repro.core.cache import background_predictions, coalition_design
+from repro.core.cache import coalition_design
 from repro.core.explainers.base import BatchExplanation, Explainer, Explanation
 from repro.utils.rng import check_random_state
 
@@ -106,7 +106,7 @@ class KernelShapExplainer(Explainer):
         self.l2 = float(l2)
         self.random_state = random_state
         self.expected_value_ = float(
-            np.mean(background_predictions(predict_fn, self.background))
+            np.mean(np.asarray(predict_fn(self.background), dtype=float))
         )
 
     # ------------------------------------------------------------------
@@ -184,21 +184,20 @@ class KernelShapExplainer(Explainer):
         """
         seed = self.random_state
         if isinstance(seed, (int, np.integer)) and not isinstance(seed, bool):
-            key = (
-                "kernel_shap", d, self.n_samples, self.paired, int(seed)
-            )
             return coalition_design(
-                key,
-                lambda: self._build_coalitions(
-                    d, check_random_state(int(seed))
-                ),
+                self._build_coalitions, d, self.n_samples, self.paired,
+                int(seed),
             )
-        return self._build_coalitions(d, check_random_state(seed))
+        return self._build_coalitions(d, self.n_samples, self.paired, seed)
 
     # ------------------------------------------------------------------
-    def _build_coalitions(self, d: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    @staticmethod
+    def _build_coalitions(
+        d: int, n_samples: int, paired: bool, random_state
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Binary coalition masks and their regression weights."""
-        budget = self.n_samples
+        rng = check_random_state(random_state)
+        budget = n_samples
         masks: list[np.ndarray] = []
         weights: list[float] = []
 
@@ -243,7 +242,7 @@ class KernelShapExplainer(Explainer):
                 [shapley_kernel_weight(d, s) * comb(d, s) for s in remaining_sizes]
             )
             size_prob = size_mass / size_mass.sum()
-            step = 2 if self.paired else 1
+            step = 2 if paired else 1
             n_draws = budget // step
             n_before = len(masks)
             drawn_sizes = rng.choice(remaining_sizes, size=n_draws, p=size_prob)
@@ -253,7 +252,7 @@ class KernelShapExplainer(Explainer):
                 mask[subset] = True
                 masks.append(mask)
                 weights.append(1.0)
-                if self.paired:
+                if paired:
                     masks.append(~mask)
                     weights.append(1.0)
             # the kernel is already encoded in the sampling distribution,

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.cache import background_predictions
 from repro.core.explainers.base import BatchExplanation, Explainer, Explanation
 from repro.utils.rng import check_random_state
 
@@ -76,7 +75,7 @@ class SamplingShapleyExplainer(Explainer):
         self.antithetic = antithetic
         self.random_state = random_state
         self.expected_value_ = float(
-            np.mean(background_predictions(predict_fn, self.background))
+            np.mean(np.asarray(predict_fn(self.background), dtype=float))
         )
 
     def _walk(self, x: np.ndarray, order: np.ndarray, phi: np.ndarray) -> None:

@@ -19,8 +19,8 @@ windows of ``window_epochs`` epochs, and per window:
    the first window where the history supports a stratified fit),
 3. diagnoses the window's violation epochs through the *batched*
    explanation engine — one vectorized ``diagnose_batch`` per window,
-   chunk-dispatched to an execution backend, background predictions
-   memoized by :mod:`repro.core.cache` across windows between refits,
+   chunk-dispatched to an execution backend, with the explainer (and
+   its expected value) reused across windows between refits,
 4. feeds the window's violation rate and the shift of its mean
    attribution profile into Page–Hinkley drift detectors
    (:mod:`repro.core.stream.drift`).

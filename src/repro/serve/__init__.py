@@ -3,7 +3,7 @@
 Multi-tenant session management over the streaming diagnosis engine:
 a :class:`DiagnosisService` multiplexes named
 :class:`TenantSession` objects over one shared executor and one shared
-explainer cache, with per-tenant seed isolation, bounded ingest queues
+coalition-design memo, with per-tenant seed isolation, bounded ingest queues
 (:class:`BackpressureError`), per-session circuit breakers
 (:class:`SessionQuarantinedError`, :meth:`DiagnosisService.health_report`),
 and whole-service snapshot/restore (:func:`save_snapshot` /

@@ -8,9 +8,10 @@ infrastructure:
 * one **executor** (:func:`repro.core.executor.get_executor`) drives
   the chunked explanation dispatch of every session, so the worker
   budget is a service-level knob rather than per-tenant;
-* one **explainer cache** (:func:`repro.core.cache.get_cache`) is hit
-  by all sessions — tenants running the same scenario share background
-  predictions and coalition designs across session boundaries;
+* one **coalition-design memo** (:mod:`repro.core.cache`) serves all
+  sessions — KernelSHAP explainers with the same feature dimension,
+  sample budget and integer seed share one design across session
+  boundaries;
 * one **seed** covers the whole service: tenant ``i``'s engine seed is
   ``spawn_seeds(service_seed, i + 1)[i]``, which is prefix-stable, so
   a tenant's reports do not depend on how many tenants open after it,
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.cache import get_cache
+from repro.core import cache
 from repro.core.executor import get_executor
 from repro.core.stream import StreamingDiagnosisEngine, StreamReport
 from repro.resilience import ResilientExecutor
@@ -108,10 +109,6 @@ class DiagnosisService:
     random_state:
         Service seed.  Non-integer seeds are frozen into one drawn
         integer at construction so tenant seeds survive restarts.
-    cache_entries:
-        If given, resize the shared explainer cache so both its global
-        identity tier and its token-fallback tier hold this many
-        entries (see :meth:`repro.core.cache.ExplainerCache.resize`).
     failure_budget:
         Consecutive failures before a session's circuit breaker opens
         (see :class:`~repro.serve.session.TenantSession`); override
@@ -132,8 +129,7 @@ class DiagnosisService:
 
     def __init__(self, model_factory=None, *, max_pending_epochs: int = 256,
                  backend: str = "auto", workers: int | None = None,
-                 random_state=None, cache_entries: int | None = None,
-                 failure_budget: int = 3,
+                 random_state=None, failure_budget: int = 3,
                  task_timeout: float | None = None,
                  task_retries: int | None = None,
                  chaos=None,
@@ -160,11 +156,6 @@ class DiagnosisService:
         self._next_index = 0
         self._lock = threading.Lock()
         self._closed = False
-        if cache_entries is not None:
-            get_cache().resize(
-                max_total_entries=cache_entries,
-                max_token_entries=cache_entries,
-            )
         # the executor is created last: anything above that raises must
         # not leave an orphaned pool behind (a leak the close() path
         # could never reach)
@@ -340,7 +331,6 @@ class DiagnosisService:
     @classmethod
     def restore(cls, snapshot: ServiceSnapshot, *, model_factory=None,
                 backend: str = "auto", workers: int | None = None,
-                cache_entries: int | None = None,
                 task_timeout: float | None = None,
                 task_retries: int | None = None,
                 chaos=None) -> "DiagnosisService":
@@ -360,7 +350,6 @@ class DiagnosisService:
             backend=backend,
             workers=workers,
             random_state=config["random_state"],
-            cache_entries=cache_entries,
             task_timeout=task_timeout,
             task_retries=task_retries,
             chaos=chaos,
@@ -391,8 +380,8 @@ class DiagnosisService:
 
     # ------------------------------------------------------------------
     def cache_stats(self) -> dict:
-        """Hit/miss statistics of the shared explainer cache."""
-        return get_cache().stats()
+        """Hit/miss statistics of the shared coalition-design memo."""
+        return cache.cache_stats()
 
     def close(self) -> None:
         """Shut the shared executor down (idempotent).

@@ -1,6 +1,6 @@
 """Fixture sweep for the lock-discipline rule (C301).
 
-Encodes the :mod:`repro.core.cache` contract: a module that declares a
+Encodes the lock contract: a module that declares a
 ``threading.Lock`` is advertising shared state, and every mutation of
 its module-level mutable containers inside functions must sit under
 ``with <lock>:``.  Modules without a lock are out of scope — the rule

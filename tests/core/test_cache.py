@@ -1,424 +1,149 @@
-"""Tests for repro.core.cache — memoized background predictions and
-coalition designs."""
+"""Tests for repro.core.cache — the memoized KernelSHAP coalition
+designs."""
+
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from repro.core.cache import (
-    ExplainerCache,
-    array_fingerprint,
+    MAX_DESIGNS,
+    cache_stats,
     clear_cache,
-    get_cache,
+    coalition_design,
 )
-from repro.core.explainers import KernelShapExplainer
+from repro.core.explainers import (
+    ExactShapleyExplainer,
+    KernelShapExplainer,
+    SamplingShapleyExplainer,
+)
+from repro.utils.rng import check_random_state
 
 
 class CountingModel:
-    """A predict function that counts its calls (weak-referenceable)."""
+    """A predict function that counts its calls."""
 
     def __init__(self):
         self.calls = 0
-        self.rows = 0
 
     def __call__(self, X):
         X = np.atleast_2d(X)
         self.calls += 1
-        self.rows += len(X)
         return X.sum(axis=1)
 
 
-class TestArrayFingerprint:
-    def test_equal_content_equal_fingerprint(self):
-        a = np.arange(12.0).reshape(3, 4)
-        b = np.arange(12.0).reshape(3, 4)
-        assert array_fingerprint(a) == array_fingerprint(b)
-
-    def test_different_content_differs(self):
-        a = np.arange(12.0).reshape(3, 4)
-        b = a.copy()
-        b[0, 0] = -1.0
-        assert array_fingerprint(a) != array_fingerprint(b)
-
-    def test_shape_matters(self):
-        a = np.arange(12.0).reshape(3, 4)
-        assert array_fingerprint(a) != array_fingerprint(a.reshape(4, 3))
+BUILDS = []
 
 
-class TestBackgroundPredictions:
-    def test_second_request_hits_cache(self):
-        cache = ExplainerCache()
-        fn = CountingModel()
-        bg = np.ones((5, 3))
-        first = cache.background_predictions(fn, bg)
-        second = cache.background_predictions(fn, bg)
-        # one full sweep (5 rows) + the 3-row spot-check probe on the
-        # hit — not a second full sweep
-        assert fn.rows == 8
-        np.testing.assert_array_equal(first, second)
-        assert cache.stats()["hits"] == 1
-
-    def test_different_background_misses(self):
-        cache = ExplainerCache()
-        fn = CountingModel()
-        cache.background_predictions(fn, np.ones((5, 3)))
-        cache.background_predictions(fn, np.zeros((5, 3)))
-        assert fn.calls == 2
-
-    def test_different_fn_misses(self):
-        cache = ExplainerCache()
-        fn_a, fn_b = CountingModel(), CountingModel()
-        bg = np.ones((5, 3))
-        cache.background_predictions(fn_a, bg)
-        cache.background_predictions(fn_b, bg)
-        assert fn_a.calls == 1 and fn_b.calls == 1
-
-    def test_result_is_read_only(self):
-        cache = ExplainerCache()
-        preds = cache.background_predictions(CountingModel(), np.ones((4, 2)))
-        with pytest.raises(ValueError):
-            preds[0] = 99.0
-
-    def test_collected_fn_entry_evicted(self):
-        cache = ExplainerCache()
-        fn = CountingModel()
-        cache.background_predictions(fn, np.ones((4, 2)))
-        assert cache.stats()["background_entries"] == 1
-        del fn
-        assert cache.stats()["background_entries"] == 0
-
-    def test_in_place_refit_invalidates_entry(self):
-        """A model refit behind the same predict function must not be
-        served stale predictions (revalidated via a one-row probe)."""
-        cache = ExplainerCache()
-
-        class MutableModel:
-            scale = 1.0
-
-            def __call__(self, X):
-                return np.atleast_2d(X).sum(axis=1) * self.scale
-
-        fn = MutableModel()
-        bg = np.ones((4, 2))
-        first = cache.background_predictions(fn, bg)
-        np.testing.assert_array_equal(first, [2.0, 2.0, 2.0, 2.0])
-        fn.scale = 5.0  # "refit" in place
-        second = cache.background_predictions(fn, bg)
-        np.testing.assert_array_equal(second, [10.0, 10.0, 10.0, 10.0])
-
-    def test_eviction_respects_maxsize(self):
-        cache = ExplainerCache(max_backgrounds=2)
-        fn = CountingModel()
-        for scale in (1.0, 2.0, 3.0):
-            cache.background_predictions(fn, np.full((4, 2), scale))
-        assert cache.stats()["background_entries"] == 2
-        # oldest entry (scale=1.0) was evicted -> recomputed on request
-        cache.background_predictions(fn, np.full((4, 2), 1.0))
-        assert fn.calls == 4
+def counting_build(d, n_samples, paired, seed):
+    """A deterministic design builder that records each build."""
+    BUILDS.append((d, n_samples, paired, seed))
+    return np.ones((3, d), dtype=bool), np.full(3, float(seed))
 
 
-class ScaledModel:
-    """A picklable model with a parameters-only repr (like repro.ml)."""
-
-    def __init__(self, scale=1.0):
-        self.scale = scale
-        self.calls = 0
-        self.rows = 0
-
-    def predict(self, X):
-        X = np.atleast_2d(X)
-        self.calls += 1
-        self.rows += len(X)
-        return X.sum(axis=1) * self.scale
-
-    def __repr__(self):
-        return "ScaledModel()"
+def explain_one(explainer_and_row):
+    explainer, row = explainer_and_row
+    return explainer.explain(row).values
 
 
-class TestTokenFallback:
-    """ISSUE satellite: weakref identity keys silently miss across
-    processes; ``cache_token()``-bearing predict functions fall back to
-    (token, background fingerprint) so a worker does not cold-start."""
-
-    def test_unpickled_fn_hits_token_tier(self):
-        import pickle
-
-        from repro.core.explainers import model_output_fn
-
-        cache = ExplainerCache()
-        fn = model_output_fn(ScaledModel())
-        bg = np.arange(12.0).reshape(4, 3)
-        first = cache.background_predictions(fn, bg)
-        # a new object wrapping an equal model — exactly what a process
-        # worker gets after unpickling an explainer
-        fn2 = pickle.loads(pickle.dumps(fn))
-        assert fn2 is not fn
-        fn2.model.rows = 0  # unpickling copied the counter's state
-        second = cache.background_predictions(fn2, bg)
-        np.testing.assert_array_equal(second, first)
-        # the unpickled copy paid only the 3-row probe, not a full sweep
-        assert fn2.model.rows == 3
-        assert cache.stats()["hits"] == 1
-        assert cache.stats()["background_token_entries"] == 1
-
-    def test_token_collision_caught_by_probe(self):
-        from repro.core.explainers import model_output_fn
-
-        cache = ExplainerCache()
-        bg = np.arange(12.0).reshape(4, 3)
-        cache.background_predictions(fn := model_output_fn(ScaledModel()), bg)
-        # same constructor repr (same token), different fitted behavior
-        impostor = model_output_fn(ScaledModel(scale=5.0))
-        assert impostor.cache_token() == fn.cache_token()
-        served = cache.background_predictions(impostor, bg)
-        np.testing.assert_array_equal(served, bg.sum(axis=1) * 5.0)
-        assert cache.stats()["hits"] == 0  # probe rejected the entry
-
-    def test_plain_callables_do_not_use_token_tier(self):
-        cache = ExplainerCache()
-        cache.background_predictions(CountingModel(), np.ones((4, 2)))
-        assert cache.stats()["background_token_entries"] == 0
-
-    def test_token_tier_has_its_own_cap(self):
-        """ISSUE 8 satellite: the token tier is *global* — bounding it
-        by the per-function ``max_backgrounds`` cap (the old bug) made
-        many-tenant workloads thrash token entries and cold-start every
-        process shard.  It now defaults to ``max_total_entries``."""
-        from repro.core.explainers import model_output_fn
-
-        cache = ExplainerCache(max_backgrounds=2, max_total_entries=64)
-        assert cache.max_token_entries == 64
-        fn = model_output_fn(ScaledModel())
-        backgrounds = [np.full((4, 3), float(i)) for i in range(6)]
-        for bg in backgrounds:
-            cache.background_predictions(fn, bg)
-        # six token entries survive a max_backgrounds=2 cache: the tier
-        # is no longer squeezed through the per-function cap
-        assert cache.stats()["background_token_entries"] == 6
-        assert cache.stats()["token_evictions"] == 0
-        # an unpickled twin (identity lost) still hits all six
-        import pickle
-
-        twin = pickle.loads(pickle.dumps(fn))
-        hits_before = cache.stats()["hits"]
-        for bg in backgrounds:
-            cache.background_predictions(twin, bg)
-        assert cache.stats()["hits"] == hits_before + 6
-
-    def test_token_tier_evictions_counted_at_explicit_cap(self):
-        from repro.core.explainers import model_output_fn
-
-        cache = ExplainerCache(max_backgrounds=2, max_token_entries=3)
-        fn = model_output_fn(ScaledModel())
-        for i in range(5):
-            cache.background_predictions(fn, np.full((4, 3), float(i)))
-        stats = cache.stats()
-        assert stats["background_token_entries"] == 3
-        assert stats["token_evictions"] == 2
-        # LRU: the most recent backgrounds survived, the oldest did not
-        hits_before = cache.stats()["hits"]
-        cache.background_predictions(fn, np.full((4, 3), 4.0))
-        cache.background_predictions(fn, np.full((4, 3), 3.0))
-        assert cache.stats()["hits"] == hits_before + 2
-        cache.background_predictions(fn, np.full((4, 3), 0.0))
-        assert cache.stats()["hits"] == hits_before + 2  # evicted: a miss
-
-    def test_resize_shrinks_token_tier_in_place(self):
-        from repro.core.explainers import model_output_fn
-
-        cache = ExplainerCache()
-        fn = model_output_fn(ScaledModel())
-        for i in range(5):
-            cache.background_predictions(fn, np.full((4, 3), float(i)))
-        cache.resize(max_token_entries=2)
-        stats = cache.stats()
-        assert stats["background_token_entries"] == 2
-        assert stats["token_evictions"] == 3
-        with pytest.raises(ValueError, match=">= 1"):
-            cache.resize(max_token_entries=0)
-
-    def test_resize_shrinks_identity_tier_and_designs(self):
-        cache = ExplainerCache()
-        fns = [CountingModel() for _ in range(4)]
-        bg = np.arange(8.0).reshape(4, 2)
-        results = [cache.background_predictions(fn, bg) for fn in fns]
-        for i in range(3):
-            cache.coalition_design(
-                ("k", 4, 16, True, i),
-                lambda: (np.ones((2, 4), dtype=bool), np.ones(2)),
-            )
-        cache.resize(max_total_entries=2, max_designs=1)
-        stats = cache.stats()
-        assert stats["background_entries"] == 2
-        assert stats["evictions"] == 2
-        assert stats["design_entries"] == 1
-        # surviving (most recent) entries still serve correct values
-        np.testing.assert_array_equal(
-            cache.background_predictions(fns[3], bg), results[3]
-        )
-
-    def test_thread_safety_under_concurrent_requests(self):
-        from concurrent.futures import ThreadPoolExecutor
-
-        cache = ExplainerCache()
-        fn = CountingModel()
-        bg = np.linspace(0.0, 1.0, 30).reshape(10, 3)
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            results = list(pool.map(
-                lambda _: cache.background_predictions(fn, bg), range(32)
-            ))
-        expected = bg.sum(axis=1)
-        for result in results:
-            np.testing.assert_array_equal(result, expected)
-        stats = cache.stats()
-        assert stats["hits"] + stats["misses"] == 32
-        assert stats["background_entries"] == 1
+@pytest.fixture(autouse=True)
+def cold_cache():
+    clear_cache()
+    BUILDS.clear()
+    yield
+    clear_cache()
 
 
 class TestCoalitionDesignCache:
     def test_build_called_once_per_key(self):
-        cache = ExplainerCache()
-        calls = []
-
-        def build():
-            calls.append(1)
-            return np.ones((3, 4), dtype=bool), np.ones(3)
-
-        key = ("kernel_shap", 4, 64, True, 0)
-        m1, w1 = cache.coalition_design(key, build)
-        m2, w2 = cache.coalition_design(key, build)
-        assert len(calls) == 1
+        m1, w1 = coalition_design(counting_build, 4, 64, True, 0)
+        m2, w2 = coalition_design(counting_build, 4, 64, True, 0)
+        assert BUILDS == [(4, 64, True, 0)]
         assert m1 is m2 and w1 is w2
-        assert not m1.flags.writeable
+        assert not m1.flags.writeable and not w1.flags.writeable
+        coalition_design(counting_build, 4, 64, True, 1)
+        assert len(BUILDS) == 2
+        assert cache_stats()["hits"] == 1
+        assert cache_stats()["misses"] == 2
 
     def test_kernel_explainer_shares_design_across_instances(self):
-        clear_cache()
         fn = CountingModel()
         bg = np.linspace(0.0, 1.0, 24).reshape(6, 4)
         first = KernelShapExplainer(fn, bg, n_samples=32, random_state=0)
         first.explain(bg[0])
-        designs_after_first = get_cache().stats()["design_entries"]
+        designs_after_first = cache_stats()["design_entries"]
+        assert designs_after_first == 1
         second = KernelShapExplainer(fn, bg, n_samples=32, random_state=0)
         second.explain(bg[1])
-        assert get_cache().stats()["design_entries"] == designs_after_first
-        clear_cache()
+        assert cache_stats()["design_entries"] == designs_after_first
+        assert cache_stats()["hits"] == 1
 
     def test_generator_random_state_bypasses_cache(self):
-        clear_cache()
         fn = CountingModel()
         bg = np.linspace(0.0, 1.0, 24).reshape(6, 4)
         explainer = KernelShapExplainer(
-            fn, bg, n_samples=32, random_state=np.random.default_rng(0)
+            fn, bg, n_samples=32, random_state=check_random_state(0)
         )
         explainer.explain(bg[0])
-        assert get_cache().stats()["design_entries"] == 0
-        clear_cache()
+        assert cache_stats()["design_entries"] == 0
+        assert cache_stats()["misses"] == 0
 
     def test_clear_resets_counters(self):
-        cache = ExplainerCache()
-        fn = CountingModel()
-        cache.background_predictions(fn, np.ones((3, 2)))
-        cache.background_predictions(fn, np.ones((3, 2)))
-        cache.clear()
-        stats = cache.stats()
-        assert stats == {
+        coalition_design(counting_build, 3, 8, False, 0)
+        coalition_design(counting_build, 3, 8, False, 0)
+        clear_cache()
+        assert cache_stats() == {
             "hits": 0,
             "misses": 0,
             "evictions": 0,
             "token_evictions": 0,
-            "background_entries": 0,
-            "background_token_entries": 0,
             "design_entries": 0,
         }
 
-    def test_invalid_sizes_rejected(self):
-        with pytest.raises(ValueError, match=">= 1"):
-            ExplainerCache(max_backgrounds=0)
-        with pytest.raises(ValueError, match=">= 1"):
-            ExplainerCache(max_total_entries=0)
-        with pytest.raises(ValueError, match=">= 1"):
-            ExplainerCache(max_token_entries=0)
+    def test_least_recently_used_design_is_evicted(self):
+        for seed in range(MAX_DESIGNS + 2):
+            coalition_design(counting_build, 3, 8, False, seed)
+        stats = cache_stats()
+        assert stats["design_entries"] == MAX_DESIGNS
+        assert stats["evictions"] == 2
+        # seed 0 was evicted: asking again rebuilds it
+        coalition_design(counting_build, 3, 8, False, 0)
+        assert len(BUILDS) == MAX_DESIGNS + 3
 
-
-class TestGlobalEntryBound:
-    """ISSUE 5 satellite: a ``max_total_entries`` LRU bounds the
-    identity tier across *all* predict functions, so long streaming
-    sessions (fresh predict function per refit window, explainers kept
-    alive in a sliding history) cannot grow the cache without limit.
-    Eviction must only ever force recomputes, never change values."""
-
-    @staticmethod
-    def _fill(cache, n_fns):
-        fns = [CountingModel() for _ in range(n_fns)]
-        bg = np.arange(8.0).reshape(4, 2)
-        results = [cache.background_predictions(fn, bg) for fn in fns]
-        return fns, bg, results
-
-    def test_total_entries_bounded(self):
-        cache = ExplainerCache(max_total_entries=3)
-        fns, _, _ = self._fill(cache, 7)
-        assert cache.stats()["background_entries"] == 3
-        assert cache.stats()["evictions"] == 4
-
-    def test_evicted_entry_recomputed_correctly(self):
-        cache = ExplainerCache(max_total_entries=2)
-        fns, bg, results = self._fill(cache, 4)
-        # fns[0] was evicted: a fresh request recomputes — a full sweep,
-        # not the 3-row probe of a hit — and returns correct values
-        calls_before = fns[0].calls
-        again = cache.background_predictions(fns[0], bg)
-        assert fns[0].calls == calls_before + 1
-        np.testing.assert_array_equal(again, results[0])
-        # fns[3] is still resident: a probe-validated hit
-        hits_before = cache.stats()["hits"]
-        np.testing.assert_array_equal(
-            cache.background_predictions(fns[3], bg), results[3]
+    def test_thread_safety_under_concurrent_requests(self):
+        bg = np.linspace(0.0, 1.0, 40).reshape(10, 4)
+        explainer = KernelShapExplainer(
+            CountingModel(), bg, n_samples=32, random_state=0
         )
-        assert cache.stats()["hits"] == hits_before + 1
+        expected = explainer.explain(bg[3]).values
+        clear_cache()
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(explain_one, [(explainer, bg[3])] * 32))
+        for result in results:
+            np.testing.assert_array_equal(result, expected)
+        stats = cache_stats()
+        assert stats["hits"] + stats["misses"] == 32
+        assert stats["design_entries"] == 1
 
-    def test_recent_use_protects_from_eviction(self):
-        cache = ExplainerCache(max_total_entries=2)
-        fns, bg, _ = self._fill(cache, 2)
-        # touch the older entry, then insert a third: the *untouched*
-        # middle entry must be the one evicted
-        cache.background_predictions(fns[0], bg)
-        extra = CountingModel()
-        cache.background_predictions(extra, bg)
-        hits_before = cache.stats()["hits"]
-        cache.background_predictions(fns[0], bg)  # hit: survived
-        assert cache.stats()["hits"] == hits_before + 1
-        calls_before = fns[1].calls
-        cache.background_predictions(fns[1], bg)  # miss: was evicted
-        assert fns[1].calls == calls_before + 1
-
-    def test_dead_functions_do_not_crowd_out_live_entries(self):
-        cache = ExplainerCache(max_total_entries=4)
-        bg = np.arange(8.0).reshape(4, 2)
-        for _ in range(6):  # inserted then garbage-collected
-            cache.background_predictions(CountingModel(), bg)
-        survivor = CountingModel()
-        cache.background_predictions(survivor, bg)
-        for _ in range(3):  # age the stale order entries out
-            cache.background_predictions(CountingModel(), bg)
-        hits_before = cache.stats()["hits"]
-        cache.background_predictions(survivor, bg)
-        assert cache.stats()["hits"] == hits_before + 1
-
-    def test_per_fn_eviction_keeps_order_in_sync(self):
-        cache = ExplainerCache(max_backgrounds=2, max_total_entries=8)
-        fn = CountingModel()
-        for scale in (1.0, 2.0, 3.0):  # per-fn LRU evicts scale=1.0
-            cache.background_predictions(fn, np.full((4, 2), scale))
-        assert cache.stats()["background_entries"] == 2
-        assert len(cache._bg_order) == 2
+    def test_stats_carry_the_keys_perfbench_reads(self):
+        stats = cache_stats()
+        for key in ("hits", "misses", "evictions", "token_evictions"):
+            assert isinstance(stats[key], int)
+        assert stats["token_evictions"] == 0
 
 
 class TestCachedExplainerCorrectness:
-    def test_expected_value_matches_uncached(self):
-        clear_cache()
-        fn = CountingModel()
+    @pytest.mark.parametrize("explainer_cls, kwargs", [
+        (KernelShapExplainer, {"n_samples": 16, "random_state": 0}),
+        (SamplingShapleyExplainer, {"random_state": 0}),
+        (ExactShapleyExplainer, {}),
+    ], ids=["kernel_shap", "sampling_shapley", "exact_shapley"])
+    def test_expected_value_is_mean_of_background_predictions(
+        self, explainer_cls, kwargs
+    ):
+        def predict_fn(X):
+            return np.sin(np.atleast_2d(X)) @ np.array([0.3, -1.7, 2.9, 0.1])
+
         bg = np.linspace(-1.0, 1.0, 40).reshape(10, 4)
-        a = KernelShapExplainer(fn, bg, n_samples=16, random_state=0)
-        b = KernelShapExplainer(fn, bg, n_samples=16, random_state=0)
-        assert a.expected_value_ == b.expected_value_
-        assert a.expected_value_ == pytest.approx(float(fn(bg).mean()))
-        clear_cache()
+        explainer = explainer_cls(predict_fn, bg, **kwargs)
+        assert explainer.expected_value_ == float(np.mean(predict_fn(bg)))

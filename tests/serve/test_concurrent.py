@@ -1,7 +1,7 @@
 """Concurrent-session stress tests.
 
 Many threads drive interleaved tenant sessions through one service —
-shared executor, shared explainer cache, contended registry — and
+shared executor, shared coalition-design memo, contended registry — and
 every tenant's report must still be byte-identical to running that
 tenant alone, serially, in an isolated engine.  This is the
 multi-tenant restatement of the repo's determinism contract:

@@ -2,7 +2,8 @@
 
 The contract: each tenant's report is byte-identical to running that
 tenant alone with the same integer seed — sharing the executor, the
-explainer cache, and the process with other tenants is timing-only.
+coalition-design memo, and the process with other tenants is
+timing-only.
 """
 
 import pytest

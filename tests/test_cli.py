@@ -20,6 +20,19 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["train", "--model", "svm"])
 
+    @pytest.mark.parametrize("argv", [
+        ["explain", "--top-k", "-2"],
+        ["explain", "--top-k", "0"],
+        ["explain-batch", "--top-k", "0"],
+        ["train", "--horizon", "-3"],
+    ])
+    def test_parser_rejects_bad_values(self, argv):
+        """Values the library rejects fail at parse (exit 2), not with a
+        traceback after the whole fit."""
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+
 
 class TestCommands:
     def test_simulate_prints_summary(self, capsys):
