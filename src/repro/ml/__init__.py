@@ -14,9 +14,7 @@ with a compatible ``fit`` / ``predict`` / ``predict_proba`` API:
   :class:`~repro.ml.boosting.GradientBoostingRegressor`
 * neural — :class:`~repro.ml.mlp.MLPClassifier`,
   :class:`~repro.ml.mlp.MLPRegressor`
-* baselines — :class:`~repro.ml.naive_bayes.GaussianNB`,
-  :class:`~repro.ml.neighbors.KNeighborsClassifier`,
-  :class:`~repro.ml.neighbors.KNeighborsRegressor`
+* baseline — :class:`~repro.ml.naive_bayes.GaussianNB`
 
 plus preprocessing (scalers, one-hot), metrics, and model selection.
 
@@ -37,7 +35,6 @@ from repro.ml.forest import RandomForestClassifier, RandomForestRegressor
 from repro.ml.linear import LinearRegression, LogisticRegression, RidgeRegression
 from repro.ml.mlp import MLPClassifier, MLPRegressor
 from repro.ml.naive_bayes import GaussianNB
-from repro.ml.neighbors import KNeighborsClassifier, KNeighborsRegressor
 from repro.ml.packed import PackedEnsemble, PackedModelMixin
 from repro.ml.packed_shap import (
     PackedPathTable,
@@ -55,8 +52,6 @@ __all__ = [
     "GaussianNB",
     "GradientBoostingClassifier",
     "GradientBoostingRegressor",
-    "KNeighborsClassifier",
-    "KNeighborsRegressor",
     "LinearRegression",
     "LogisticRegression",
     "MinMaxScaler",

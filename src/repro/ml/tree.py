@@ -120,17 +120,6 @@ class TreeStructure:
         return path
 
 
-# ----------------------------------------------------------------------
-# impurity helpers (operate on cumulative statistics for all split points)
-# ----------------------------------------------------------------------
-def _gini_from_counts(counts: np.ndarray) -> np.ndarray:
-    """Gini impurity for each row of class ``counts``."""
-    totals = counts.sum(axis=-1, keepdims=True)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        p = np.where(totals > 0, counts / totals, 0.0)
-    return 1.0 - np.sum(p * p, axis=-1)
-
-
 def _resolve_max_features(max_features, n_features: int) -> int:
     if max_features is None:
         return n_features
@@ -152,7 +141,23 @@ def _resolve_max_features(max_features, n_features: int) -> int:
 
 
 class _TreeBuilder:
-    """Depth-first CART builder shared by classifier and regressor."""
+    """Depth-first CART builder shared by classifier and regressor.
+
+    Each split-attempting node draws its features with one
+    ``rng.choice`` (in preorder, so a node's draw is the i-th draw of
+    the tree's stream) and scans all k drawn features of its n rows as
+    one array program: one stable sort per column, cumulative class
+    counts (or sums of y and y**2), one impurity evaluation per side,
+    and one first-minimum ``argmin`` in feature-major order, so ties go
+    to the earliest drawn feature, then the earliest position.
+
+    Every float is the same IEEE expression, element by element, as the
+    per-feature loop in ``tests/oracles/cart_builder.py``: class counts
+    are integers, so their running sums are exact; a stable sort orders
+    each column the same way alone or beside others; and the class axis
+    is summed first to last, which is what ``np.sum`` does over a last
+    axis shorter than 8 (so trees are bit-identical up to 7 classes).
+    """
 
     def __init__(
         self,
@@ -172,153 +177,144 @@ class _TreeBuilder:
         self.min_samples_leaf = min_samples_leaf
         self.max_features = max_features
         self.rng = rng
-        self.nodes: list[dict] = []
 
     # ------------------------------------------------------------------
     def build(self, X: np.ndarray, y: np.ndarray) -> TreeStructure:
         self._n_features = X.shape[1]
         self._k = _resolve_max_features(self.max_features, self._n_features)
-        self._grow(X, y, np.arange(len(X)), depth=0)
-        return self._to_structure()
-
-    def _node_value(self, y_node: np.ndarray) -> np.ndarray:
+        self._all_features = np.arange(self._n_features)
         if self.is_classifier:
-            counts = np.bincount(y_node.astype(int), minlength=self.n_classes)
-            return counts / counts.sum()
-        return np.array([y_node.mean()])
+            y = y.astype(np.intp)
+            self._classes = np.arange(self.n_classes)[:, None, None]
+        self._left: list[int] = []
+        self._right: list[int] = []
+        self._feature: list[int] = []
+        self._threshold: list[float] = []
+        self._value: list = []
+        self._n: list[int] = []
+        self._impurity: list[float] = []
+        # feature-major, so a node's drawn columns gather as contiguous rows
+        self._grow(np.ascontiguousarray(X.T), y, np.arange(len(X)), depth=0)
+        n_nodes = len(self._left)
+        return TreeStructure(
+            children_left=np.array(self._left, dtype=np.int64),
+            children_right=np.array(self._right, dtype=np.int64),
+            feature=np.array(self._feature, dtype=np.int64),
+            threshold=np.array(self._threshold, dtype=float),
+            value=np.array(self._value, dtype=float).reshape(n_nodes, -1),
+            n_node_samples=np.array(self._n, dtype=float),
+            impurity=np.array(self._impurity, dtype=float),
+        )
 
-    def _node_impurity(self, y_node: np.ndarray) -> float:
-        if self.is_classifier:
-            counts = np.bincount(y_node.astype(int), minlength=self.n_classes)
-            return float(_gini_from_counts(counts[None, :])[0])
-        return float(np.var(y_node))
-
-    def _grow(self, X, y, idx, depth) -> int:
+    def _grow(self, XT, y, idx, depth) -> int:
         y_node = y[idx]
-        node_id = len(self.nodes)
-        node = {
-            "left": LEAF,
-            "right": LEAF,
-            "feature": LEAF,
-            "threshold": np.nan,
-            "value": self._node_value(y_node),
-            "n": float(len(idx)),
-            "impurity": self._node_impurity(y_node),
-        }
-        self.nodes.append(node)
+        n = len(idx)
+        if self.is_classifier:
+            value = np.bincount(y_node, minlength=self.n_classes) / n
+            impurity = float(1.0 - np.sum(value * value))
+        else:
+            value = y_node.mean()
+            impurity = float(np.var(y_node))
+        node_id = len(self._left)
+        self._left.append(LEAF)
+        self._right.append(LEAF)
+        self._feature.append(LEAF)
+        self._threshold.append(np.nan)
+        self._value.append(value)
+        self._n.append(n)
+        self._impurity.append(impurity)
         if (
             depth >= self.max_depth
-            or len(idx) < self.min_samples_split
-            or node["impurity"] <= _MIN_GAIN
+            or n < self.min_samples_split
+            or impurity <= _MIN_GAIN
         ):
             return node_id
-        split = self._best_split(X, y, idx, node["impurity"])
+        split = self._best_split(XT, idx, y_node, impurity)
         if split is None:
             return node_id
-        feature, threshold = split
-        mask = X[idx, feature] <= threshold
-        left_idx, right_idx = idx[mask], idx[~mask]
-        node["feature"] = feature
-        node["threshold"] = threshold
-        node["left"] = self._grow(X, y, left_idx, depth + 1)
-        node["right"] = self._grow(X, y, right_idx, depth + 1)
+        feature, threshold, go_left = split
+        self._feature[node_id] = feature
+        self._threshold[node_id] = threshold
+        self._left[node_id] = self._grow(XT, y, idx[go_left], depth + 1)
+        self._right[node_id] = self._grow(XT, y, idx[~go_left], depth + 1)
         return node_id
 
     # ------------------------------------------------------------------
-    def _best_split(self, X, y, idx, parent_impurity):
-        """Return ``(feature, threshold)`` of the impurity-minimizing
-        split, or ``None`` when no admissible split improves impurity."""
+    def _best_split(self, XT, idx, y_node, parent_impurity):
+        """Return ``(feature, threshold, go_left)`` of the
+        impurity-minimizing split, or ``None`` when no admissible split
+        improves impurity.  ``go_left`` masks the node's rows.
+
+        Arrays are ``(k, ...)``, one row per drawn feature in draw order.
+        """
         n = len(idx)
+        # a split after sorted position i leaves i + 1 rows on the left;
+        # only lo <= i < hi keeps min_samples_leaf rows on both sides
+        lo = self.min_samples_leaf - 1
+        hi = n - self.min_samples_leaf
         if self._k < self._n_features:
             features = self.rng.choice(self._n_features, size=self._k, replace=False)
         else:
-            features = np.arange(self._n_features)
-        best = None
-        best_score = np.inf
-        y_node = y[idx]
-        for j in features:
-            xj = X[idx, j]
-            order = np.argsort(xj, kind="stable")
-            xs = xj[order]
-            ys = y_node[order]
-            # admissible split positions: between i and i+1 where value changes
-            diff = xs[1:] != xs[:-1]
-            positions = np.flatnonzero(diff)  # split after index i
-            if len(positions) == 0:
-                continue
-            n_left = positions + 1
-            n_right = n - n_left
-            ok = (n_left >= self.min_samples_leaf) & (n_right >= self.min_samples_leaf)
-            positions = positions[ok]
-            if len(positions) == 0:
-                continue
-            n_left = n_left[ok]
-            n_right = n_right[ok]
-            if self.is_classifier:
-                onehot = np.zeros((n, self.n_classes))
-                onehot[np.arange(n), ys.astype(int)] = 1.0
-                cum = np.cumsum(onehot, axis=0)
-                left_counts = cum[positions]
-                right_counts = cum[-1] - left_counts
-                score = (
-                    n_left * _gini_from_counts(left_counts)
-                    + n_right * _gini_from_counts(right_counts)
-                ) / n
-            else:
-                cum_y = np.cumsum(ys)
-                cum_y2 = np.cumsum(ys * ys)
-                sum_l = cum_y[positions]
-                sum2_l = cum_y2[positions]
-                sum_r = cum_y[-1] - sum_l
-                sum2_r = cum_y2[-1] - sum2_l
-                var_l = sum2_l / n_left - (sum_l / n_left) ** 2
-                var_r = sum2_r / n_right - (sum_r / n_right) ** 2
-                score = (n_left * np.maximum(var_l, 0.0)
-                         + n_right * np.maximum(var_r, 0.0)) / n
-            pos_best = int(np.argmin(score))
-            if score[pos_best] < best_score - 0.0:
-                best_score = score[pos_best]
-                i = positions[pos_best]
-                threshold = (xs[i] + xs[i + 1]) / 2.0
-                # guard against midpoint rounding onto the right value
-                if threshold >= xs[i + 1]:
-                    threshold = xs[i]
-                best = (int(j), float(threshold))
-        if best is None or parent_impurity - best_score <= _MIN_GAIN:
+            features = self._all_features
+        if lo >= hi:
             return None
-        return best
-
-    # ------------------------------------------------------------------
-    def _to_structure(self) -> TreeStructure:
-        n = len(self.nodes)
-        n_outputs = len(self.nodes[0]["value"])
-        tree = TreeStructure(
-            children_left=np.array([nd["left"] for nd in self.nodes], dtype=np.int64),
-            children_right=np.array([nd["right"] for nd in self.nodes], dtype=np.int64),
-            feature=np.array([nd["feature"] for nd in self.nodes], dtype=np.int64),
-            threshold=np.array([nd["threshold"] for nd in self.nodes], dtype=float),
-            value=np.vstack([nd["value"] for nd in self.nodes]).reshape(n, n_outputs),
-            n_node_samples=np.array([nd["n"] for nd in self.nodes], dtype=float),
-            impurity=np.array([nd["impurity"] for nd in self.nodes], dtype=float),
-        )
-        return tree
+        Xn = XT[features[:, None], idx]
+        order = np.argsort(Xn, axis=1, kind="stable")
+        xs = np.take_along_axis(Xn, order, axis=1)
+        n_left = np.arange(lo + 1, hi + 1)
+        n_right = n - n_left
+        if self.is_classifier:
+            # (n_classes, k, n) running class counts; integers, so exact
+            cum = np.cumsum(y_node[order] == self._classes, axis=2)
+            left = cum[:, :, lo:hi]
+            right = cum[:, :, -1:] - left
+            p_l = left / n_left
+            p_r = right / n_right
+            score = (
+                n_left * (1.0 - np.add.reduce(p_l * p_l))
+                + n_right * (1.0 - np.add.reduce(p_r * p_r))
+            ) / n
+        else:
+            ys = y_node[order]
+            cum_y = np.cumsum(ys, axis=1)
+            cum_y2 = np.cumsum(ys * ys, axis=1)
+            sum_l = cum_y[:, lo:hi]
+            sum2_l = cum_y2[:, lo:hi]
+            sum_r = cum_y[:, -1:] - sum_l
+            sum2_r = cum_y2[:, -1:] - sum2_l
+            var_l = sum2_l / n_left - (sum_l / n_left) ** 2
+            var_r = sum2_r / n_right - (sum_r / n_right) ** 2
+            score = (n_left * np.maximum(var_l, 0.0)
+                     + n_right * np.maximum(var_r, 0.0)) / n
+        # admissible only where the sorted value changes
+        score[xs[:, lo + 1:hi + 1] == xs[:, lo:hi]] = np.inf
+        f, pos = divmod(int(np.argmin(score)), hi - lo)
+        best_score = score[f, pos]
+        if parent_impurity - best_score <= _MIN_GAIN:
+            return None
+        i = lo + pos
+        threshold = (xs[f, i] + xs[f, i + 1]) / 2.0
+        # guard against midpoint rounding onto the right value
+        if threshold >= xs[f, i + 1]:
+            threshold = xs[f, i]
+        return int(features[f]), float(threshold), Xn[f] <= threshold
 
 
 def _compute_feature_importances(tree: TreeStructure, n_features: int) -> np.ndarray:
-    """Impurity-decrease importances, normalized to sum to 1."""
+    """Impurity-decrease importances, normalized to sum to 1.
+
+    Per-feature sums accumulate in node order (``np.add.at`` is
+    unbuffered), the same sequence as a loop over the split nodes.
+    """
     importances = np.zeros(n_features)
-    total = tree.n_node_samples[0]
-    for node in range(tree.n_nodes):
-        if tree.is_leaf(node):
-            continue
-        left = tree.children_left[node]
-        right = tree.children_right[node]
-        decrease = (
-            tree.n_node_samples[node] * tree.impurity[node]
-            - tree.n_node_samples[left] * tree.impurity[left]
-            - tree.n_node_samples[right] * tree.impurity[right]
-        ) / total
-        importances[tree.feature[node]] += max(decrease, 0.0)
+    split = np.flatnonzero(tree.children_left != LEAF)
+    weighted = tree.n_node_samples * tree.impurity
+    decrease = (
+        weighted[split]
+        - weighted[tree.children_left[split]]
+        - weighted[tree.children_right[split]]
+    ) / tree.n_node_samples[0]
+    np.add.at(importances, tree.feature[split], np.maximum(decrease, 0.0))
     s = importances.sum()
     return importances / s if s > 0 else importances
 

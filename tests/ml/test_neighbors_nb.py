@@ -1,69 +1,9 @@
-"""Tests for repro.ml.neighbors and repro.ml.naive_bayes."""
+"""Tests for repro.ml.naive_bayes."""
 
 import numpy as np
 import pytest
 
-from repro.ml import GaussianNB, KNeighborsClassifier, KNeighborsRegressor
-
-
-class TestKNNClassifier:
-    def test_one_neighbor_memorizes_training_set(self, rng):
-        X = rng.normal(size=(80, 3))
-        y = rng.integers(0, 2, 80)
-        model = KNeighborsClassifier(n_neighbors=1).fit(X, y)
-        assert model.score(X, y) == 1.0
-
-    def test_smooth_boundary(self, classification_data):
-        X, y = classification_data
-        model = KNeighborsClassifier(n_neighbors=7).fit(X, y)
-        assert model.score(X, y) > 0.85
-
-    def test_proba_valid(self, classification_data):
-        X, y = classification_data
-        proba = KNeighborsClassifier(n_neighbors=5).fit(X, y).predict_proba(X[:40])
-        np.testing.assert_allclose(proba.sum(axis=1), 1.0)
-
-    def test_distance_weighting(self, rng):
-        X = np.array([[0.0], [1.0], [1.1]])
-        y = np.array([0, 1, 1])
-        uniform = KNeighborsClassifier(n_neighbors=3).fit(X, y)
-        weighted = KNeighborsClassifier(n_neighbors=3, weights="distance").fit(X, y)
-        # at x=0.01 the 0-labelled point is overwhelmingly closest
-        p_uniform = uniform.predict_proba([[0.01]])[0, 0]
-        p_weighted = weighted.predict_proba([[0.01]])[0, 0]
-        assert p_weighted > p_uniform
-
-    def test_k_larger_than_dataset_clamped(self, rng):
-        X = rng.normal(size=(5, 2))
-        y = np.array([0, 0, 1, 1, 1])
-        model = KNeighborsClassifier(n_neighbors=50).fit(X, y)
-        assert model.predict(X).shape == (5,)
-
-    def test_param_validation(self):
-        with pytest.raises(ValueError, match="n_neighbors"):
-            KNeighborsClassifier(n_neighbors=0)
-        with pytest.raises(ValueError, match="weights"):
-            KNeighborsClassifier(weights="gaussian")
-
-
-class TestKNNRegressor:
-    def test_interpolates_smooth_function(self, rng):
-        X = rng.uniform(0, 2 * np.pi, size=(400, 1))
-        y = np.sin(X[:, 0])
-        model = KNeighborsRegressor(n_neighbors=5).fit(X, y)
-        assert model.score(X, y) > 0.95
-
-    def test_one_neighbor_memorizes(self, rng):
-        X = rng.normal(size=(50, 2))
-        y = rng.normal(size=50)
-        model = KNeighborsRegressor(n_neighbors=1).fit(X, y)
-        np.testing.assert_allclose(model.predict(X), y, atol=1e-9)
-
-    def test_prediction_in_target_hull(self, rng):
-        X = rng.normal(size=(100, 2))
-        y = rng.uniform(5.0, 6.0, size=100)
-        pred = KNeighborsRegressor(n_neighbors=5).fit(X, y).predict(X)
-        assert pred.min() >= 5.0 and pred.max() <= 6.0
+from repro.ml import GaussianNB
 
 
 class TestGaussianNB:
