@@ -72,11 +72,15 @@ _EXACTNESS = {
 
 
 def test_e2_batch_vs_loop(sla_data):
-    """Batch-vs-loop throughput of the vectorized ``explain_batch``.
+    """Batch-vs-loop throughput of ``explain_batch``.
 
     Explains the same 64-sample fleet once as a per-sample loop and once
     through the batched engine, per (explainer, model) configuration.
-    Two regimes emerge, both reported:
+    The KernelSHAP and sampling loop arms are the per-row formulations
+    in ``tests/oracles/shapley_per_row.py`` (one coalition block or one
+    permutation walk per model call, one solve per row); LIME has no
+    second formulation, so its loop arm is ``explain`` on each row (the
+    one-row batch).  Two regimes emerge, both reported:
 
     * *setup-bound* (cheap model, default 2048-coalition budget,
       median-reference background): the loop re-pays Python coalition
@@ -88,6 +92,7 @@ def test_e2_batch_vs_loop(sla_data):
       batch both pay, so batching is roughly neutral.
     """
     import numpy as np
+    from oracles.shapley_per_row import kernel_shap_row, sampling_shapley_row
 
     from repro.core.cache import clear_cache
     from repro.core.explainers import (
@@ -95,6 +100,21 @@ def test_e2_batch_vs_loop(sla_data):
         model_output_fn,
     )
     from repro.ml import LogisticRegression, MLPClassifier
+    from repro.utils.rng import check_random_state
+
+    def kernel_loop(explainer, rows):
+        return [kernel_shap_row(explainer, row)[0] for row in rows]
+
+    def sampling_loop(explainer, rows):
+        return [
+            sampling_shapley_row(
+                explainer, row, check_random_state(explainer.random_state)
+            )[0]
+            for row in rows
+        ]
+
+    def explain_loop(explainer, rows):
+        return [explainer.explain(row).values for row in rows]
 
     dataset, X_train, X_test, y_train, _ = sla_data
     names = dataset.feature_names
@@ -111,12 +131,13 @@ def test_e2_batch_vs_loop(sla_data):
     )
 
     configs = [
-        # label, build-explainer, rows, regime note
+        # label, build-explainer, per-row loop arm, rows, regime note
         (
             "kernel/logistic/median",
             lambda fn=logit_fn: KernelShapExplainer(
                 fn, median_bg, names, n_samples=2048, random_state=0
             ),
+            kernel_loop,
             fleet,
             "setup-bound",
         ),
@@ -125,6 +146,7 @@ def test_e2_batch_vs_loop(sla_data):
             lambda fn=mlp_fn: KernelShapExplainer(
                 fn, median_bg, names, n_samples=2048, random_state=0
             ),
+            kernel_loop,
             fleet,
             "setup-bound",
         ),
@@ -133,6 +155,7 @@ def test_e2_batch_vs_loop(sla_data):
             lambda fn=logit_fn: LimeExplainer(
                 fn, X_train, names, n_samples=600, random_state=0
             ),
+            explain_loop,
             fleet,
             "per-row solve",
         ),
@@ -141,6 +164,7 @@ def test_e2_batch_vs_loop(sla_data):
             lambda fn=logit_fn: SamplingShapleyExplainer(
                 fn, median_bg, names, n_permutations=8, random_state=0
             ),
+            sampling_loop,
             fleet,
             "setup-bound",
         ),
@@ -152,19 +176,14 @@ def test_e2_batch_vs_loop(sla_data):
         "-" * 78,
     ]
     speedups = {}
-    for label, build, rows, regime in configs:
+    for label, build, loop_arm, rows, regime in configs:
         clear_cache()
         explainer = build()
         batch, t_batch = timed(lambda: explainer.explain_batch(rows))
         clear_cache()
         explainer = build()
-        loop, t_loop = timed(
-            lambda: [explainer.explain(row) for row in rows]
-        )
-        diff = max(
-            float(np.abs(b.values - l.values).max())
-            for b, l in zip(batch, loop)
-        )
+        loop, t_loop = timed(lambda: loop_arm(explainer, rows))
+        diff = float(np.abs(batch.values - np.vstack(loop)).max())
         assert diff < 1e-8, f"{label}: batch != loop ({diff:.2e})"
         speedups[label] = t_loop / t_batch
         lines.append(

@@ -8,10 +8,9 @@ explainer matrix over four contrasting regimes and regenerates the
 comparable faithfulness/agreement table.
 
 Expected shape: per-cell faithfulness moves with the regime (noisy
-telemetry and fault storms are harder than the baseline), the shuffled-
-attribution control stays clearly less faithful than the real
-attributions on the forest cells, and every cell runs through the
-vectorized batch engine.
+telemetry and fault storms are harder than the baseline), and the
+shuffled-attribution control stays clearly less faithful than the real
+attributions on the forest cells.
 """
 
 import numpy as np
@@ -45,7 +44,6 @@ def test_e12_scenario_matrix(benchmark):
 
     # shape claims
     assert len(report.cells) == len(SCENARIOS) * 2 * len(EXPLAINERS)
-    assert all(cell.vectorized for cell in report.cells)
     for cell in report.cells:
         assert np.isfinite(cell.deletion_auc)
         assert cell.agreement_spearman is not None

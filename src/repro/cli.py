@@ -656,17 +656,10 @@ def _cmd_explain_batch(args) -> int:
         print(f"{index:>6} {diagnosis.prediction:>7.3f} "
               f"{'YES' if diagnosis.alert else 'no':>6} {vnf:>12} "
               f"{resource:>10}  {top}")
-    from repro.core.explainers import Explainer
-
-    vectorized = (
-        type(pipeline.explainer_).explain_batch is not Explainer.explain_batch
-    )
-    mode = "vectorized batch path" if vectorized else "per-sample fallback"
     n_alerts = sum(d.alert for d in diagnoses)
     timing = "" if args.no_timing else f" in {elapsed:.2f}s"
     print(f"\ndiagnosed {len(diagnoses)} epochs ({n_alerts} alerts)"
-          f"{timing} — {mode}, "
-          f"method={pipeline.explainer_.method_name}, "
+          f"{timing} — method={pipeline.explainer_.method_name}, "
           f"backend={executor.backend}"
           + (f" x{executor.workers}" if executor.backend != "serial" else ""))
     return 0

@@ -11,11 +11,12 @@ Local attribution:
 * :class:`LimeExplainer` — local ridge surrogates.
 * :class:`CounterfactualExplainer` — minimal actionable changes.
 
-Every local explainer offers ``explain(x)`` for one instance and
-``explain_batch(X)`` returning a :class:`BatchExplanation`; the
-sampling explainers override the batch path with a vectorized engine
-that shares coalition designs / permutations / perturbations across
-rows and stacks all model evaluations (see ``docs/explainers.md``).
+Each local explainer has one attribution path, ``explain_batch(X)``,
+returning a :class:`BatchExplanation`: it shares coalition designs /
+permutations / perturbations / packed tree blocks across rows and
+stacks all model evaluations.  ``explain(x)`` is the one-row batch, so
+one incident and a fleet get the same attributions from the same code
+(see ``docs/explainers.md``).
 
 Global views:
 
@@ -67,6 +68,7 @@ __all__ = [
     "PartialDependence",
     "PDPResult",
     "PermutationImportance",
+    "resolve_explainer_method",
     "SamplingShapleyExplainer",
     "STOCHASTIC_EXPLAINERS",
     "SurrogateTreeExplainer",
@@ -88,11 +90,11 @@ EXPLAINER_METHODS = (
 )
 
 #: Methods whose estimates are sampled and therefore accept a
-#: ``random_state`` constructor argument.  Experiment runners (the
-#: scenario matrix, the streaming engine) seed exactly these so
-#: integer-seeded runs are reproducible end to end — one shared
-#: definition, so a new stochastic explainer cannot be seeded by one
-#: runner and silently left unseeded by another.
+#: ``random_state`` constructor argument.  The pipeline seeds exactly
+#: these from its own integer ``random_state`` (see
+#: :class:`~repro.core.pipeline.NFVExplainabilityPipeline`), so every
+#: runner built on it (the CLI, the scenario matrix, the streaming
+#: engine) is reproducible end to end.
 STOCHASTIC_EXPLAINERS = frozenset(
     {"kernel_shap", "sampling_shapley", "lime"}
 )
@@ -106,6 +108,26 @@ _TREE_MODELS = (
     "GradientBoostingRegressor",
 )
 _LINEAR_MODELS = ("LinearRegression", "RidgeRegression", "LogisticRegression")
+
+
+def resolve_explainer_method(method: str, model) -> str:
+    """The explainer name :func:`make_explainer` builds for ``method``.
+
+    ``"auto"`` resolves by model type — TreeSHAP for tree models,
+    LinearSHAP for linear models, IG for MLPs, KernelSHAP otherwise;
+    any other name is returned unchanged.  The model need not be
+    fitted.
+    """
+    if method != "auto":
+        return method
+    kind = type(model).__name__
+    if kind in _TREE_MODELS:
+        return "tree_shap"
+    if kind in _LINEAR_MODELS:
+        return "linear_shap"
+    if kind in ("MLPClassifier", "MLPRegressor"):
+        return "integrated_gradients"
+    return "kernel_shap"
 
 
 def make_explainer(
@@ -144,17 +166,7 @@ def make_explainer(
         background = background.values
     background = np.asarray(background, dtype=float)
 
-    if method == "auto":
-        kind = type(model).__name__
-        if kind in _TREE_MODELS:
-            method = "tree_shap"
-        elif kind in _LINEAR_MODELS:
-            method = "linear_shap"
-        elif kind in ("MLPClassifier", "MLPRegressor"):
-            method = "integrated_gradients"
-        else:
-            method = "kernel_shap"
-
+    method = resolve_explainer_method(method, model)
     if method == "tree_shap":
         return TreeShapExplainer(
             model, feature_names, class_index=class_index, **kwargs

@@ -319,12 +319,13 @@ class BatchExplanation:
 class Explainer:
     """Interface all local explainers implement.
 
-    Subclasses implement :meth:`explain` for one instance;
-    :meth:`explain_batch` and :meth:`global_importance` have default
-    implementations built on it.  Explainers whose cost is dominated by
-    per-call setup (coalition enumeration, background evaluation,
-    perturbation sampling) override :meth:`explain_batch` with a truly
-    vectorized path that pays that setup once per batch.
+    Subclasses implement :meth:`explain_batch`, their one attribution
+    path: it pays per-call setup (coalition design, background
+    evaluation, perturbation sampling, packed tree blocks) once per
+    batch.  :meth:`explain` is the one-row batch, so a single incident
+    and a fleet get their attributions from the same code, and
+    :meth:`explain_batch_chunked` and :meth:`global_importance` build on
+    the batch path too.
     """
 
     method_name: str = "explainer"
@@ -338,11 +339,63 @@ class Explainer:
     batch_dispatch_rows: int = 16
 
     def explain(self, x) -> Explanation:
+        """Explain one instance of shape ``(d,)`` or ``(1, d)``: the
+        one-row :meth:`explain_batch`."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim not in (1, 2) or (x.ndim == 2 and x.shape[0] != 1):
+            raise ValueError(
+                f"x must be one row of shape (d,) or (1, d), got shape {x.shape}"
+            )
+        return self.explain_batch(x.reshape(1, -1))[0]
+
+    def explain_batch(self, X) -> BatchExplanation:
+        """Explain each row of ``X`` (shape ``(n, d)``)."""
         raise NotImplementedError
 
+    def _set_background(
+        self, background, feature_names, *, n_features=None,
+        name: str = "background",
+    ) -> np.ndarray:
+        """Validate reference data and resolve :attr:`feature_names`.
+
+        ``background`` must be a finite 2-D array with at least one row
+        (and ``n_features`` columns when given, else its width fixes
+        ``d``); ``feature_names`` defaults to ``x0..x{d-1}``.  Returns
+        the background as a float array.
+        """
+        background = np.asarray(background, dtype=float)
+        if background.ndim != 2:
+            raise ValueError(
+                f"{name} must be 2-D, got shape {background.shape}"
+            )
+        d = background.shape[1] if n_features is None else n_features
+        if background.shape[1] != d:
+            raise ValueError(
+                f"{name} shape {background.shape} is incompatible with "
+                f"{d} model features"
+            )
+        if len(background) == 0:
+            raise ValueError(f"{name} must have at least one row")
+        if not np.isfinite(background).all():
+            raise ValueError(f"{name} contains NaN or infinite values")
+        self._set_feature_names(feature_names, d)
+        return background
+
+    def _set_feature_names(self, feature_names, d: int) -> None:
+        """:attr:`feature_names` from ``feature_names`` (one per
+        feature) or ``x0..x{d-1}``."""
+        names = (
+            list(feature_names)
+            if feature_names is not None
+            else [f"x{i}" for i in range(d)]
+        )
+        if len(names) != d:
+            raise ValueError(f"{len(names)} names for {d} features")
+        self.feature_names = names
+
     def _check_batch(self, X, expected_d: int | None = None) -> np.ndarray:
-        """Validate batch input: a float 2-D array (possibly 0 rows)
-        with ``expected_d`` feature columns when given."""
+        """Validate batch input: a finite float 2-D array (possibly 0
+        rows) with ``expected_d`` feature columns when given."""
         X = np.asarray(X, dtype=float)
         if X.ndim != 2:
             raise ValueError(f"X must be 2-D, got shape {X.shape}")
@@ -350,31 +403,22 @@ class Explainer:
             raise ValueError(
                 f"X has {X.shape[1]} features, expected {expected_d}"
             )
+        if not np.isfinite(X).all():
+            raise ValueError("X contains NaN or infinite values")
         return X
 
     def _empty_batch(self, X: np.ndarray) -> BatchExplanation:
         """A well-formed zero-sample batch for ``X`` of shape (0, d)."""
-        d = X.shape[1]
-        names = getattr(self, "feature_names", None)
-        names = list(names) if names else [f"x{i}" for i in range(d)]
-        if len(names) != d:
-            raise ValueError(f"X has {d} features, expected {len(names)}")
-        return BatchExplanation(
-            feature_names=names,
-            values=np.zeros((0, d)),
-            base_values=np.zeros(0),
-            predictions=np.zeros(0),
-            X=X,
-            method=self.method_name,
-            sample_extras=[],
+        return self._batch_from_matrix(
+            X, np.zeros(X.shape), np.zeros(0), np.zeros(0), sample_extras=[]
         )
 
     def _batch_from_matrix(
-        self, X, values, base_values, predictions, *, extras=None
+        self, X, values, base_values, predictions, *, extras=None,
+        sample_extras=None,
     ) -> BatchExplanation:
         """Assemble a :class:`BatchExplanation` from precomputed
-        matrices — the common tail of every vectorized
-        :meth:`explain_batch` override."""
+        matrices — the common tail of every :meth:`explain_batch`."""
         return BatchExplanation(
             feature_names=list(self.feature_names),
             values=values,
@@ -383,19 +427,7 @@ class Explainer:
             X=X,
             method=self.method_name,
             extras=extras or {},
-        )
-
-    def explain_batch(self, X) -> BatchExplanation:
-        """Explain each row of ``X``.
-
-        The base implementation loops over :meth:`explain`; vectorized
-        subclasses override it to share setup across rows.
-        """
-        X = self._check_batch(X)
-        if X.shape[0] == 0:
-            return self._empty_batch(X)
-        return BatchExplanation.from_explanations(
-            [self.explain(row) for row in X], method=self.method_name
+            sample_extras=sample_extras,
         )
 
     def explain_batch_chunked(

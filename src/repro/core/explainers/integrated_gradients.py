@@ -17,9 +17,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.explainers.base import Explainer, Explanation
+from repro.core.explainers.base import BatchExplanation, Explainer
 
 __all__ = ["IntegratedGradientsExplainer"]
+
+#: Upper bound on path points per stacked ``input_gradients`` call.
+_ROW_BUDGET = 32768
 
 
 class IntegratedGradientsExplainer(Explainer):
@@ -61,15 +64,14 @@ class IntegratedGradientsExplainer(Explainer):
             raise ValueError(f"n_steps must be >= 1, got {n_steps}")
         if (background is None) == (baseline is None):
             raise ValueError("pass exactly one of background or baseline")
-        if baseline is None:
-            background = np.asarray(background, dtype=float)
-            if background.ndim != 2:
-                raise ValueError(
-                    f"background must be 2-D, got shape {background.shape}"
-                )
-            baseline = background.mean(axis=0)
-        self.baseline = np.asarray(baseline, dtype=float).ravel()
         d = model.n_features_in_
+        if baseline is None:
+            baseline = self._set_background(
+                background, feature_names, n_features=d
+            ).mean(axis=0)
+        else:
+            self._set_feature_names(feature_names, d)
+        self.baseline = np.asarray(baseline, dtype=float).ravel()
         if len(self.baseline) != d:
             raise ValueError(
                 f"baseline has {len(self.baseline)} features, model expects {d}"
@@ -85,13 +87,6 @@ class IntegratedGradientsExplainer(Explainer):
             raise ValueError(
                 f"class_index {class_index} out of range for {out_dim} outputs"
             )
-        self.feature_names = (
-            list(feature_names)
-            if feature_names is not None
-            else [f"x{i}" for i in range(d)]
-        )
-        if len(self.feature_names) != d:
-            raise ValueError(f"{len(self.feature_names)} names for {d} features")
         self.expected_value_ = self._raw_output(self.baseline.reshape(1, -1))[0]
 
     def _raw_output(self, X: np.ndarray) -> np.ndarray:
@@ -100,23 +95,29 @@ class IntegratedGradientsExplainer(Explainer):
         _, activations = self.model._forward(np.asarray(X, dtype=float))
         return activations[-1][:, self.output_index]
 
-    def explain(self, x) -> Explanation:
-        x = np.asarray(x, dtype=float).ravel()
-        d = len(self.baseline)
-        if len(x) != d:
-            raise ValueError(f"x has {len(x)} features, expected {d}")
-        # midpoint rule on the straight path baseline -> x
+    def explain_batch(self, X) -> BatchExplanation:
+        """Integrated gradients for every row of ``X``.
+
+        The ``n_steps`` midpoint-rule points on each row's straight path
+        from the baseline are stacked, and one ``input_gradients`` call
+        per block of rows evaluates them all.
+        """
+        X = self._check_batch(X, len(self.baseline))
+        if X.shape[0] == 0:
+            return self._empty_batch(X)
+        n, d = X.shape
         alphas = (np.arange(self.n_steps) + 0.5) / self.n_steps
-        points = self.baseline[None, :] + alphas[:, None] * (x - self.baseline)
-        grads = self.model.input_gradients(points, self.output_index)
-        phi = (x - self.baseline) * grads.mean(axis=0)
-        prediction = float(self._raw_output(x.reshape(1, -1))[0])
-        return Explanation(
-            feature_names=self.feature_names,
-            values=phi,
-            base_value=float(self.expected_value_),
-            prediction=prediction,
-            x=x,
-            method=self.method_name,
-            extras={"n_steps": self.n_steps},
+        delta = X - self.baseline
+        phi = np.empty((n, d))
+        block = max(1, _ROW_BUDGET // self.n_steps)
+        for start in range(0, n, block):
+            rows = delta[start : start + block]
+            points = self.baseline + alphas[None, :, None] * rows[:, None, :]
+            grads = self.model.input_gradients(
+                points.reshape(-1, d), self.output_index
+            ).reshape(len(rows), self.n_steps, d)
+            phi[start : start + len(rows)] = rows * grads.mean(axis=1)
+        return self._batch_from_matrix(
+            X, phi, np.full(n, float(self.expected_value_)),
+            self._raw_output(X), extras={"n_steps": self.n_steps},
         )

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.explainers.base import BatchExplanation, Explainer, Explanation
+from repro.core.explainers.base import BatchExplanation, Explainer
 from repro.ml.linear import solve_weighted_ridge
 from repro.utils.rng import check_random_state
 
@@ -75,11 +75,9 @@ class LimeExplainer(Explainer):
             raise ValueError(f"sampling_scale must be positive, got {sampling_scale}")
         if alpha < 0:
             raise ValueError(f"alpha must be >= 0, got {alpha}")
-        training_data = np.asarray(training_data, dtype=float)
-        if training_data.ndim != 2:
-            raise ValueError(
-                f"training_data must be 2-D, got shape {training_data.shape}"
-            )
+        training_data = self._set_background(
+            training_data, feature_names, name="training_data"
+        )
         d = training_data.shape[1]
         if n_features is not None and not 1 <= n_features <= d:
             raise ValueError(
@@ -89,13 +87,6 @@ class LimeExplainer(Explainer):
         self.mean_ = training_data.mean(axis=0)
         std = training_data.std(axis=0)
         self.std_ = np.where(std > 0, std, 1.0)
-        self.feature_names = (
-            list(feature_names)
-            if feature_names is not None
-            else [f"x{i}" for i in range(d)]
-        )
-        if len(self.feature_names) != d:
-            raise ValueError(f"{len(self.feature_names)} names for {d} features")
         self.n_samples = int(n_samples)
         self.kernel_width = (
             float(kernel_width) if kernel_width is not None else 0.75 * np.sqrt(d)
@@ -108,33 +99,6 @@ class LimeExplainer(Explainer):
         self.random_state = random_state
 
     # ------------------------------------------------------------------
-    def explain(self, x) -> Explanation:
-        x = np.asarray(x, dtype=float).ravel()
-        d = len(self.mean_)
-        if len(x) != d:
-            raise ValueError(f"x has {len(x)} features, expected {d}")
-        rng = check_random_state(self.random_state)
-
-        x_std = (x - self.mean_) / self.std_
-        z_std = x_std + rng.normal(
-            0.0, self.sampling_scale, size=(self.n_samples, d)
-        )
-        z_std[0] = x_std  # always include the instance itself
-        z_raw = z_std * self.std_ + self.mean_
-        targets = np.asarray(self.predict_fn(z_raw), dtype=float)
-
-        phi, extras = self._fit_local_surrogate(x_std, z_std, targets)
-        prediction = float(targets[0])
-        return Explanation(
-            feature_names=self.feature_names,
-            values=phi,
-            base_value=prediction - float(phi.sum()),
-            prediction=prediction,
-            x=x,
-            method=self.method_name,
-            extras=extras,
-        )
-
     def _fit_local_surrogate(
         self, x_std: np.ndarray, z_std: np.ndarray, targets: np.ndarray
     ) -> tuple[np.ndarray, dict]:
@@ -168,14 +132,14 @@ class LimeExplainer(Explainer):
         return phi, extras
 
     def explain_batch(self, X) -> BatchExplanation:
-        """Vectorized LIME over every row of ``X``.
+        """LIME over every row of ``X``.
 
         One perturbation noise matrix is drawn and shared by all rows
-        (matching the per-sample RNG discipline for integer seeds), and
-        the black-box queries of many rows are stacked into large
-        ``predict_fn`` calls — the dominant cost.  Each row still gets
-        its own weighted ridge surrogate, fitted exactly as in
-        :meth:`explain`.
+        (so a row's attributions do not depend on the batch it rides
+        in, for integer seeds), and the black-box queries of many rows
+        are stacked into large ``predict_fn`` calls — the dominant
+        cost.  Each row gets its own weighted ridge surrogate
+        (:meth:`_fit_local_surrogate`).
         """
         X = self._check_batch(X, len(self.mean_))
         if X.shape[0] == 0:
@@ -209,14 +173,8 @@ class LimeExplainer(Explainer):
                 predictions[row] = targets[i, 0]
                 base_values[row] = predictions[row] - float(phi.sum())
                 sample_extras.append(extras)
-        return BatchExplanation(
-            feature_names=self.feature_names,
-            values=values,
-            base_values=base_values,
-            predictions=predictions,
-            X=X,
-            method=self.method_name,
-            sample_extras=sample_extras,
+        return self._batch_from_matrix(
+            X, values, base_values, predictions, sample_extras=sample_extras
         )
 
     @staticmethod

@@ -18,25 +18,14 @@ from math import comb
 
 import numpy as np
 
-from repro.core.explainers.base import BatchExplanation, Explainer, Explanation
+from repro.core.explainers.base import BatchExplanation, Explainer
 
-__all__ = ["ExactShapleyExplainer", "coalition_value"]
+__all__ = ["ExactShapleyExplainer"]
 
 MAX_EXACT_FEATURES = 15
 
 #: Upper bound on rows per stacked model call when batching subsets.
 _ROW_BUDGET = 8192
-
-
-def coalition_value(
-    predict_fn, x: np.ndarray, background: np.ndarray, subset
-) -> float:
-    """Interventional value ``v(S)`` of coalition ``subset`` at ``x``."""
-    data = background.copy()
-    subset = list(subset)
-    if subset:
-        data[:, subset] = x[subset]
-    return float(np.mean(predict_fn(data)))
 
 
 class ExactShapleyExplainer(Explainer):
@@ -57,61 +46,15 @@ class ExactShapleyExplainer(Explainer):
 
     def __init__(self, predict_fn, background, feature_names=None):
         self.predict_fn = predict_fn
-        self.background = np.asarray(background, dtype=float)
-        if self.background.ndim != 2:
-            raise ValueError(
-                f"background must be 2-D, got shape {self.background.shape}"
-            )
+        self.background = self._set_background(background, feature_names)
         d = self.background.shape[1]
         if d > MAX_EXACT_FEATURES:
             raise ValueError(
                 f"exact Shapley enumerates 2^d subsets; d={d} exceeds the "
                 f"limit of {MAX_EXACT_FEATURES} — use KernelShapExplainer"
             )
-        self.feature_names = (
-            list(feature_names)
-            if feature_names is not None
-            else [f"x{i}" for i in range(d)]
-        )
-        if len(self.feature_names) != d:
-            raise ValueError(
-                f"{len(self.feature_names)} names for {d} features"
-            )
         self.expected_value_ = float(
             np.mean(np.asarray(predict_fn(self.background), dtype=float))
-        )
-
-    def explain(self, x) -> Explanation:
-        """Exact Shapley values of every feature at ``x``."""
-        x = np.asarray(x, dtype=float).ravel()
-        d = self.background.shape[1]
-        if len(x) != d:
-            raise ValueError(f"x has {len(x)} features, expected {d}")
-        # cache v(S) for every subset, keyed by frozenset
-        values: dict[frozenset, float] = {}
-        features = range(d)
-        for size in range(d + 1):
-            for subset in combinations(features, size):
-                values[frozenset(subset)] = coalition_value(
-                    self.predict_fn, x, self.background, subset
-                )
-        phi = np.zeros(d)
-        for i in features:
-            others = [j for j in features if j != i]
-            for size in range(d):
-                weight = 1.0 / (d * comb(d - 1, size))
-                for subset in combinations(others, size):
-                    s = frozenset(subset)
-                    phi[i] += weight * (values[s | {i}] - values[s])
-        prediction = float(self.predict_fn(x.reshape(1, -1))[0])
-        return Explanation(
-            feature_names=self.feature_names,
-            values=phi,
-            base_value=values[frozenset()],
-            prediction=prediction,
-            x=x,
-            method=self.method_name,
-            extras={"n_subsets": len(values)},
         )
 
     def explain_batch(self, X) -> BatchExplanation:
@@ -139,14 +82,8 @@ class ExactShapleyExplainer(Explainer):
             phi[start : start + len(rows)] = chunk_phi
             base_values[start : start + len(rows)] = chunk_base
         predictions = np.asarray(self.predict_fn(X), dtype=float)
-        return BatchExplanation(
-            feature_names=self.feature_names,
-            values=phi,
-            base_values=base_values,
-            predictions=predictions,
-            X=X,
-            method=self.method_name,
-            extras={"n_subsets": 2**d},
+        return self._batch_from_matrix(
+            X, phi, base_values, predictions, extras={"n_subsets": 2**d}
         )
 
     def _batch_shapley(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

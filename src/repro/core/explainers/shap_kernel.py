@@ -28,7 +28,7 @@ from math import comb
 import numpy as np
 
 from repro.core.cache import coalition_design
-from repro.core.explainers.base import BatchExplanation, Explainer, Explanation
+from repro.core.explainers.base import BatchExplanation, Explainer
 from repro.utils.rng import check_random_state
 
 __all__ = ["KernelShapExplainer", "shapley_kernel_weight"]
@@ -88,19 +88,7 @@ class KernelShapExplainer(Explainer):
         if l2 < 0:
             raise ValueError(f"l2 must be >= 0, got {l2}")
         self.predict_fn = predict_fn
-        self.background = np.asarray(background, dtype=float)
-        if self.background.ndim != 2:
-            raise ValueError(
-                f"background must be 2-D, got shape {self.background.shape}"
-            )
-        d = self.background.shape[1]
-        self.feature_names = (
-            list(feature_names)
-            if feature_names is not None
-            else [f"x{i}" for i in range(d)]
-        )
-        if len(self.feature_names) != d:
-            raise ValueError(f"{len(self.feature_names)} names for {d} features")
+        self.background = self._set_background(background, feature_names)
         self.n_samples = int(n_samples)
         self.paired = paired
         self.l2 = float(l2)
@@ -110,30 +98,8 @@ class KernelShapExplainer(Explainer):
         )
 
     # ------------------------------------------------------------------
-    def explain(self, x) -> Explanation:
-        x = np.asarray(x, dtype=float).ravel()
-        d = self.background.shape[1]
-        if len(x) != d:
-            raise ValueError(f"x has {len(x)} features, expected {d}")
-
-        masks, weights = self._coalition_design(d)
-        v = self._coalition_values(x, masks)
-        fx = float(self.predict_fn(x.reshape(1, -1))[0])
-        v0 = self.expected_value_
-
-        phi = self._solve(masks, weights, v, fx, v0)
-        return Explanation(
-            feature_names=self.feature_names,
-            values=phi,
-            base_value=v0,
-            prediction=fx,
-            x=x,
-            method=self.method_name,
-            extras={"n_coalitions": len(masks)},
-        )
-
     def explain_batch(self, X) -> BatchExplanation:
-        """Vectorized KernelSHAP over every row of ``X``.
+        """KernelSHAP over every row of ``X``.
 
         The coalition design (masks + kernel weights) depends only on
         the feature dimension and sampling configuration, so it is
@@ -141,19 +107,27 @@ class KernelShapExplainer(Explainer):
         evaluations for all (row, coalition) pairs are stacked into a
         handful of large ``predict_fn`` calls; and the weighted
         regression is solved for all rows at once against the shared
-        Gram matrix.  With an integer ``random_state`` this reproduces
-        the per-sample :meth:`explain` results exactly.
+        Gram matrix.  With one feature the efficiency constraint alone
+        fixes the attribution, ``f(x) - E[f]``, and no coalition is
+        evaluated.
         """
         X = self._check_batch(X, self.background.shape[1])
         if X.shape[0] == 0:
             return self._empty_batch(X)
         n, d = X.shape
-        masks, weights = self._coalition_design(d)
-        V = self._batch_coalition_values(X, masks)
         fx = np.asarray(self.predict_fn(X), dtype=float)
         v0 = self.expected_value_
+        if d == 1:
+            return self._batch_from_matrix(
+                X, (fx - v0)[:, None], np.full(n, v0), fx,
+                extras={"n_coalitions": 0},
+            )
+        masks, weights = self._coalition_design(d)
+        V = self._batch_coalition_values(X, masks)
 
-        # shared weighted least squares, one right-hand side per row
+        # shared weighted least squares, one right-hand side per row,
+        # with the efficiency constraint enforced by eliminating the
+        # last feature
         z = masks.astype(float)
         A = z[:, :-1] - z[:, [-1]]
         Y = V - v0 - z[:, -1][:, None] * (fx[None, :] - v0)
@@ -165,14 +139,8 @@ class KernelShapExplainer(Explainer):
         phi = np.empty((n, d))
         phi[:, :-1] = head.T
         phi[:, -1] = (fx - v0) - head.sum(axis=0)
-        return BatchExplanation(
-            feature_names=self.feature_names,
-            values=phi,
-            base_values=np.full(n, v0),
-            predictions=fx,
-            X=X,
-            method=self.method_name,
-            extras={"n_coalitions": len(masks)},
+        return self._batch_from_matrix(
+            X, phi, np.full(n, v0), fx, extras={"n_coalitions": len(masks)}
         )
 
     # ------------------------------------------------------------------
@@ -270,25 +238,6 @@ class KernelShapExplainer(Explainer):
             )
         return np.asarray(masks), np.asarray(weights)
 
-    def _coalition_values(self, x: np.ndarray, masks: np.ndarray) -> np.ndarray:
-        """``v(S)`` for every mask: mean prediction over background rows
-        with coalition features replaced by ``x``'s values."""
-        n_bg = len(self.background)
-        values = np.empty(len(masks))
-        # evaluate in blocks to bound memory: each mask expands to n_bg rows
-        block = max(1, 4096 // n_bg)
-        for start in range(0, len(masks), block):
-            chunk = masks[start : start + block]
-            tiled = np.repeat(self.background[None, :, :], len(chunk), axis=0)
-            for row, mask in enumerate(chunk):
-                tiled[row, :, mask] = x[mask, None]
-            flat = tiled.reshape(-1, self.background.shape[1])
-            preds = np.asarray(self.predict_fn(flat), dtype=float)
-            values[start : start + len(chunk)] = preds.reshape(
-                len(chunk), n_bg
-            ).mean(axis=1)
-        return values
-
     def _batch_coalition_values(
         self, X: np.ndarray, masks: np.ndarray
     ) -> np.ndarray:
@@ -328,22 +277,3 @@ class KernelShapExplainer(Explainer):
             )
             V[start : start + b] = preds.reshape(b, n, n_bg).mean(axis=2)
         return V
-
-    def _solve(self, masks, weights, v, fx, v0) -> np.ndarray:
-        """Weighted least squares with the efficiency constraint enforced
-        by eliminating the last feature."""
-        d = masks.shape[1]
-        z = masks.astype(float)
-        # target with the constraint substituted in
-        y = v - v0 - z[:, -1] * (fx - v0)
-        A = z[:, :-1] - z[:, [-1]]
-        sw = weights
-        gram = A.T @ (sw[:, None] * A)
-        if self.l2 > 0:
-            gram += self.l2 * np.eye(d - 1)
-        rhs = A.T @ (sw * y)
-        head, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
-        phi = np.empty(d)
-        phi[:-1] = head
-        phi[-1] = (fx - v0) - head.sum()
-        return phi

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.explainers.base import BatchExplanation, Explainer, Explanation
+from repro.core.explainers.base import BatchExplanation, Explainer
 from repro.ml.linear import LinearRegression, LogisticRegression, RidgeRegression
 
 __all__ = ["LinearShapExplainer"]
@@ -51,43 +51,14 @@ class LinearShapExplainer(Explainer):
                 f"RidgeRegression and LogisticRegression; got "
                 f"{type(model).__name__}"
             )
-        background = np.asarray(background, dtype=float)
-        if background.ndim != 2 or background.shape[1] != len(coef):
-            raise ValueError(
-                f"background shape {background.shape} incompatible with "
-                f"{len(coef)} coefficients"
-            )
+        background = self._set_background(
+            background, feature_names, n_features=len(coef)
+        )
         self.model = model
         self.coef_ = coef
         self.intercept_ = intercept
         self.mean_ = background.mean(axis=0)
-        self.feature_names = (
-            list(feature_names)
-            if feature_names is not None
-            else [f"x{i}" for i in range(len(coef))]
-        )
-        if len(self.feature_names) != len(coef):
-            raise ValueError(
-                f"{len(self.feature_names)} names for {len(coef)} features"
-            )
         self.expected_value_ = float(self.mean_ @ coef + intercept)
-
-    def explain(self, x) -> Explanation:
-        x = np.asarray(x, dtype=float).ravel()
-        if len(x) != len(self.coef_):
-            raise ValueError(
-                f"x has {len(x)} features, expected {len(self.coef_)}"
-            )
-        phi = self.coef_ * (x - self.mean_)
-        prediction = float(x @ self.coef_ + self.intercept_)
-        return Explanation(
-            feature_names=self.feature_names,
-            values=phi,
-            base_value=self.expected_value_,
-            prediction=prediction,
-            x=x,
-            method=self.method_name,
-        )
 
     def explain_batch(self, X) -> BatchExplanation:
         """Closed-form LinearSHAP for every row at once:
@@ -97,11 +68,6 @@ class LinearShapExplainer(Explainer):
             return self._empty_batch(X)
         phi = self.coef_ * (X - self.mean_)
         predictions = X @ self.coef_ + self.intercept_
-        return BatchExplanation(
-            feature_names=self.feature_names,
-            values=phi,
-            base_values=np.full(len(X), self.expected_value_),
-            predictions=predictions,
-            X=X,
-            method=self.method_name,
+        return self._batch_from_matrix(
+            X, phi, np.full(len(X), self.expected_value_), predictions
         )

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.explainers.base import BatchExplanation, Explainer, Explanation
+from repro.core.explainers.base import BatchExplanation, Explainer
 from repro.utils.rng import check_random_state
 
 __all__ = ["SamplingShapleyExplainer"]
@@ -58,72 +58,12 @@ class SamplingShapleyExplainer(Explainer):
                 f"n_permutations must be >= 1, got {n_permutations}"
             )
         self.predict_fn = predict_fn
-        self.background = np.asarray(background, dtype=float)
-        if self.background.ndim != 2:
-            raise ValueError(
-                f"background must be 2-D, got shape {self.background.shape}"
-            )
-        d = self.background.shape[1]
-        self.feature_names = (
-            list(feature_names)
-            if feature_names is not None
-            else [f"x{i}" for i in range(d)]
-        )
-        if len(self.feature_names) != d:
-            raise ValueError(f"{len(self.feature_names)} names for {d} features")
+        self.background = self._set_background(background, feature_names)
         self.n_permutations = int(n_permutations)
         self.antithetic = antithetic
         self.random_state = random_state
         self.expected_value_ = float(
             np.mean(np.asarray(predict_fn(self.background), dtype=float))
-        )
-
-    def _walk(self, x: np.ndarray, order: np.ndarray, phi: np.ndarray) -> None:
-        """Add one permutation walk's marginal contributions to ``phi``.
-
-        Builds the d+1 hybrid datasets incrementally (features switch
-        from background values to x's values in ``order``) and evaluates
-        them in a single batched model call.
-        """
-        n_bg, d = self.background.shape
-        # stack of (d+1) * n_bg rows: step k has features order[:k] set to x
-        steps = np.empty((d + 1, n_bg, d))
-        current = self.background.copy()
-        steps[0] = current
-        for k, j in enumerate(order):
-            current = current.copy()
-            current[:, j] = x[j]
-            steps[k + 1] = current
-        values = np.asarray(
-            self.predict_fn(steps.reshape(-1, d)), dtype=float
-        ).reshape(d + 1, n_bg).mean(axis=1)
-        phi[order] += np.diff(values)
-
-    def explain(self, x) -> Explanation:
-        x = np.asarray(x, dtype=float).ravel()
-        d = self.background.shape[1]
-        if len(x) != d:
-            raise ValueError(f"x has {len(x)} features, expected {d}")
-        rng = check_random_state(self.random_state)
-        phi = np.zeros(d)
-        n_walks = 0
-        for _ in range(self.n_permutations):
-            order = rng.permutation(d)
-            self._walk(x, order, phi)
-            n_walks += 1
-            if self.antithetic:
-                self._walk(x, order[::-1], phi)
-                n_walks += 1
-        phi /= n_walks
-        prediction = float(self.predict_fn(x.reshape(1, -1))[0])
-        return Explanation(
-            feature_names=self.feature_names,
-            values=phi,
-            base_value=self.expected_value_,
-            prediction=prediction,
-            x=x,
-            method=self.method_name,
-            extras={"n_walks": n_walks},
         )
 
     # ------------------------------------------------------------------
@@ -148,13 +88,13 @@ class SamplingShapleyExplainer(Explainer):
         phi[:, order] += np.diff(values, axis=0).T
 
     def explain_batch(self, X) -> BatchExplanation:
-        """Vectorized permutation sampling over every row of ``X``.
+        """Permutation sampling over every row of ``X``.
 
         The random permutations are drawn once and shared by all rows
-        (matching the per-sample RNG discipline for integer seeds), and
-        each walk evaluates the hybrid datasets of every row in one
-        stacked model call.  Rows are processed in blocks to bound the
-        size of the stacked arrays.
+        (so a row's attributions do not depend on the batch it rides
+        in, for integer seeds), and each walk evaluates the hybrid
+        datasets of every row in one stacked model call.  Rows are
+        processed in blocks to bound the size of the stacked arrays.
         """
         X = self._check_batch(X, self.background.shape[1])
         if X.shape[0] == 0:
@@ -176,12 +116,7 @@ class SamplingShapleyExplainer(Explainer):
                     self._walk_batch(rows, order[::-1], view)
         phi /= n_walks
         predictions = np.asarray(self.predict_fn(X), dtype=float)
-        return BatchExplanation(
-            feature_names=self.feature_names,
-            values=phi,
-            base_values=np.full(n, self.expected_value_),
-            predictions=predictions,
-            X=X,
-            method=self.method_name,
+        return self._batch_from_matrix(
+            X, phi, np.full(n, self.expected_value_), predictions,
             extras={"n_walks": n_walks},
         )

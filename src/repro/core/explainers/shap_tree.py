@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.explainers.base import BatchExplanation, Explainer, Explanation
+from repro.core.explainers.base import BatchExplanation, Explainer
 from repro.ml.boosting import GradientBoostingClassifier, GradientBoostingRegressor
 from repro.ml.forest import RandomForestClassifier, RandomForestRegressor
 from repro.ml.packed_shap import packed_tree_shap
@@ -63,14 +63,7 @@ class TreeShapExplainer(Explainer):
         self._components = self._decompose(model, class_index)
         self.model = model
         self.class_index = class_index
-        d = model.n_features_in_
-        self.feature_names = (
-            list(feature_names)
-            if feature_names is not None
-            else [f"x{i}" for i in range(d)]
-        )
-        if len(self.feature_names) != d:
-            raise ValueError(f"{len(self.feature_names)} names for {d} features")
+        self._set_feature_names(feature_names, model.n_features_in_)
         self.expected_value_ = self._expected_value()
 
     def _expected_value(self) -> float:
@@ -148,16 +141,6 @@ class TreeShapExplainer(Explainer):
         return packed, (column if column < packed.n_outputs else None)
 
     # ------------------------------------------------------------------
-    def explain(self, x) -> Explanation:
-        """Attributions for one instance: a 1-row :meth:`explain_batch`,
-        so single rows and fleets share one kernel (and the packed
-        snapshot is shared across calls)."""
-        x = np.asarray(x, dtype=float).ravel()
-        d = len(self.feature_names)
-        if len(x) != d:
-            raise ValueError(f"x has {len(x)} features, expected {d}")
-        return self.explain_batch(x[np.newaxis, :])[0]
-
     def explain_batch(self, X) -> BatchExplanation:
         """Vectorized path-dependent TreeSHAP over all rows at once.
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.explainers.base import BatchExplanation, Explainer, Explanation
+from repro.core.explainers.base import BatchExplanation, Explainer
 from repro.core.explainers.shap_tree import TreeShapExplainer
 from repro.ml.packed_shap import packed_interventional_shap
 
@@ -59,20 +59,9 @@ class InterventionalTreeShapExplainer(Explainer):
     method_name = "interventional_tree_shap"
 
     def __init__(self, model, background, feature_names=None, *, class_index: int = 1):
-        background = np.asarray(background, dtype=float)
-        if background.ndim != 2:
-            raise ValueError(
-                f"background must be 2-D, got shape {background.shape}"
-            )
-        if background.shape[1] != model.n_features_in_:
-            raise ValueError(
-                f"background has {background.shape[1]} features, model "
-                f"expects {model.n_features_in_}"
-            )
-        if len(background) == 0:
-            raise ValueError("background must have at least one row")
-        if not np.isfinite(background).all():
-            raise ValueError("background contains NaN or infinite values")
+        background = self._set_background(
+            background, feature_names, n_features=model.n_features_in_
+        )
         # reuse the ensemble decomposition logic from the path-dependent
         # explainer (same weights, offsets, and output-column handling)
         self._delegate = TreeShapExplainer(
@@ -80,7 +69,6 @@ class InterventionalTreeShapExplainer(Explainer):
         )
         self.background = background
         self.model = model
-        self.feature_names = self._delegate.feature_names
         base = self._delegate._base_offset
         for tree, weight, output in self._delegate._components:
             values = np.array(
@@ -101,16 +89,6 @@ class InterventionalTreeShapExplainer(Explainer):
             else:
                 node = tree.children_right[node]
         return float(tree.value[node, output])
-
-    def explain(self, x) -> Explanation:
-        """Attributions for one instance: a 1-row :meth:`explain_batch`,
-        so single rows and batches share one kernel (and the packed
-        snapshot is shared across calls)."""
-        x = np.asarray(x, dtype=float).ravel()
-        d = len(self.feature_names)
-        if len(x) != d:
-            raise ValueError(f"x has {len(x)} features, expected {d}")
-        return self.explain_batch(x[np.newaxis, :])[0]
 
     def explain_batch(self, X) -> BatchExplanation:
         """Vectorized interventional TreeSHAP over all rows at once.

@@ -48,7 +48,6 @@ from repro.core.evaluation import (
     input_stability,
 )
 from repro.core.executor import get_executor
-from repro.core.explainers import STOCHASTIC_EXPLAINERS
 from repro.core.pipeline import NFVExplainabilityPipeline
 from repro.datasets import make_scenario_dataset
 
@@ -124,7 +123,6 @@ class MatrixCell:
     agreement_spearman: float | None
     stability_cosine: float | None
     explain_seconds: float
-    vectorized: bool
 
 
 @dataclass
@@ -278,8 +276,6 @@ def _run_matrix_shard(task: _ShardTask) -> list[MatrixCell]:
     deterministic given the task, so every backend returns identical
     cells in identical order.
     """
-    from repro.core.explainers import Explainer
-
     if isinstance(task.random_state, (int, np.integer)):
         dataset = _scenario_dataset(
             task.scenario, task.n_epochs, task.horizon, int(task.random_state)
@@ -355,10 +351,6 @@ def _run_matrix_shard(task: _ShardTask) -> list[MatrixCell]:
             agreement_spearman=None,
             stability_cosine=stability,
             explain_seconds=elapsed,
-            vectorized=(
-                type(pipeline.explainer_).explain_batch
-                is not Explainer.explain_batch
-            ),
         ))
 
     if len(attributions) >= 2:
@@ -461,17 +453,14 @@ def run_scenario_matrix(
         raise ValueError("stability_repeats must be 0 or >= 2")
     overrides = dict(explainer_kwargs or {})
 
-    def kwargs_for(method: str) -> dict:
-        kw = {**default_explainer_kwargs(method), **overrides.get(method, {})}
-        if method in STOCHASTIC_EXPLAINERS:
-            kw.setdefault("random_state", random_state)
-        return kw
-
     def emit(line: str) -> None:
         if progress is not None:
             progress(line)
 
-    resolved_kwargs = {method: kwargs_for(method) for method in explainers}
+    resolved_kwargs = {
+        method: {**default_explainer_kwargs(method), **overrides.get(method, {})}
+        for method in explainers
+    }
     tasks = [
         _ShardTask(
             scenario=scenario,

@@ -11,7 +11,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.explainers import make_explainer, model_output_fn
+from repro.core.explainers import (
+    STOCHASTIC_EXPLAINERS,
+    make_explainer,
+    model_output_fn,
+    resolve_explainer_method,
+)
 from repro.core.report import format_local_report, format_vnf_table
 from repro.core.rootcause import rank_vnfs, vnf_attribution_scores
 from repro.ml.model_selection import train_test_split
@@ -79,6 +84,10 @@ class NFVExplainabilityPipeline:
         Alert threshold on the model score.
     background_size:
         Rows subsampled from the training split as explainer background.
+    random_state:
+        Seeds the train/test split and the background sample; an
+        integer also seeds a sampling explainer (KernelSHAP, sampling
+        Shapley, LIME) that ``explainer_kwargs`` does not seed itself.
     """
 
     def __init__(
@@ -145,13 +154,8 @@ class NFVExplainabilityPipeline:
             )
             background = background[rows]
         self.background_ = background
-        self.explainer_ = make_explainer(
-            self.explainer_method,
-            self.fitted_model_,
-            background,
-            self.feature_names_,
-            class_index=self.class_index,
-            **self.explainer_kwargs,
+        self.explainer_ = self._build_explainer(
+            self.explainer_method, self.explainer_kwargs
         )
         self._score_fn = model_output_fn(
             self.fitted_model_, class_index=self.class_index
@@ -186,7 +190,27 @@ class NFVExplainabilityPipeline:
         sibling = copy.copy(self)
         sibling.explainer_method = method
         sibling.explainer_kwargs = dict(explainer_kwargs)
-        sibling.explainer_ = make_explainer(
+        sibling.explainer_ = self._build_explainer(method, explainer_kwargs)
+        return sibling
+
+    def _build_explainer(self, method: str, explainer_kwargs: dict):
+        """The explainer for the fitted model, built once.
+
+        ``"auto"`` is resolved first, so that a method that samples is
+        seeded from this pipeline's integer ``random_state`` whether it
+        was named or chosen (unless ``explainer_kwargs`` carries its
+        own ``random_state``): an integer-seeded pipeline gives the same
+        attributions on every run.
+        """
+        method = resolve_explainer_method(method, self.fitted_model_)
+        seed = self.random_state
+        if (
+            method in STOCHASTIC_EXPLAINERS
+            and isinstance(seed, (int, np.integer))
+            and not isinstance(seed, bool)
+        ):
+            explainer_kwargs = {"random_state": seed, **explainer_kwargs}
+        return make_explainer(
             method,
             self.fitted_model_,
             self.background_,
@@ -194,7 +218,6 @@ class NFVExplainabilityPipeline:
             class_index=self.class_index,
             **explainer_kwargs,
         )
-        return sibling
 
     # ------------------------------------------------------------------
     def _resolve(

@@ -46,7 +46,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from repro.core.executor import get_executor
-from repro.core.explainers import STOCHASTIC_EXPLAINERS
+from repro.core.explainers import resolve_explainer_method
 from repro.core.pipeline import NFVExplainabilityPipeline
 from repro.core.stream.drift import PageHinkley
 from repro.utils.rng import spawn_seeds
@@ -716,34 +716,22 @@ class StreamingDiagnosisEngine:
         """Fit a fresh pipeline (model + explainer) on the history."""
         from repro.core.matrix import default_explainer_kwargs
 
-        kwargs = {
-            **default_explainer_kwargs(self.explainer_method),
-            **self.explainer_kwargs,
-        }
-        if self.explainer_method in STOCHASTIC_EXPLAINERS:
-            kwargs.setdefault("random_state", seed)
+        model = self.model_factory()
+        # ``auto`` resolves here, so the explainer is built once, with
+        # the budget of the method it resolves to; the pipeline seeds a
+        # sampling method from ``seed``
+        method = resolve_explainer_method(self.explainer_method, model)
+        kwargs = {**default_explainer_kwargs(method), **self.explainer_kwargs}
         dataset = _HistoryDataset(
             self._history_X, self._history_y, self._feature_names
         )
         pipeline = NFVExplainabilityPipeline(
-            self.model_factory(),
-            explainer_method=self.explainer_method,
+            model,
+            explainer_method=method,
             explainer_kwargs=kwargs,
             threshold=self.threshold,
             random_state=seed,
         ).fit(dataset)
-        resolved = pipeline.explainer_.method_name
-        if self.explainer_method == "auto" and resolved in STOCHASTIC_EXPLAINERS:
-            # ``auto`` resolved to a sampled method only after the fit;
-            # rebuild the explainer seeded (and budgeted) under its
-            # resolved name so the determinism contract holds for
-            # ``explainer_method="auto"`` too
-            kwargs = {
-                **default_explainer_kwargs(resolved),
-                **self.explainer_kwargs,
-            }
-            kwargs.setdefault("random_state", seed)
-            pipeline = pipeline.with_explainer(resolved, **kwargs)
         self._pipeline = pipeline
         self._test_accuracy = float(pipeline.test_score_)
         self._windows_since_refit = 0

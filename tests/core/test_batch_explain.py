@@ -1,58 +1,138 @@
-"""Batch explanation: the BatchExplanation container, the vectorized
-explain_batch overrides, and their equivalence with per-sample explain.
+"""Batch explanation: the BatchExplanation container, each explainer's
+``explain_batch`` (its one attribution path), and ``explain`` as the
+one-row batch.
 
-Every explainer that overrides ``explain_batch`` must reproduce the
-per-sample path within 1e-8 (they share the RNG discipline: an integer
-``random_state`` re-seeds per call, so one shared design equals the
-per-sample designs).  The generic fallback and the edge cases (empty
-batch, single row, bad shapes) are covered for all explainers.
+``explain_batch`` must reproduce the independent per-row formulations
+in ``tests/oracles/shapley_per_row.py`` to 1e-12 (KernelSHAP, sampling
+and exact Shapley, Integrated Gradients; an integer ``random_state``
+re-seeds per call, so one shared design equals the per-row designs).
+LinearSHAP is checked against its closed form and LIME against its own
+one-row batches: neither has a second formulation.  The edge cases
+(empty batch, single row, one feature, bad shapes, non-finite input and
+background) are covered for every explainer in the grid.
 """
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import shapley_per_row
+from oracles.shapley_per_row import (
+    exact_shapley_row,
+    integrated_gradients_row,
+    kernel_shap_row,
+    sampling_shapley_row,
+)
 
 from repro.core.explainers import (
     BatchExplanation,
     ExactShapleyExplainer,
     Explanation,
+    IntegratedGradientsExplainer,
     KernelShapExplainer,
     LimeExplainer,
     LinearShapExplainer,
     SamplingShapleyExplainer,
     TreeShapExplainer,
-    model_output_fn,
 )
-from repro.ml import LinearRegression, RandomForestRegressor
+from repro.ml import LinearRegression, MLPRegressor, RandomForestRegressor
+from repro.utils.rng import check_random_state
+
+GRID = [
+    "kernel_shap", "sampling_shapley", "lime", "exact_shapley",
+    "linear_shap", "integrated_gradients",
+]
+
+
+def _nonlinear(Z):
+    Z = np.atleast_2d(Z)
+    return Z[:, 0] * Z[:, 1] + np.sin(Z[:, 2]) + 0.5 * Z[:, 3]
+
+
+def _one_feature(Z):
+    Z = np.atleast_2d(Z)
+    return np.sin(Z[:, 0]) + 0.3 * Z[:, 0] ** 2
 
 
 @pytest.fixture(scope="module")
 def nonlinear_problem():
     rng = np.random.default_rng(3)
-    X = rng.normal(size=(90, 6))
+    return rng.normal(size=(90, 6)), _nonlinear
 
-    def fn(Z):
-        Z = np.atleast_2d(Z)
-        return Z[:, 0] * Z[:, 1] + np.sin(Z[:, 2]) + 0.5 * Z[:, 3]
 
-    return X, fn
+def _builders(X, fn):
+    """``name -> build(background)`` for one explainer of each kind
+    over ``fn`` (LinearSHAP and IG over a linear model and an MLP
+    fitted to it)."""
+    y = fn(X)
+    linear = LinearRegression().fit(X, y)
+    mlp = MLPRegressor(
+        hidden_layer_sizes=(16,), max_epochs=40, random_state=0
+    ).fit(X, y)
+    return {
+        "kernel_shap": lambda bg: KernelShapExplainer(
+            fn, bg, n_samples=100, random_state=7
+        ),
+        "sampling_shapley": lambda bg: SamplingShapleyExplainer(
+            fn, bg, n_permutations=6, random_state=7
+        ),
+        "lime": lambda bg: LimeExplainer(
+            fn, bg, n_samples=150, random_state=7
+        ),
+        "exact_shapley": lambda bg: ExactShapleyExplainer(fn, bg),
+        "linear_shap": lambda bg: LinearShapExplainer(linear, bg),
+        "integrated_gradients": lambda bg: IntegratedGradientsExplainer(
+            mlp, bg, n_steps=16
+        ),
+    }
 
 
 def _explainer_grid(X, fn):
-    """Every explainer with a vectorized explain_batch override."""
-    background = X[:30]
+    """The grid over the first 30 rows as background (LIME
+    standardises by all of ``X``)."""
     return {
-        "kernel_shap": KernelShapExplainer(
-            fn, background, n_samples=100, random_state=7
-        ),
-        "sampling_shapley": SamplingShapleyExplainer(
-            fn, background, n_permutations=6, random_state=7
-        ),
-        "lime": LimeExplainer(fn, X, n_samples=150, random_state=7),
-        "exact_shapley": ExactShapleyExplainer(fn, background),
-        "linear_shap": LinearShapExplainer(
-            LinearRegression().fit(X, fn(X)), background
-        ),
+        name: build(X if name == "lime" else X[:30])
+        for name, build in _builders(X, fn).items()
     }
+
+
+@pytest.fixture(scope="module")
+def grid(nonlinear_problem):
+    return _explainer_grid(*nonlinear_problem)
+
+
+@pytest.fixture(scope="module")
+def grid_one_feature():
+    X = check_random_state(4).normal(size=(60, 1))
+    return X, _one_feature, _explainer_grid(X, _one_feature)
+
+
+def _linear_closed_form(explainer, x):
+    return (
+        explainer.coef_ * (x - explainer.mean_),
+        explainer.expected_value_,
+        float(x @ explainer.coef_ + explainer.intercept_),
+    )
+
+
+def _reference(name, explainer, x):
+    """``(values, base_value, prediction)`` of one row, computed
+    without the batch path where a second formulation exists."""
+    if name == "kernel_shap":
+        return kernel_shap_row(explainer, x)
+    if name == "sampling_shapley":
+        rng = check_random_state(explainer.random_state)
+        return sampling_shapley_row(explainer, x, rng)
+    if name == "exact_shapley":
+        return exact_shapley_row(explainer, x)
+    if name == "integrated_gradients":
+        return integrated_gradients_row(explainer, x)
+    if name == "linear_shap":
+        return _linear_closed_form(explainer, x)
+    # LIME: its one-row batch (the shared noise is the only coupling)
+    e = explainer.explain(x)
+    return e.values, e.base_value, e.prediction
 
 
 class TestBatchExplanationContainer:
@@ -232,67 +312,114 @@ class TestBatchConcat:
 
 
 class TestBatchEquivalence:
-    """explain_batch must match a per-sample explain loop."""
+    """explain_batch must match the per-row references."""
 
-    @pytest.mark.parametrize(
-        "name",
-        ["kernel_shap", "sampling_shapley", "lime", "exact_shapley",
-         "linear_shap"],
-    )
-    def test_matches_per_sample_loop(self, nonlinear_problem, name):
-        X, fn = nonlinear_problem
-        explainer = _explainer_grid(X, fn)[name]
+    @pytest.mark.parametrize("name", GRID)
+    def test_matches_per_sample_loop(self, nonlinear_problem, grid, name):
+        X, _ = nonlinear_problem
+        explainer = grid[name]
         rows = X[30:46]
         batch = explainer.explain_batch(rows)
         assert isinstance(batch, BatchExplanation)
         assert len(batch) == len(rows)
-        for b, single in zip(batch, (explainer.explain(r) for r in rows)):
-            np.testing.assert_allclose(
-                b.values, single.values, atol=1e-8, rtol=0
-            )
-            assert abs(b.prediction - single.prediction) < 1e-8
-            assert abs(b.base_value - single.base_value) < 1e-8
+        for b, row in zip(batch, rows):
+            values, base_value, prediction = _reference(name, explainer, row)
+            np.testing.assert_allclose(b.values, values, atol=1e-12, rtol=0)
+            assert abs(b.prediction - prediction) < 1e-12
+            assert abs(b.base_value - base_value) < 1e-12
 
-    @pytest.mark.parametrize(
-        "name",
-        ["kernel_shap", "sampling_shapley", "lime", "exact_shapley",
-         "linear_shap"],
-    )
-    def test_single_row_batch(self, nonlinear_problem, name):
-        X, fn = nonlinear_problem
-        explainer = _explainer_grid(X, fn)[name]
+    @pytest.mark.parametrize("name", GRID)
+    def test_single_row_batch(self, nonlinear_problem, grid, name):
+        """``explain`` is the one-row batch, for a row of shape (d,) or
+        (1, d), and matches the per-row reference."""
+        X, _ = nonlinear_problem
+        explainer = grid[name]
         batch = explainer.explain_batch(X[40:41])
         assert len(batch) == 1
+        for single in (explainer.explain(X[40]), explainer.explain(X[40:41])):
+            assert isinstance(single, Explanation)
+            np.testing.assert_array_equal(single.values, batch[0].values)
+            assert single.prediction == batch[0].prediction
+        values, _, _ = _reference(name, explainer, X[40])
         np.testing.assert_allclose(
-            batch[0].values, explainer.explain(X[40]).values,
-            atol=1e-8, rtol=0,
+            batch[0].values, values, atol=1e-12, rtol=0
         )
 
-    @pytest.mark.parametrize(
-        "name",
-        ["kernel_shap", "sampling_shapley", "lime", "exact_shapley",
-         "linear_shap"],
-    )
-    def test_empty_batch(self, nonlinear_problem, name):
-        X, fn = nonlinear_problem
-        explainer = _explainer_grid(X, fn)[name]
-        batch = explainer.explain_batch(np.zeros((0, X.shape[1])))
+    @pytest.mark.parametrize("name", GRID)
+    def test_empty_batch(self, nonlinear_problem, grid, name):
+        X, _ = nonlinear_problem
+        batch = grid[name].explain_batch(np.zeros((0, X.shape[1])))
         assert len(batch) == 0
         assert batch.values.shape == (0, X.shape[1])
         assert list(batch) == []
 
-    @pytest.mark.parametrize(
-        "name",
-        ["kernel_shap", "sampling_shapley", "lime", "exact_shapley",
-         "linear_shap"],
-    )
-    def test_bad_shapes_raise(self, nonlinear_problem, name):
-        X, fn = nonlinear_problem
-        explainer = _explainer_grid(X, fn)[name]
+    @pytest.mark.parametrize("name", GRID)
+    def test_bad_shapes_raise(self, nonlinear_problem, grid, name):
+        X, _ = nonlinear_problem
+        explainer = grid[name]
         with pytest.raises(ValueError, match="2-D"):
             explainer.explain_batch(X[0])
         with pytest.raises(ValueError, match="features"):
             explainer.explain_batch(np.zeros((3, X.shape[1] + 2)))
+
+    @pytest.mark.parametrize("name", GRID)
+    def test_explain_takes_exactly_one_row(self, nonlinear_problem, grid, name):
+        """Two rows (or a higher-rank array) are not flattened into one
+        wide row."""
+        X, _ = nonlinear_problem
+        explainer = grid[name]
+        for bad in (X[:2], X[:2, :3], X[:1][None], np.float64(1.0)):
+            with pytest.raises(ValueError, match="one row"):
+                explainer.explain(bad)
+        with pytest.raises(ValueError, match="features"):
+            explainer.explain(X[0, :3])
+
+    @pytest.mark.parametrize("name", GRID)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rows_rejected(self, nonlinear_problem, grid, name, bad):
+        X, _ = nonlinear_problem
+        explainer = grid[name]
+        rows = X[:3].copy()
+        rows[1, 2] = bad
+        with pytest.raises(ValueError, match="X contains NaN or infinite"):
+            explainer.explain_batch(rows)
+        with pytest.raises(ValueError, match="X contains NaN or infinite"):
+            explainer.explain(rows[1])
+
+    @pytest.mark.parametrize("name", GRID)
+    def test_background_checked_at_construction(self, nonlinear_problem, name):
+        X, fn = nonlinear_problem
+        build = _builders(X, fn)[name]
+        nan_background = X[:6].copy()
+        nan_background[2, 4] = np.nan
+        for background, message in (
+            (X[:0], "at least one row"),
+            (X[0], "2-D"),
+            (nan_background, "NaN or infinite"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                build(background)
+
+    @pytest.mark.parametrize("name", GRID)
+    def test_one_feature(self, grid_one_feature, name):
+        """``d == 1``: the efficiency constraint alone fixes a Shapley
+        value, ``f(x) - E[f]``, and every explainer still attributes."""
+        X, fn, explainers = grid_one_feature
+        explainer = explainers[name]
+        rows = X[:8]
+        batch = explainer.explain_batch(rows)
+        assert batch.values.shape == (8, 1)
+        assert np.all(np.isfinite(batch.values))
+        if name in ("kernel_shap", "sampling_shapley", "exact_shapley"):
+            np.testing.assert_allclose(
+                batch.values[:, 0],
+                fn(rows) - explainer.expected_value_, atol=1e-12, rtol=0,
+            )
+        if name != "kernel_shap":  # the per-row oracle needs d >= 2
+            values, _, _ = _reference(name, explainer, rows[3])
+            np.testing.assert_allclose(
+                batch.values[3], values, atol=1e-12, rtol=0
+            )
 
     def test_batch_is_deterministic_for_int_seed(self, nonlinear_problem):
         X, fn = nonlinear_problem
@@ -365,17 +492,31 @@ class TestBatchEquivalence:
             chunked.base_values, full.base_values, atol=1e-10, rtol=0
         )
 
-    def test_additivity_holds_across_batch(self, nonlinear_problem):
-        X, fn = nonlinear_problem
-        explainer = _explainer_grid(X, fn)["kernel_shap"]
+    def test_additivity_holds_across_batch(self, nonlinear_problem, grid):
+        X, _ = nonlinear_problem
+        explainer = grid["kernel_shap"]
         batch = explainer.explain_batch(X[:10])
         assert batch.additivity_gaps().max() < 1e-6
 
-    def test_global_importance_uses_batch_path(self, nonlinear_problem):
-        X, fn = nonlinear_problem
-        explainer = _explainer_grid(X, fn)["linear_shap"]
+    def test_global_importance_uses_batch_path(self, nonlinear_problem, grid):
+        X, _ = nonlinear_problem
+        explainer = grid["linear_shap"]
         gi = explainer.global_importance(X[:20])
         batch = explainer.explain_batch(X[:20])
         np.testing.assert_allclose(
             gi.importances, np.abs(batch.values).mean(axis=0)
         )
+
+
+def test_per_row_oracle_imports_nothing_from_repro():
+    """The oracle stays an independent formulation: it may read an
+    explainer's configuration but never import the code it checks."""
+    tree = ast.parse(Path(shapley_per_row.__file__).read_text())
+    imported = [
+        alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+        for alias in node.names
+    ] + [
+        node.module or "" for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+    ]
+    assert not any(name.split(".")[0] == "repro" for name in imported), imported

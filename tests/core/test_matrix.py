@@ -42,9 +42,6 @@ class TestRunScenarioMatrix:
         assert len(coords) == len(report.cells)
         assert report.models == ["random_forest", "logistic_regression"]
 
-    def test_cells_use_vectorized_batch_path(self, report):
-        assert all(c.vectorized for c in report.cells)
-
     def test_metrics_are_finite(self, report):
         for c in report.cells:
             assert np.isfinite(c.test_accuracy)

@@ -106,6 +106,47 @@ class TestPipeline:
         with pytest.raises(RuntimeError, match="not fitted"):
             pipe.diagnose(np.zeros(31))
 
+    @pytest.mark.parametrize(
+        "method, budget",
+        [
+            ("kernel_shap", {"n_samples": 32}),
+            ("sampling_shapley", {"n_permutations": 2}),
+            ("lime", {"n_samples": 40}),
+            ("auto", {"n_samples": 32}),  # GaussianNB -> KernelSHAP
+        ],
+    )
+    def test_integer_seed_seeds_sampling_explainer(
+        self, sla_dataset, method, budget
+    ):
+        """Named or resolved from ``auto``, a sampling explainer takes
+        the pipeline's integer seed, so two fits attribute alike."""
+        def attributions():
+            pipe = NFVExplainabilityPipeline(
+                GaussianNB(),
+                explainer_method=method,
+                background_size=10,
+                explainer_kwargs=budget,
+                random_state=3,
+            ).fit(sla_dataset)
+            assert pipe.explainer_.random_state == 3
+            return pipe.explainer_.explain_batch(
+                sla_dataset.X.values[:3]
+            ).values
+
+        np.testing.assert_array_equal(attributions(), attributions())
+
+    def test_explicit_explainer_seed_wins(self, sla_dataset):
+        pipe = NFVExplainabilityPipeline(
+            GaussianNB(),
+            explainer_method="lime",
+            explainer_kwargs={"n_samples": 40, "random_state": 11},
+            random_state=3,
+        ).fit(sla_dataset)
+        assert pipe.explainer_.random_state == 11
+        assert pipe.with_explainer(
+            "kernel_shap", n_samples=32
+        ).explainer_.random_state == 3
+
     def test_validation(self):
         with pytest.raises(ValueError, match="test_size"):
             NFVExplainabilityPipeline(GaussianNB(), test_size=2.0)

@@ -19,15 +19,16 @@ efficiency axioms are theorems in that regime, not approximations.
 
 The vectorized TreeSHAP kernels (``repro.ml.packed_shap``) get the
 same treatment plus an equivalence property: for random seeds, sizes,
-and depths, the packed array sweep must match the legacy per-row
-recursion to <= 1e-10 on both the path-dependent and interventional
-variants.
+and depths, the packed array sweep must match the per-tree recursions
+of ``tests/oracles/tree_shap_recursion.py`` to <= 1e-10 on both the
+path-dependent and interventional variants.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles.tree_shap_recursion import reference_batch
 
 from repro.core.explainers import (
     ExactShapleyExplainer,
@@ -39,7 +40,6 @@ from repro.core.explainers import (
     TreeShapExplainer,
     model_output_fn,
 )
-from repro.core.explainers.base import Explainer
 from repro.ml import (
     GradientBoostingClassifier,
     LinearRegression,
@@ -247,7 +247,7 @@ class TestVectorizedTreeShapProperties:
         )
         explainer = TreeShapExplainer(model)
         vectorized = explainer.explain_batch(X[:6])
-        legacy = Explainer.explain_batch(explainer, X[:6])
+        legacy = reference_batch(explainer, X[:6])
         np.testing.assert_allclose(
             vectorized.values, legacy.values, atol=1e-10
         )
@@ -270,7 +270,7 @@ class TestVectorizedTreeShapProperties:
         )
         explainer = InterventionalTreeShapExplainer(model, X[:8])
         vectorized = explainer.explain_batch(X[:4])
-        legacy = Explainer.explain_batch(explainer, X[:4])
+        legacy = reference_batch(explainer, X[:4])
         np.testing.assert_allclose(
             vectorized.values, legacy.values, atol=1e-10
         )

@@ -47,7 +47,6 @@ def _cell(scenario="s", deletion=0.8, random_deletion=0.5, agreement=0.6):
         agreement_spearman=agreement,
         stability_cosine=None,
         explain_seconds=0.0,
-        vectorized=True,
     )
 
 

@@ -7,9 +7,9 @@ explainers are validated against the enumerator.
 
 import numpy as np
 import pytest
+from oracles.shapley_per_row import coalition_value
 
 from repro.core.explainers import ExactShapleyExplainer, model_output_fn
-from repro.core.explainers.shap_exact import coalition_value
 from repro.datasets import make_linear_regression
 from repro.ml import LinearRegression
 

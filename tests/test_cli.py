@@ -109,6 +109,24 @@ class TestExplainBatch:
         assert code == 0
         assert "diagnosed 3 epochs" in out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["explain-batch", "--limit", "1", "--no-timing",
+             "--method", "kernel_shap"],
+            ["explain", "--method", "lime"],
+        ],
+    )
+    def test_sampling_explainers_print_identical_bytes(self, capsys, argv):
+        """The pipeline seeds a sampling explainer from ``--seed``, so
+        two runs print the same attributions."""
+        outputs = []
+        for _ in range(2):
+            assert main([*argv, "--epochs", "300", "--seed", "0"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert "=+" in outputs[0] or "raises risk" in outputs[0]
+
     def test_bad_indices(self, capsys):
         code = main(
             ["explain-batch", "--epochs", "300", "--seed", "3",
