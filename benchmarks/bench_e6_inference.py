@@ -33,7 +33,7 @@ from repro.core.explainers import KernelShapExplainer, model_output_fn
 from repro.ml import GradientBoostingClassifier
 from repro.utils.validation import check_array
 
-#: the explainers' stacked-model-call row budget (shap_kernel._ROW_BUDGET)
+#: the explainers' stacked-model-call row budget (base._ROW_BUDGET)
 FLEET_ROWS = 8192
 
 _table: list[str] = []

@@ -215,6 +215,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="add the input-stability metric with N >= 2 repeats (0 = off)",
     )
     run.add_argument("--seed", type=int, default=0)
+    run.add_argument(
+        "--no-timing", action="store_true",
+        help="drop wall-clock output: the per-cell progress lines and "
+             "the table's sec column (output becomes byte-comparable "
+             "across runs and backends)",
+    )
     _add_parallel_args(run)
     search = scen_sub.add_parser(
         "search",
@@ -723,10 +729,11 @@ def _cmd_scenarios(args) -> int:
         random_state=args.seed,
         backend=args.backend,
         workers=args.workers,
-        progress=print,
+        # progress lines carry each cell's seconds
+        progress=None if args.no_timing else print,
     )
     print()
-    print(report.format_table())
+    print(report.format_table(timing=not args.no_timing))
     backend = report.extras.get("backend", "serial")
     workers = report.extras.get("workers", 1)
     print(

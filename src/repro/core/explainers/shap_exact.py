@@ -18,14 +18,15 @@ from math import comb
 
 import numpy as np
 
-from repro.core.explainers.base import BatchExplanation, Explainer
+from repro.core.explainers.base import (
+    BatchExplanation,
+    Explainer,
+    coalition_values,
+)
 
 __all__ = ["ExactShapleyExplainer"]
 
 MAX_EXACT_FEATURES = 15
-
-#: Upper bound on rows per stacked model call when batching subsets.
-_ROW_BUDGET = 8192
 
 
 class ExactShapleyExplainer(Explainer):
@@ -60,60 +61,25 @@ class ExactShapleyExplainer(Explainer):
     def explain_batch(self, X) -> BatchExplanation:
         """Exact Shapley values for every row of ``X`` at once.
 
-        The ``2^d`` coalition values of *all* rows are computed by
-        stacking each subset's background hybrids for every row into
-        large model calls, so the subset enumeration and the Shapley
-        weight accumulation are paid once per batch instead of once per
-        sample.
+        The ``2^d`` coalition values of *all* rows come from one
+        :func:`~repro.core.explainers.base.coalition_values` call, so
+        the subset enumeration and the Shapley weight accumulation are
+        paid once per batch instead of once per sample.
         """
         X = self._check_batch(X, self.background.shape[1])
         if X.shape[0] == 0:
             return self._empty_batch(X)
         n, d = X.shape
-        n_bg = len(self.background)
-        # a huge fleet alone can exceed the row budget: chunk the rows
-        # first, then the subsets within each row chunk
-        max_rows = max(1, _ROW_BUDGET // n_bg)
-        phi = np.zeros((n, d))
-        base_values = np.empty(n)
-        for start in range(0, n, max_rows):
-            rows = X[start : start + max_rows]
-            chunk_phi, chunk_base = self._batch_shapley(rows)
-            phi[start : start + len(rows)] = chunk_phi
-            base_values[start : start + len(rows)] = chunk_base
-        predictions = np.asarray(self.predict_fn(X), dtype=float)
-        return self._batch_from_matrix(
-            X, phi, base_values, predictions, extras={"n_subsets": 2**d}
-        )
-
-    def _batch_shapley(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Shapley values and base values for one row chunk."""
-        n, d = X.shape
-        n_bg = len(self.background)
         subsets = [
             subset
             for size in range(d + 1)
             for subset in combinations(range(d), size)
         ]
-        # v(S) per subset for all rows, stacked into blocked model calls
-        values: dict[frozenset, np.ndarray] = {}
-        block = max(1, _ROW_BUDGET // max(1, n * n_bg))
-        for start in range(0, len(subsets), block):
-            chunk = subsets[start : start + block]
-            masks = np.zeros((len(chunk), d), dtype=bool)
-            for j, subset in enumerate(chunk):
-                masks[j, list(subset)] = True
-            # hybrid(j, i, r) = x_i where mask_j, background_r elsewhere
-            tiled = np.where(
-                masks[:, None, None, :],
-                X[None, :, None, :],
-                self.background[None, None, :, :],
-            )
-            preds = np.asarray(
-                self.predict_fn(tiled.reshape(-1, d)), dtype=float
-            ).reshape(len(chunk), n, n_bg)
-            for j, subset in enumerate(chunk):
-                values[frozenset(subset)] = preds[j].mean(axis=1)
+        masks = np.zeros((len(subsets), d), dtype=bool)
+        for j, subset in enumerate(subsets):
+            masks[j, list(subset)] = True
+        V = coalition_values(self.predict_fn, X, masks, self.background)
+        values = {frozenset(subset): v for subset, v in zip(subsets, V)}
 
         phi = np.zeros((n, d))
         features = range(d)
@@ -124,4 +90,8 @@ class ExactShapleyExplainer(Explainer):
                 for subset in combinations(others, size):
                     s = frozenset(subset)
                     phi[:, i] += weight * (values[s | {i}] - values[s])
-        return phi, values[frozenset()].copy()
+        predictions = np.asarray(self.predict_fn(X), dtype=float)
+        return self._batch_from_matrix(
+            X, phi, values[frozenset()].copy(), predictions,
+            extras={"n_subsets": 2**d},
+        )

@@ -28,16 +28,14 @@ from math import comb
 import numpy as np
 
 from repro.core.cache import coalition_design
-from repro.core.explainers.base import BatchExplanation, Explainer
+from repro.core.explainers.base import (
+    BatchExplanation,
+    Explainer,
+    coalition_values,
+)
 from repro.utils.rng import check_random_state
 
 __all__ = ["KernelShapExplainer", "shapley_kernel_weight"]
-
-#: Upper bound on rows per stacked model call when batching coalitions.
-#: Tuned empirically: big enough to amortize per-call dispatch, small
-#: enough that the hybrid block stays cache-resident (giant single
-#: calls measured slower on every bundled model family).
-_ROW_BUDGET = 8192
 
 
 def shapley_kernel_weight(d: int, s: int) -> float:
@@ -103,9 +101,11 @@ class KernelShapExplainer(Explainer):
 
         The coalition design (masks + kernel weights) depends only on
         the feature dimension and sampling configuration, so it is
-        built once and shared by all rows; the masked-background model
-        evaluations for all (row, coalition) pairs are stacked into a
-        handful of large ``predict_fn`` calls; and the weighted
+        built once and shared by all rows; the masked-background values
+        of all (coalition, row) pairs come from one
+        :func:`~repro.core.explainers.base.coalition_values` call
+        (stacked model calls, or a branch-bit walk on a packed tree
+        ensemble); and the weighted
         regression is solved for all rows at once against the shared
         Gram matrix.  With one feature the efficiency constraint alone
         fixes the attribution, ``f(x) - E[f]``, and no coalition is
@@ -123,7 +123,7 @@ class KernelShapExplainer(Explainer):
                 extras={"n_coalitions": 0},
             )
         masks, weights = self._coalition_design(d)
-        V = self._batch_coalition_values(X, masks)
+        V = coalition_values(self.predict_fn, X, masks, self.background)
 
         # shared weighted least squares, one right-hand side per row,
         # with the efficiency constraint enforced by eliminating the
@@ -237,43 +237,3 @@ class KernelShapExplainer(Explainer):
                 "no coalitions generated; increase n_samples"
             )
         return np.asarray(masks), np.asarray(weights)
-
-    def _batch_coalition_values(
-        self, X: np.ndarray, masks: np.ndarray
-    ) -> np.ndarray:
-        """``v(S)`` for every (coalition, row) pair, shape ``(m, n)``.
-
-        Stacks the masked-background hybrids of *all* rows for a block
-        of coalitions into a single model call, so the per-call
-        dispatch overhead is paid ``m / block`` times instead of
-        ``m * n`` times.
-        """
-        n, d = X.shape
-        n_bg = len(self.background)
-        m = len(masks)
-        V = np.empty((m, n))
-        # a huge fleet alone can exceed the row budget: chunk the rows
-        # first, then the coalitions within each row chunk
-        max_rows = max(1, _ROW_BUDGET // n_bg)
-        if n > max_rows:
-            for start in range(0, n, max_rows):
-                V[:, start : start + max_rows] = self._batch_coalition_values(
-                    X[start : start + max_rows], masks
-                )
-            return V
-        block = max(1, _ROW_BUDGET // max(1, n * n_bg))
-        for start in range(0, m, block):
-            chunk = masks[start : start + block]
-            b = len(chunk)
-            # hybrid(j, i, r) = x_i where mask_j, background_r elsewhere —
-            # one broadcasted where() builds the whole block
-            tiled = np.where(
-                chunk[:, None, None, :],
-                X[None, :, None, :],
-                self.background[None, None, :, :],
-            )
-            preds = np.asarray(
-                self.predict_fn(tiled.reshape(-1, d)), dtype=float
-            )
-            V[start : start + b] = preds.reshape(b, n, n_bg).mean(axis=2)
-        return V

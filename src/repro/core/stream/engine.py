@@ -940,18 +940,6 @@ class StreamingDiagnosisEngine:
                 emit(self.process_batch(batch, executor))
             emit(self.flush(executor))
             extras = {"backend": executor.backend, "workers": executor.workers}
-            if self._pipeline is not None:
-                # voucher: did per-window attribution ride a vectorized
-                # explain_batch override (e.g. the packed TreeSHAP
-                # kernel) rather than the per-row fallback loop?  Not
-                # part of format_table, so the cross-backend byte
-                # surface is unchanged.
-                from repro.core.explainers import Explainer
-
-                extras["vectorized_attribution"] = (
-                    type(self._pipeline.explainer_).explain_batch
-                    is not Explainer.explain_batch
-                )
 
         return StreamReport(
             windows=self.windows[first:],

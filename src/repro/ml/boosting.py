@@ -101,6 +101,8 @@ class _BaseGradientBoosting(PackedModelMixin, BaseEstimator):
 class GradientBoostingRegressor(_BaseGradientBoosting, RegressorMixin):
     """Least-squares gradient boosting."""
 
+    packed_output = "predict"
+
     def fit(self, X, y) -> "GradientBoostingRegressor":
         X, y = check_X_y(X, y, y_numeric=True)
         self._invalidate_packed()
@@ -135,6 +137,8 @@ class GradientBoostingClassifier(_BaseGradientBoosting, ClassifierMixin):
     Multi-class problems are out of scope (raise); the NFV SLA-violation
     task this library targets is binary.
     """
+
+    packed_output = "margin"
 
     def fit(self, X, y) -> "GradientBoostingClassifier":
         X, y = check_X_y(X, y)

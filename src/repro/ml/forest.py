@@ -78,6 +78,8 @@ class RandomForestClassifier(_BaseForest, ClassifierMixin):
     """Bagged CART classifier; predictions average per-tree class
     probabilities (soft voting)."""
 
+    packed_output = "proba"
+
     def fit(self, X, y) -> "RandomForestClassifier":
         X, y = check_X_y(X, y)
         codes = self._encode_labels(y)
@@ -144,6 +146,8 @@ class RandomForestClassifier(_BaseForest, ClassifierMixin):
 
 class RandomForestRegressor(_BaseForest, RegressorMixin):
     """Bagged CART regressor; predictions average per-tree outputs."""
+
+    packed_output = "predict"
 
     def __init__(
         self,

@@ -46,6 +46,13 @@ loops (sequential sums, division by the tree count at the end, or
 equivalence suite (tests/ml/test_packed.py) and bench E15 assert
 unconditionally.
 
+KernelSHAP and exact Shapley need the background mean of the model
+over ``where(mask, x, background)`` hybrids, not the hybrids'
+outputs.  :meth:`PackedEnsemble.coalition_values` returns those
+values, byte-identical to scoring the hybrids with :meth:`predict`,
+without materialising a hybrid row: it walks tabled branch bits of the
+rows and the background once per tree and distinct mask pattern.
+
 Models build the packed form lazily: :class:`PackedModelMixin` gives
 every tree-based estimator a memoized :meth:`~PackedModelMixin.
 packed_ensemble` built on first use after ``fit`` and dropped on
@@ -69,11 +76,39 @@ _LEAF = -1
 #: pair budget scales that inversely with the tree count.
 _PAIR_BUDGET = 16384
 
+#: Walk states per tree group, and (coalition, row, background row)
+#: sums per accumulator block, of :meth:`PackedEnsemble.coalition_values`.
+#: Like ``_PAIR_BUDGET`` it keeps the working set in cache-sized blocks.
+_STATE_BUDGET = 1 << 18
+
 #: Switch from the dense lock-step phase to sparse active-pair
 #: compaction once the training-coverage estimate says fewer than this
 #: fraction of pairs are still descending.  Below it, compaction
 #: overhead beats dragging every finished pair through more levels.
 _SPARSE_SWITCH_FRACTION = 0.4
+
+
+def _check_finite(X: np.ndarray, name: str) -> np.ndarray:
+    """Reject NaN and infinite entries, as the models' own ``predict``
+    does (:func:`repro.utils.validation.check_array`).  The kernels that
+    read tabled branch bits or path intervals instead of calling
+    ``predict`` would otherwise route such a value silently."""
+    if not np.isfinite(X).all():
+        raise ValueError(f"{name} contains NaN or infinite values")
+    return X
+
+
+def _distinct_rows(bits: np.ndarray):
+    """``(first, inverse)`` of the distinct rows of a 2-D boolean array:
+    ``bits[first]`` holds each distinct row once, ``inverse`` maps every
+    row to its entry.  Rows are compared as packed bytes, and an array
+    of zero columns has one distinct row."""
+    if bits.shape[1] == 0:
+        return np.zeros(1, dtype=np.int64), np.zeros(len(bits), np.int64)
+    packed = np.ascontiguousarray(np.packbits(bits, axis=1))
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return first, inverse.reshape(-1)
 
 
 def _as_codes(classes: np.ndarray) -> np.ndarray:
@@ -437,6 +472,199 @@ class PackedEnsemble:
         return out
 
     # ------------------------------------------------------------------
+    # masked evaluation (KernelSHAP and exact Shapley coalition values)
+    # ------------------------------------------------------------------
+    def coalition_values(self, X, masks, background, *, column: int = 0):
+        """Background-mean output of every (coalition, row) hybrid,
+        shape ``(len(masks), len(X))``::
+
+            v[j, i] = mean_r predict(where(masks[j], X[i], background[r]))[column]
+
+        computed without materialising a hybrid row, and byte-identical
+        to stacking the hybrids, calling :meth:`predict` and taking
+        ``[:, column].reshape(m, n, n_bg).mean(axis=2)``.  Raises
+        ``ValueError`` on NaN or infinite entries in ``X`` or
+        ``background``, and on an empty background.
+
+        * **Patterns per tree.**  A tree reads only the mask bits of the
+          features it splits on, and only the branch bits of its own
+          nodes, so per tree the coalitions collapse to their distinct
+          patterns of those features, and the rows and background rows
+          to their distinct branch-bit vectors.
+        * **Branch bits.**  ``value <= threshold`` is tabled once per
+          node for the rows and for the background.  A
+          (pattern, row, background row) state takes the row's bit at a
+          node whose feature is in the pattern and the background
+          row's bit elsewhere — the branch the hybrid takes, so the
+          state ends in the hybrid's leaf.
+        * **The same sums.**  Leaf values are added in estimator order
+          from :meth:`predict`'s starting value, scaled and divided as
+          there, and averaged over a contiguous background axis.
+        """
+        X = _check_finite(self._check_X(X), "X")
+        background = _check_finite(self._check_X(background), "background")
+        if len(background) == 0:
+            raise ValueError("background must have at least one row")
+        masks = np.asarray(masks, dtype=bool)
+        if masks.ndim != 2 or masks.shape[1] != self.n_features:
+            raise ValueError(
+                f"masks must have shape (m, {self.n_features}), "
+                f"got {masks.shape}"
+            )
+        leaf = self.value[:, column]
+        if self.mode == "scaled_sum":
+            # predict adds scale * value per tree: the same products
+            leaf = self.scale * leaf
+        m, n = len(masks), len(X)
+        V = np.empty((m, n))
+        splits = [self._tree_splits(q) for q in range(self.n_trees)]
+        bg_left = self._goes_left(background)
+        bg_kinds = [_distinct_rows(bg_left[:, nodes]) for nodes, _ in splits]
+        coalition_block = max(1, _STATE_BUDGET // max(1, len(background)))
+        for c0 in range(0, m, coalition_block):
+            block = masks[c0:c0 + coalition_block]
+            patterns = [_distinct_rows(block[:, feats]) for _, feats in splits]
+            row_block = max(
+                1, _STATE_BUDGET // max(1, len(block) * len(background))
+            )
+            for r0 in range(0, n, row_block):
+                x_left = self._goes_left(X[r0:r0 + row_block])
+                x_kinds = [_distinct_rows(x_left[:, nodes]) for nodes, _ in splits]
+                V[c0:c0 + len(block), r0:r0 + row_block] = self._masked_block(
+                    block, patterns, x_left, x_kinds, bg_left, bg_kinds, leaf
+                )
+        return V
+
+    def _goes_left(self, X: np.ndarray) -> np.ndarray:
+        """Branch bit ``X[:, feature] <= threshold`` of every node, shape
+        ``(len(X), n_nodes)`` (``True`` at leaves, whose step is a
+        self-loop)."""
+        return X[:, self._feature_step] <= self._threshold_step
+
+    def _tree_splits(self, q: int):
+        """Split node ids and the distinct features they split on, of
+        packed tree ``q``."""
+        nodes = np.arange(self._offsets[q], self._offsets[q + 1])
+        nodes = nodes[~self._is_leaf[nodes]]
+        return nodes, np.unique(self.feature[nodes])
+
+    def _masked_block(
+        self, masks, patterns, x_left, x_kinds, bg_left, bg_kinds, leaf
+    ) -> np.ndarray:
+        """Coalition values of one (coalition block, row block)."""
+        nb, n_bg = len(x_left), len(bg_left)
+        kinds = list(zip(patterns, x_kinds, bg_kinds))
+        shapes = np.array(
+            [[len(k[0]) for k in tree] for tree in kinds], dtype=np.int64
+        )
+        states = shapes.prod(axis=1)
+        # a tree's walk holds its states and its side and code tables
+        work = states + (
+            shapes[:, 0] + shapes[:, 1] * shapes[:, 2]
+        ) * np.diff(self._offsets)
+        if self.mode == "mean" and self.n_trees > 1:
+            acc = np.zeros((len(masks), nb * n_bg))
+        elif self.mode == "mean":
+            acc = np.empty((len(masks), nb * n_bg))
+        else:
+            acc = np.full((len(masks), nb * n_bg), self.base_offset)
+        gathered = np.empty_like(acc)
+        for estimators in self._tree_groups(work):
+            positions = np.sort(self._inverse_order[estimators])
+            values = leaf[
+                self._walk_states(positions, kinds, masks, x_left, bg_left)
+            ]
+            ends = dict(zip(positions.tolist(), np.cumsum(states[positions])))
+            # estimator order, as predict accumulates
+            for q in self._inverse_order[estimators].tolist():
+                (_, pattern), (_, row), (_, bg_row) = kinds[q]
+                own = values[ends[q] - states[q]:ends[q]].reshape(shapes[q])
+                hybrids = own[:, row[:, None], bg_row].reshape(len(own), -1)
+                if self.mode == "mean" and self.n_trees == 1:
+                    # a single tree's output is its raw leaf value
+                    np.take(hybrids, pattern, axis=0, out=acc, mode="clip")
+                else:
+                    np.take(hybrids, pattern, axis=0, out=gathered, mode="clip")
+                    acc += gathered
+        if self.mode == "mean" and self.n_trees > 1:
+            acc /= self.n_trees
+        return acc.reshape(len(masks), nb, n_bg).mean(axis=2)
+
+    def _tree_groups(self, work: np.ndarray):
+        """Estimator indices in consecutive groups of at most
+        ``_STATE_BUDGET`` work (one tree at least); ``work`` is indexed
+        by packed position."""
+        group: list[int] = []
+        total = 0
+        for e in range(self.n_trees):
+            size = int(work[self._inverse_order[e]])
+            if group and total + size > _STATE_BUDGET:
+                yield np.array(group)
+                group, total = [], 0
+            group.append(e)
+            total += size
+        yield np.array(group)
+
+    def _walk_states(self, positions, kinds, masks, x_left, bg_left):
+        """Leaf node of every (pattern, row, background row) state of
+        the packed trees ``positions`` (ascending, so deepest first),
+        tree by tree in that order, each tree's states C-ordered.
+
+        Per tree, a *side* table holds, for each pattern and node,
+        whether the node's feature is in the pattern, and a *code*
+        table holds ``2 * row bit + background bit`` for each (row,
+        background row) pair and node; a state's branch is bit ``side``
+        of its code."""
+        node, side_base, code_base, side, code = [], [], [], [], []
+        side_size = code_size = 0
+        for q in positions.tolist():
+            (patterns, _), (rows, _), (bg_rows, _) = kinds[q]
+            lo, hi = self._offsets[q], self._offsets[q + 1]
+            width = hi - lo
+            pairs = len(rows) * len(bg_rows)
+            side.append(
+                masks[patterns][:, self._feature_step[lo:hi]].view(np.uint8)
+            )
+            code.append(
+                (x_left[rows, lo:hi][:, None] * np.uint8(2)
+                 + bg_left[bg_rows, lo:hi][None]).reshape(pairs, width)
+            )
+            # state offsets into the tables, less the node's global id
+            node.append(np.full(len(patterns) * pairs, self.roots[q]))
+            side_base.append(np.repeat(
+                side_size - lo + np.arange(len(patterns)) * width, pairs
+            ))
+            code_base.append(np.tile(
+                code_size - lo + np.arange(pairs) * width, len(patterns)
+            ))
+            side_size += side[-1].size
+            code_size += code[-1].size
+        ends = np.cumsum([len(part) for part in node])
+        node = np.concatenate(node)
+        side_base = np.concatenate(side_base)
+        code_base = np.concatenate(code_base)
+        side = np.concatenate([table.ravel() for table in side])
+        code = np.concatenate([table.ravel() for table in code])
+        idx = np.empty_like(node)
+        shift = np.empty(len(node), dtype=np.uint8)
+        bit = np.empty(len(node), dtype=np.uint8)
+        depths = self.tree_depths[positions]
+        for level in range(int(depths[0])):
+            # trees still descending are a prefix (deepest first)
+            k = int(ends[np.count_nonzero(depths > level) - 1])
+            nd = node[:k]
+            np.add(nd, side_base[:k], out=idx[:k])
+            np.take(side, idx[:k], out=shift[:k])
+            np.add(nd, code_base[:k], out=idx[:k])
+            np.take(code, idx[:k], out=bit[:k])
+            np.right_shift(bit[:k], shift[:k], out=bit[:k])
+            np.bitwise_and(bit[:k], 1, out=bit[:k])
+            np.left_shift(nd, 1, out=idx[:k])
+            np.add(idx[:k], bit[:k], out=idx[:k])
+            np.take(self._children_step, idx[:k], out=nd)
+        return node
+
+    # ------------------------------------------------------------------
     # background summaries (TreeSHAP's expected-value pass)
     # ------------------------------------------------------------------
     def node_weights(self) -> np.ndarray:
@@ -523,6 +751,14 @@ class PackedModelMixin:
     The build is idempotent, so concurrent first predictions from the
     thread backend at worst pack twice and keep either copy.
     """
+
+    #: The :class:`~repro.core.explainers.base.ModelOutputFn` output
+    #: (``"proba"``, ``"predict"`` or ``"margin"``) whose scores are a
+    #: column of ``packed_ensemble().predict`` taken verbatim, so the
+    #: explainers may evaluate coalitions with
+    #: :meth:`PackedEnsemble.coalition_values` instead.  A subclass that
+    #: changes that output must reset it.
+    packed_output: str | None = None
 
     def packed_ensemble(self) -> PackedEnsemble:
         """The memoized packed form of this fitted model."""

@@ -67,6 +67,8 @@ from math import exp, lgamma
 
 import numpy as np
 
+from repro.ml.packed import _check_finite
+
 __all__ = [
     "PackedPathTable",
     "interventional_weight_table",
@@ -247,17 +249,6 @@ class PackedPathTable:
         the trailing sentinel column is always ``False``."""
         gathered = X[:, self._gather_feature]
         return (gathered > self._gather_lo) & (gathered <= self._gather_hi)
-
-
-def _check_finite(X: np.ndarray, name: str) -> np.ndarray:
-    """Reject NaN and infinite entries, as the models' own ``predict``
-    does (:func:`repro.utils.validation.check_array`).  The interval
-    test in :meth:`PackedPathTable.follows` would send such a value
-    down no branch, where tree traversal sends NaN right and ``-inf``
-    left, so the attributions would silently explain no prediction."""
-    if not np.isfinite(X).all():
-        raise ValueError(f"{name} contains NaN or infinite values")
-    return X
 
 
 def _pair_ids(one_pos: np.ndarray) -> np.ndarray:

@@ -376,6 +376,8 @@ class _BaseDecisionTree(PackedModelMixin, BaseEstimator):
 class DecisionTreeClassifier(_BaseDecisionTree, ClassifierMixin):
     """CART classifier with gini impurity."""
 
+    packed_output = "proba"
+
     def fit(self, X, y) -> "DecisionTreeClassifier":
         X, y = check_X_y(X, y)
         # single-class fits are allowed: ensemble bootstraps may miss a
@@ -400,6 +402,8 @@ class DecisionTreeClassifier(_BaseDecisionTree, ClassifierMixin):
 
 class DecisionTreeRegressor(_BaseDecisionTree, RegressorMixin):
     """CART regressor with variance (MSE) impurity."""
+
+    packed_output = "predict"
 
     def fit(self, X, y) -> "DecisionTreeRegressor":
         X, y = check_X_y(X, y, y_numeric=True)

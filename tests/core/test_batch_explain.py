@@ -462,14 +462,14 @@ class TestBatchEquivalence:
     ):
         """A fleet large enough to overflow the row budget is chunked
         by rows without changing the result."""
-        import repro.core.explainers.shap_kernel as shap_kernel
+        import repro.core.explainers.base as base
 
         X, fn = nonlinear_problem
         explainer = KernelShapExplainer(
             fn, X[:30], n_samples=60, random_state=1
         )
         full = explainer.explain_batch(X[:20])
-        monkeypatch.setattr(shap_kernel, "_ROW_BUDGET", 90)  # 3 rows/chunk
+        monkeypatch.setattr(base, "_ROW_BUDGET", 90)  # 3 rows/chunk
         chunked = explainer.explain_batch(X[:20])
         np.testing.assert_allclose(
             chunked.values, full.values, atol=1e-10, rtol=0
@@ -478,12 +478,12 @@ class TestBatchEquivalence:
     def test_exact_row_chunking_matches_unchunked(
         self, nonlinear_problem, monkeypatch
     ):
-        import repro.core.explainers.shap_exact as shap_exact
+        import repro.core.explainers.base as base
 
         X, fn = nonlinear_problem
         explainer = ExactShapleyExplainer(fn, X[:10])
         full = explainer.explain_batch(X[:8])
-        monkeypatch.setattr(shap_exact, "_ROW_BUDGET", 20)  # 2 rows/chunk
+        monkeypatch.setattr(base, "_ROW_BUDGET", 20)  # 2 rows/chunk
         chunked = explainer.explain_batch(X[:8])
         np.testing.assert_allclose(
             chunked.values, full.values, atol=1e-10, rtol=0

@@ -131,15 +131,14 @@ class TestRootCauseEvaluator:
         class OracleExplainer:
             method_name = "oracle"
 
-            def __init__(self):
-                self.calls = 0
-
-            def explain(self, x):
-                # blame vnf (calls % 2) — matches the culprit list below
-                values = np.zeros(5)
-                values[0 if self.calls % 2 == 0 else 2] = 1.0
-                self.calls += 1
-                return make_explanation(values, NAMES)
+            def explain_batch(self, X):
+                # blame vnf (row % 2) — matches the culprit list below
+                explanations = []
+                for row in range(len(X)):
+                    values = np.zeros(5)
+                    values[0 if row % 2 == 0 else 2] = 1.0
+                    explanations.append(make_explanation(values, NAMES))
+                return explanations
 
         evaluator = RootCauseEvaluator(n_vnfs=2, ks=(1,))
         X = np.zeros((4, 5))
@@ -160,3 +159,71 @@ class TestRootCauseEvaluator:
         evaluator = RootCauseEvaluator(n_vnfs=2, ks=(1,))
         report = evaluator.evaluate_rankings([[0, 1]], [(0,)], "m")
         assert "hit@1" in str(report)
+
+
+class TestBatchEvaluation:
+    """``evaluate_explainer`` explains every incident in one
+    ``explain_batch`` call; its rankings must be the per-row rankings."""
+
+    @pytest.fixture(scope="class")
+    def incidents(self):
+        from repro.datasets import (
+            make_root_cause_dataset,
+            make_sla_violation_dataset,
+        )
+        from repro.ml import RandomForestClassifier
+
+        rc = make_root_cause_dataset(n_epochs=1500, random_state=11)
+        sla = make_sla_violation_dataset(n_epochs=1500, random_state=11)
+        model = RandomForestClassifier(
+            n_estimators=12, max_depth=6, random_state=0
+        ).fit(sla.X.values, sla.y)
+        rows, culprits = [], []
+        for i in range(len(rc.y)):
+            cs = rc.culprits_for_sample(i)
+            if cs:
+                rows.append(rc.X.values[i])
+                culprits.append(cs)
+            if len(rows) == 12:
+                break
+        assert len(rows) == 12
+        return rc, model, sla.X.values, np.asarray(rows), culprits
+
+    @pytest.mark.parametrize("method", ["tree_shap", "kernel_shap"])
+    @pytest.mark.parametrize("aggregation", ["abs", "signed"])
+    def test_batch_rankings_equal_per_row_rankings(
+        self, incidents, method, aggregation, monkeypatch
+    ):
+        from repro.core.explainers import (
+            KernelShapExplainer,
+            TreeShapExplainer,
+            model_output_fn,
+        )
+
+        rc, model, X_train, rows, culprits = incidents
+        if method == "tree_shap":
+            explainer = TreeShapExplainer(model, rc.feature_names, class_index=1)
+        else:
+            explainer = KernelShapExplainer(
+                model_output_fn(model), X_train[:40], rc.feature_names,
+                n_samples=64, random_state=0,
+            )
+        per_row = [
+            rank_vnfs(vnf_attribution_scores(
+                explainer.explain(x), aggregation=aggregation
+            ))
+            for x in rows
+        ]
+        evaluator = RootCauseEvaluator(n_vnfs=5, ks=(1, 2, 3))
+        seen = []
+        monkeypatch.setattr(
+            "repro.core.rootcause.rank_vnfs",
+            lambda scores: seen.append(rank_vnfs(scores)) or seen[-1],
+        )
+        report = evaluator.evaluate_explainer(
+            explainer, rows, culprits, aggregation=aggregation
+        )
+        assert seen == per_row
+        assert report.hits == evaluator.evaluate_rankings(
+            per_row, culprits, method
+        ).hits

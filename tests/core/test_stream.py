@@ -695,12 +695,11 @@ class TestPackedWindowAttribution:
     """Per-window attribution rides the packed TreeSHAP kernel.
 
     ``_explain_window`` goes through ``pipeline.diagnose_batch``, whose
-    batch path dispatches to the explainer's vectorized
-    ``explain_batch`` override when one exists — for ``tree_shap`` on a
-    forest that is the packed kernel.  These tests pin (a) the voucher
-    in ``StreamReport.extras`` and (b) byte-equality of the report when
-    attribution runs through the per-tree recursion of
-    ``tests/oracles/tree_shap_recursion.py`` instead."""
+    batch path calls the explainer's ``explain_batch`` — for
+    ``tree_shap`` on a forest that is the packed kernel.  This pins
+    byte-equality of the report when attribution runs through the
+    per-tree recursion of ``tests/oracles/tree_shap_recursion.py``
+    instead."""
 
     CONFIG = dict(
         window_epochs=64,
@@ -717,11 +716,6 @@ class TestPackedWindowAttribution:
             default_model_factories()["random_forest"], **self.CONFIG
         )
 
-    def test_report_vouches_vectorized_attribution(self):
-        report = self._forest_engine().run(_stream())
-        assert report.extras["vectorized_attribution"] is True
-        assert report.windows  # the run actually explained windows
-
     def test_packed_path_byte_identical_to_recursion(self, monkeypatch):
         from oracles.tree_shap_recursion import reference_batch
 
@@ -730,14 +724,8 @@ class TestPackedWindowAttribution:
         packed = self._forest_engine().run(_stream())
         monkeypatch.setattr(TreeShapExplainer, "explain_batch", reference_batch)
         recursion = self._forest_engine().run(_stream())
+        assert packed.windows  # the run actually explained windows
+        assert packed.extras["backend"] == "serial"
         assert packed.format_table(timing=False) == recursion.format_table(
             timing=False
         )
-
-    def test_warmup_only_run_has_no_voucher(self):
-        """No pipeline was ever fit — the voucher is absent, not False."""
-        report = StreamingDiagnosisEngine(**self.CONFIG).run(
-            _stream(n_epochs=32, batch_epochs=32)
-        )
-        assert "vectorized_attribution" not in report.extras
-        assert report.extras["backend"] == "serial"

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -308,6 +310,28 @@ class TestParallelFlags:
         assert table_lines(parallel) == table_lines(serial)
         assert "backend=process x2" in parallel
         assert "backend=serial" in serial
+
+    def test_scenarios_run_no_timing_bytes_match_across_backends(self, capsys):
+        """--no-timing drops the progress lines and the sec column: the
+        whole output but the backend trailer is the same bytes."""
+        argv = ["scenarios", "run", "--scenarios", "baseline",
+                "--models", "random_forest",
+                "--explainers", "kernel_shap",
+                "--epochs", "200", "--explain", "2", "--seed", "0",
+                "--no-timing"]
+
+        def body(text):
+            return [l for l in text.splitlines() if "backend=" not in l]
+
+        assert main(argv) == 0
+        serial = capsys.readouterr().out
+        assert main(argv + ["--workers", "2", "--backend", "thread"]) == 0
+        thread = capsys.readouterr().out
+        assert body(thread) == body(serial)
+        header = next(l for l in serial.splitlines() if l.startswith("scenario"))
+        assert not header.endswith("sec")
+        assert not re.search(r"\(\d+\.\d+s\)", serial)  # no progress lines
+        assert "backend=thread x2" in thread
 
     def test_explain_batch_parallel_backend_reported(self, capsys):
         code = main(
