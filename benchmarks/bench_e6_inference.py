@@ -95,10 +95,14 @@ def test_e15_forest_predict_proba(benchmark, sla_data, sla_forest):
     X = _fleet(sla_data)
     sla_forest.packed_ensemble()  # pack once, outside the timings
     result = benchmark(sla_forest.predict_proba, X)
+    # best of 10 interleaved pairs: over 30 pairs on a 2-CPU container
+    # the per-pair ratio ran 2.26-2.49x (median 2.37x), yet a best of 3
+    # read as low as 1.98x in full bench runs
     packed_out, legacy_out, speedup = _ab_compare(
         f"forest predict_proba ({FLEET_ROWS} rows)",
         lambda: sla_forest.predict_proba(X),
         lambda: legacy_forest_proba(sla_forest, X),
+        repeats=10,
     )
     # equality is unconditional: packed is the same arithmetic, fused
     assert np.array_equal(packed_out, legacy_out)

@@ -31,9 +31,10 @@ class SLA:
         if not 0.0 <= self.max_loss_rate < 1.0:
             raise ValueError(f"max_loss_rate must be in [0, 1), got {self.max_loss_rate}")
 
-    def is_violated(self, latency_ms: float, loss_rate: float) -> bool:
-        """Whether an epoch's measurements breach this SLA."""
-        return latency_ms > self.max_latency_ms or loss_rate > self.max_loss_rate
+    def is_violated(self, latency_ms, loss_rate):
+        """Whether an epoch's measurements breach this SLA (elementwise
+        for arrays of per-epoch measurements)."""
+        return (latency_ms > self.max_latency_ms) | (loss_rate > self.max_loss_rate)
 
 
 class ServiceFunctionChain:

@@ -1,18 +1,32 @@
 """Epoch-based NFV performance simulator.
 
-For every epoch the simulator:
+The simulator computes a block of epochs as one array program over the
+epoch axis.  For a block of T epochs it:
 
-1. draws offered load for the monitored chain and all background
-   chains (which share servers and create contention),
-2. applies any active faults (see :mod:`repro.nfv.faults`),
+1. reads offered load for the monitored chain and all background
+   chains (which share servers and create contention) from traffic
+   traces drawn up front,
+2. turns fault activity into a (T,) mask per scheduled event and
+   applies the events in schedule order (see :mod:`repro.nfv.faults`);
+   a memory leak's level is a running sum of per-epoch increments that
+   restarts from zero after every epoch the leak is inactive,
 3. accounts CPU demand per server; oversubscribed servers scale every
    hosted VNF's capacity down proportionally,
-4. walks the monitored chain VNF by VNF: M/M/1/K loss, M/G/1 queueing
-   delay (scaled by a batch factor — software data planes process
-   packets in batches, which inflates queueing delay relative to the
-   per-packet ideal), memory pressure with a swap penalty,
+4. walks the monitored chain VNF by VNF, each step over all T epochs at
+   once: M/M/1/K loss, M/G/1 queueing delay (scaled by a batch factor —
+   software data planes process packets in batches, which inflates
+   queueing delay relative to the per-packet ideal), memory pressure
+   with a swap penalty,
 5. records noisy telemetry and the ground-truth labels (end-to-end
    latency, loss, SLA violation, root cause, culprit VNF set).
+
+Each epoch still gets exactly the floats a per-epoch loop gives it
+(``tests/oracles/simulator_loop.py`` keeps that loop, and
+``tests/nfv/test_simulator_oracle.py`` compares the two byte for byte).
+That is why clamps are written ``np.where(b < a, b, a)`` (what Python's
+``min(a, b)`` returns, signed zeros and NaN included), why overlapping
+events are applied one at a time in schedule order, and why powers go
+through Python's ``**``.
 
 Units: kpps ≡ packets/ms, so queueing formulas fed kpps rates directly
 return milliseconds.
@@ -55,6 +69,10 @@ SWAP_THRESHOLD = 0.9
 SWAP_FLOOR = 0.25
 #: Leak growth per epoch at severity 1.0, as a fraction of allocation.
 LEAK_RATE_PER_EPOCH = 0.04
+#: Epochs per array program.  A stream simulates fixed blocks of this
+#: many epochs and slices (or joins) them into the batches it emits, so
+#: one-epoch batches pay the per-block overhead once per block.
+BLOCK_EPOCHS = 512
 
 
 @dataclass
@@ -195,8 +213,8 @@ class SimulationStream:
     :meth:`repro.nfv.scenarios.ScenarioSpec.stream`).  The fault
     schedule, traffic traces, and chain metadata are resolved eagerly —
     ``events``, ``chain``, and ``feature_names`` are available before
-    the first batch — while telemetry is simulated lazily, one batch at
-    a time, as the stream is consumed.
+    the first batch — while telemetry is simulated lazily, one block of
+    :data:`BLOCK_EPOCHS` epochs at a time, as the stream is consumed.
 
     Attributes
     ----------
@@ -234,31 +252,55 @@ class SimulationStream:
         batches = list(self._batches)
         if not batches:
             raise ValueError("stream is exhausted; nothing to collect")
-        culprits: list[tuple[int, ...]] = []
-        for batch in batches:
-            culprits.extend(batch.culprit_vnfs)
+        joined = _join(batches)
         return SimulationResult(
-            features=FeatureMatrix(
-                np.vstack([b.features.values for b in batches]),
-                self.feature_names,
-            ),
-            latency_ms=np.concatenate([b.latency_ms for b in batches]),
-            loss_rate=np.concatenate([b.loss_rate for b in batches]),
-            sla_violation=np.concatenate([b.sla_violation for b in batches]),
-            root_cause=np.concatenate([b.root_cause for b in batches]),
-            culprit_vnfs=culprits,
+            features=joined.features,
+            latency_ms=joined.latency_ms,
+            loss_rate=joined.loss_rate,
+            sla_violation=joined.sla_violation,
+            root_cause=joined.root_cause,
+            culprit_vnfs=joined.culprit_vnfs,
             events=self.events,
             chain=self.chain,
         )
 
 
-class _VNFState:
-    """Mutable per-instance fault state (leak level, config factor)."""
+def _slice(batch: EpochBatch, start: int, stop: int) -> EpochBatch:
+    """Epochs ``[start, stop)`` of ``batch`` (positions within it)."""
+    if start == 0 and stop == batch.n_epochs:
+        return batch
+    return EpochBatch(
+        start_epoch=batch.start_epoch + start,
+        features=FeatureMatrix(
+            batch.features.values[start:stop], batch.features.feature_names
+        ),
+        latency_ms=batch.latency_ms[start:stop],
+        loss_rate=batch.loss_rate[start:stop],
+        sla_violation=batch.sla_violation[start:stop],
+        root_cause=batch.root_cause[start:stop],
+        culprit_vnfs=batch.culprit_vnfs[start:stop],
+    )
 
-    def __init__(self, instance: VNFInstance):
-        self.instance = instance
-        self.leak_mb = 0.0
-        self.config_factor = 1.0  # multiplicative capacity factor
+
+def _join(batches: list[EpochBatch]) -> EpochBatch:
+    """Consecutive batches as one."""
+    if len(batches) == 1:
+        return batches[0]
+    culprits: list[tuple[int, ...]] = []
+    for batch in batches:
+        culprits.extend(batch.culprit_vnfs)
+    return EpochBatch(
+        start_epoch=batches[0].start_epoch,
+        features=FeatureMatrix(
+            np.vstack([b.features.values for b in batches]),
+            batches[0].features.feature_names,
+        ),
+        latency_ms=np.concatenate([b.latency_ms for b in batches]),
+        loss_rate=np.concatenate([b.loss_rate for b in batches]),
+        sla_violation=np.concatenate([b.sla_violation for b in batches]),
+        root_cause=np.concatenate([b.root_cause for b in batches]),
+        culprit_vnfs=culprits,
+    )
 
 
 class Simulator:
@@ -341,8 +383,9 @@ class Simulator:
         The online counterpart of :meth:`run`: setup (RNG spawning,
         fault schedule, traffic traces) happens eagerly and in exactly
         the same order as :meth:`run`, then epochs are simulated only as
-        the returned :class:`SimulationStream` is consumed, in batches
-        of ``batch_epochs``.  Collecting the full stream therefore
+        the returned :class:`SimulationStream` is consumed, in blocks of
+        :data:`BLOCK_EPOCHS` that are cut into batches of
+        ``batch_epochs``.  Collecting the full stream therefore
         reproduces :meth:`run` byte for byte under the same seed —
         batching changes *when* telemetry materializes, never its
         values.
@@ -381,43 +424,24 @@ class Simulator:
         collector = TelemetryCollector(
             tb.chain, noise_sigma=self.measurement_noise, random_state=telemetry_rng
         )
-        states = [_VNFState(inst) for inst in tb.chain.instances]
-        base_propagation_ms = tb.chain.propagation_latency_us(tb.topology) / 1000.0
+        program = _EpochProgram(self, trace, bg_traces, events, collector)
 
         def batches():
-            latency: list[float] = []
-            loss: list[float] = []
-            violation: list[int] = []
-            root_cause: list[str] = []
-            culprits: list[tuple[int, ...]] = []
-            start = 0
-            for t in range(n_epochs):
-                active = [e for e in events if e.active_at(t)]
-                epoch_out = self._run_epoch(
-                    t, trace, bg_traces, states, active,
-                    base_propagation_ms, collector,
-                )
-                latency.append(epoch_out["latency_ms"])
-                loss.append(epoch_out["loss_rate"])
-                violation.append(int(tb.chain.sla.is_violated(
-                    epoch_out["latency_ms"], epoch_out["loss_rate"]
-                )))
-                cause, culprit = self._ground_truth(active, tb)
-                root_cause.append(cause)
-                culprits.append(culprit)
-                if len(latency) == batch_epochs or t == n_epochs - 1:
-                    yield EpochBatch(
-                        start_epoch=start,
-                        features=collector.flush(),
-                        latency_ms=np.asarray(latency),
-                        loss_rate=np.asarray(loss),
-                        sla_violation=np.asarray(violation, dtype=np.int64),
-                        root_cause=np.asarray(root_cause, dtype=object),
-                        culprit_vnfs=culprits,
-                    )
-                    start = t + 1
-                    latency, loss, violation = [], [], []
-                    root_cause, culprits = [], []
+            pending: list[EpochBatch] = []
+            pending_epochs = 0
+            for start in range(0, n_epochs, BLOCK_EPOCHS):
+                block = program.simulate(start, min(start + BLOCK_EPOCHS, n_epochs))
+                pos = 0
+                while pos < block.n_epochs:
+                    take = min(batch_epochs - pending_epochs, block.n_epochs - pos)
+                    pending.append(_slice(block, pos, pos + take))
+                    pending_epochs += take
+                    pos += take
+                    if pending_epochs == batch_epochs:
+                        yield _join(pending)
+                        pending, pending_epochs = [], 0
+            if pending:
+                yield _join(pending)
 
         return SimulationStream(
             batches(),
@@ -428,127 +452,182 @@ class Simulator:
             batch_epochs=batch_epochs,
         )
 
-    # ------------------------------------------------------------------
-    def _run_epoch(
-        self, t, trace, bg_traces, states, active, base_propagation_ms, collector
-    ) -> dict:
-        tb = self.testbed
-        offered = float(trace.offered_kpps[t])
-        kflows = float(trace.active_kflows[t])
-        burstiness = float(trace.burstiness[t])
 
-        # ---- apply chain-level faults -------------------------------
-        propagation_ms = base_propagation_ms
-        extra_chain_loss = 0.0
-        for event in active:
+def _cores_needed(inst: VNFInstance, offered_kpps, kflows):
+    """Cores an instance needs to serve ``offered_kpps`` per epoch,
+    capped at its allocation (``min(need, vcpus)``)."""
+    need = (
+        offered_kpps / inst.profile.capacity_kpps_per_vcpu
+        + inst.profile.cpu_per_kflow * kflows
+    )
+    return np.where(inst.vcpus < need, inst.vcpus, need)
+
+
+class _EpochProgram:
+    """One stream's run-constant tables, and the fault state carried
+    from one block of epochs to the next (each VNF's leak level)."""
+
+    def __init__(self, sim: Simulator, trace, bg_traces, events, collector):
+        tb = sim.testbed
+        self.sim = sim
+        self.trace = trace
+        self.bg_traces = bg_traces
+        self.events = events
+        self.collector = collector
+        self.server_row = {sid: row for row, sid in enumerate(tb.topology.servers)}
+        self.server_cores = np.array(
+            [[server.cpu_cores] for server in tb.topology.servers.values()],
+            dtype=float,
+        )
+        self.base_propagation_ms = (
+            tb.chain.propagation_latency_us(tb.topology) / 1000.0
+        )
+        self.leak_mb = [0.0] * tb.chain.length
+        self.truth = [self._ground_truth(event) for event in events]
+
+    def _ground_truth(self, event: FaultEvent) -> tuple[str, tuple[int, ...]]:
+        """Root-cause label and culprit VNF set of epochs labelled with
+        ``event``."""
+        if event.kind in CHAIN_LEVEL_FAULTS:
+            return event.kind.value, ()
+        if event.vnf_index is not None:
+            return event.kind.value, (event.vnf_index,)
+        affected = tuple(
+            i
+            for i, inst in enumerate(self.sim.testbed.chain.instances)
+            if inst.server_id == event.server_id
+        )
+        return event.kind.value, affected
+
+    def simulate(self, t0: int, t1: int) -> EpochBatch:
+        """Epochs ``[t0, t1)``; blocks must be simulated in order."""
+        sim, tb = self.sim, self.sim.testbed
+        epochs = np.arange(t0, t1)
+        # (event index, event, (T,) activity mask), in schedule order
+        active = [
+            (e, event, (epochs >= event.start_epoch) & (epochs < event.end_epoch))
+            for e, event in enumerate(self.events)
+            if event.start_epoch < t1 and event.end_epoch > t0
+        ]
+        offered = self.trace.offered_kpps[t0:t1]
+        kflows = self.trace.active_kflows[t0:t1]
+        burstiness = self.trace.burstiness[t0:t1]
+
+        # ---- chain-level faults -------------------------------------
+        propagation_ms = np.full(len(epochs), self.base_propagation_ms)
+        extra_chain_loss = np.zeros(len(epochs))
+        for _, event, on in active:
             if event.kind is FaultKind.TRAFFIC_SURGE:
-                offered *= 1.0 + 2.0 * event.severity
-                kflows *= 1.0 + 1.5 * event.severity
+                offered = np.where(on, offered * (1.0 + 2.0 * event.severity), offered)
+                kflows = np.where(on, kflows * (1.0 + 1.5 * event.severity), kflows)
             elif event.kind is FaultKind.LINK_DEGRADATION:
-                propagation_ms *= 1.0 + 3.0 * event.severity
-                extra_chain_loss += 0.02 * event.severity
+                propagation_ms = np.where(
+                    on, propagation_ms * (1.0 + 3.0 * event.severity), propagation_ms
+                )
+                extra_chain_loss = np.where(
+                    on, extra_chain_loss + 0.02 * event.severity, extra_chain_loss
+                )
 
-        # ---- per-VNF fault state updates ----------------------------
-        for i, state in enumerate(states):
-            state.config_factor = 1.0
-            leak_active = False
-            for event in active:
+        # ---- per-VNF fault state ------------------------------------
+        config_factor = []
+        leak_mb = []
+        for i, inst in enumerate(tb.chain.instances):
+            factor = np.ones(len(epochs))
+            leaks = []
+            for _, event, on in active:
                 if event.vnf_index != i:
                     continue
                 if event.kind is FaultKind.CONFIG_ERROR:
-                    state.config_factor = min(
-                        state.config_factor, 1.0 - 0.7 * event.severity
-                    )
+                    cut = 1.0 - 0.7 * event.severity
+                    factor = np.where(on & (cut < factor), cut, factor)
                 elif event.kind is FaultKind.MEMORY_LEAK:
-                    leak_active = True
-                    state.leak_mb += (
-                        LEAK_RATE_PER_EPOCH
-                        * event.severity
-                        * state.instance.mem_mb
-                    )
-            if not leak_active and state.leak_mb > 0.0:
-                # leaked memory is reclaimed once the buggy VNF restarts
-                state.leak_mb = 0.0
+                    step = LEAK_RATE_PER_EPOCH * event.severity * inst.mem_mb
+                    leaks.append((on, step))
+            config_factor.append(factor)
+            leak_mb.append(self._leak_level(i, leaks, len(epochs)))
 
         # ---- CPU demand accounting per server -----------------------
-        demand = {sid: 0.0 for sid in tb.topology.servers}
-        for state in states:
-            demand[state.instance.server_id] += self._cores_needed(
-                state.instance, offered, kflows
+        demand = np.zeros((len(self.server_row), len(epochs)))
+        for inst in tb.chain.instances:
+            demand[self.server_row[inst.server_id]] += _cores_needed(
+                inst, offered, kflows
             )
-        for chain, bg_trace in zip(tb.background_chains, bg_traces):
-            bg_offered = float(bg_trace.offered_kpps[t])
-            bg_kflows = float(bg_trace.active_kflows[t])
+        for chain, bg_trace in zip(tb.background_chains, self.bg_traces):
+            bg_offered = bg_trace.offered_kpps[t0:t1]
+            bg_kflows = bg_trace.active_kflows[t0:t1]
             for inst in chain.instances:
-                demand[inst.server_id] += self._cores_needed(
+                demand[self.server_row[inst.server_id]] += _cores_needed(
                     inst, bg_offered, bg_kflows
                 )
-        for event in active:
+        for _, event, on in active:
             if event.kind is FaultKind.CPU_CONTENTION:
                 server = tb.topology.server(event.server_id)
-                demand[event.server_id] += event.severity * server.cpu_cores
-
-        contention = {}
-        for sid, server in tb.topology.servers.items():
-            contention[sid] = (
-                min(1.0, server.cpu_cores / demand[sid]) if demand[sid] > 0 else 1.0
-            )
-        pressure = {
-            sid: demand[sid] / tb.topology.servers[sid].cpu_cores
-            for sid in demand
-        }
+                row = self.server_row[event.server_id]
+                demand[row] = np.where(
+                    on, demand[row] + event.severity * server.cpu_cores, demand[row]
+                )
+        loaded = demand > 0
+        share = self.server_cores / np.where(loaded, demand, 1.0)
+        contention = np.where(loaded & (share < 1.0), share, 1.0)
+        pressure = demand / self.server_cores
 
         # ---- walk the chain -----------------------------------------
+        # Python's ** is libm pow; numpy's x**2 is x*x, which can differ
+        scv = sim.service_scv * np.array([b**2 for b in burstiness.tolist()])
         arrival = offered
-        total_queue_ms = 0.0
+        total_queue_ms = np.zeros(len(epochs))
         total_proc_ms = 0.0
         vnf_metrics = []
-        for state in states:
-            inst = state.instance
+        for i, inst in enumerate(tb.chain.instances):
             server = tb.topology.server(inst.server_id)
-            capacity = inst.nominal_capacity_kpps(server.cpu_speed)
-            capacity *= contention[inst.server_id]
-            capacity *= state.config_factor
-
-            mem_used = inst.profile.memory_mb(kflows) + state.leak_mb
-            mem_util = min(mem_used / inst.mem_mb, 1.05)
-            if mem_util > SWAP_THRESHOLD:
-                swap_penalty = max(
-                    SWAP_FLOOR, 1.0 - 3.0 * (mem_util - SWAP_THRESHOLD)
-                )
-                capacity *= swap_penalty
-
-            capacity = max(capacity, 1e-6)
-            p_loss = mm1k_loss_probability(arrival, capacity, self.buffer_pkts)
-            served = arrival * (1.0 - p_loss)
-            utilization = min(arrival / capacity, 1.5)
-            queue_ms = (
-                mg1_waiting_time(served, capacity, scv=self.service_scv * burstiness**2)
-                * self.batch_factor
+            row = self.server_row[inst.server_id]
+            capacity = (
+                inst.nominal_capacity_kpps(server.cpu_speed)
+                * contention[row]
+                * config_factor[i]
             )
-            proc_ms = inst.profile.base_latency_us / 1000.0
+            mem_util = (inst.profile.memory_mb(kflows) + leak_mb[i]) / inst.mem_mb
+            mem_util = np.where(1.05 < mem_util, 1.05, mem_util)
+            swap_penalty = 1.0 - 3.0 * (mem_util - SWAP_THRESHOLD)
+            swap_penalty = np.where(
+                swap_penalty > SWAP_FLOOR, swap_penalty, SWAP_FLOOR
+            )
+            capacity = np.where(
+                mem_util > SWAP_THRESHOLD, capacity * swap_penalty, capacity
+            )
+            capacity = np.where(1e-6 > capacity, 1e-6, capacity)
 
-            total_queue_ms += queue_ms
-            total_proc_ms += proc_ms
+            p_loss = mm1k_loss_probability(arrival, capacity, sim.buffer_pkts)
+            served = arrival * (1.0 - p_loss)
+            utilization = arrival / capacity
+            utilization = np.where(1.5 < utilization, 1.5, utilization)
+            queue_ms = (
+                mg1_waiting_time(served, capacity, scv=scv) * sim.batch_factor
+            )
+            total_queue_ms = total_queue_ms + queue_ms
+            total_proc_ms += inst.profile.base_latency_us / 1000.0
             vnf_metrics.append(
                 {
                     # capacity already includes contention and fault
                     # penalties, so utilization saturates past 1.0 when
                     # the VNF is starved or overloaded
-                    "cpu_util": min(utilization, 1.2),
+                    "cpu_util": np.where(1.2 < utilization, 1.2, utilization),
                     "mem_util": mem_util,
                     "queue_ms": queue_ms,
                     "drop_rate": p_loss,
-                    "host_pressure": pressure[inst.server_id],
+                    "host_pressure": pressure[row],
                 }
             )
             arrival = served
 
         delivered = arrival * (1.0 - extra_chain_loss)
-        loss_rate = 1.0 - delivered / offered if offered > 0 else 0.0
+        has_load = offered > 0
+        loss_rate = np.where(
+            has_load, 1.0 - delivered / np.where(has_load, offered, 1.0), 0.0
+        )
         latency_ms = total_queue_ms + total_proc_ms + propagation_ms
 
-        collector.record_epoch(
+        self.collector.record_batch(
             vnf_metrics=vnf_metrics,
             chain_metrics={
                 "offered_kpps": offered,
@@ -556,39 +635,62 @@ class Simulator:
                 "burstiness": burstiness,
                 "propagation_ms": propagation_ms,
             },
-            epoch=t,
+            epochs=epochs,
             period_epochs=tb.traffic.period_epochs,
         )
-        return {"latency_ms": latency_ms, "loss_rate": loss_rate}
-
-    @staticmethod
-    def _cores_needed(inst: VNFInstance, offered_kpps: float, kflows: float) -> float:
-        """Cores an instance needs to serve ``offered_kpps`` (uncapped)."""
-        per_core = inst.profile.capacity_kpps_per_vcpu
-        return min(
-            offered_kpps / per_core + inst.profile.cpu_per_kflow * kflows,
-            inst.vcpus,  # an instance cannot use more cores than allocated
+        root_cause, culprits = self._labels(active, len(epochs))
+        return EpochBatch(
+            start_epoch=t0,
+            features=self.collector.flush(),
+            latency_ms=latency_ms,
+            loss_rate=loss_rate,
+            sla_violation=tb.chain.sla.is_violated(latency_ms, loss_rate).astype(
+                np.int64
+            ),
+            root_cause=root_cause,
+            culprit_vnfs=culprits,
         )
 
-    def _ground_truth(self, active, tb) -> tuple[str, tuple[int, ...]]:
-        """Root-cause label and culprit VNF set for the current epoch.
+    def _leak_level(self, i: int, leaks, n: int) -> np.ndarray:
+        """VNF ``i``'s leaked memory per epoch, continuing the level
+        carried from the previous block.
 
-        With multiple simultaneous faults (possible only with a manual
-        schedule) the earliest-starting one is labelled.
+        While any of its leaks is active the level grows by each active
+        leak's step in schedule order (``np.add.accumulate`` adds
+        sequentially, as the loop did); an epoch with none active
+        reclaims it to zero.
         """
+        level = np.zeros(n)
+        if leaks:
+            on = np.logical_or.reduce([mask for mask, _ in leaks])
+            # (T, n_leaks) epoch-major steps; an inactive leak adds 0.0
+            steps = np.stack(
+                [np.where(mask, step, 0.0) for mask, step in leaks], axis=1
+            )
+            edges = np.flatnonzero(np.diff(np.concatenate(([False], on, [False]))))
+            for start, stop in zip(edges[::2], edges[1::2]):
+                carried = self.leak_mb[i] if start == 0 else 0.0
+                sums = np.add.accumulate(
+                    np.concatenate(([carried], steps[start:stop].ravel()))
+                )
+                level[start:stop] = sums[len(leaks)::len(leaks)]
+        self.leak_mb[i] = float(level[-1])
+        return level
+
+    def _labels(self, active, n: int):
+        """Per-epoch root cause and culprit set.  With simultaneous
+        faults (possible only with a manual schedule) the
+        earliest-starting one is labelled, the first in schedule order
+        on a tie."""
         if not active:
-            return NO_FAULT, ()
-        event = min(active, key=lambda e: e.start_epoch)
-        if event.kind in CHAIN_LEVEL_FAULTS:
-            return event.kind.value, ()
-        if event.vnf_index is not None:
-            return event.kind.value, (event.vnf_index,)
-        affected = tuple(
-            i
-            for i, inst in enumerate(tb.chain.instances)
-            if inst.server_id == event.server_id
-        )
-        return event.kind.value, affected
+            return np.full(n, NO_FAULT, dtype=object), [()] * n
+        masks = np.array([on for _, _, on in active])
+        starts = np.array([[event.start_epoch] for _, event, _ in active])
+        first = np.where(masks, starts, np.iinfo(np.int64).max).argmin(axis=0)
+        pick = np.where(masks.any(axis=0), first, len(active)).tolist()
+        truth = [self.truth[e] for e, _, _ in active] + [(NO_FAULT, ())]
+        causes = np.array([cause for cause, _ in truth], dtype=object)
+        return causes[pick], [truth[j][1] for j in pick]
 
 
 # ----------------------------------------------------------------------

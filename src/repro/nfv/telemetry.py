@@ -2,8 +2,8 @@
 
 Defines the named feature vector the monitoring plane exports each
 epoch, and a collector that applies measurement noise (telemetry is
-never perfectly clean) before assembling the final
-:class:`~repro.utils.tabular.FeatureMatrix`.
+never perfectly clean) to whole batches of epochs before assembling
+the final :class:`~repro.utils.tabular.FeatureMatrix`.
 
 Feature layout for a chain of K VNFs (names carry the VNF position and
 type so explanations are readable by an operator):
@@ -73,7 +73,7 @@ def vnf_of_feature(name: str) -> int | None:
 
 
 class TelemetryCollector:
-    """Accumulates per-epoch measurements and renders a feature matrix.
+    """Accumulates batches of measurements and renders a feature matrix.
 
     Parameters
     ----------
@@ -84,6 +84,10 @@ class TelemetryCollector:
         delay readings (0 disables noise).
     """
 
+    #: Per-VNF metrics clamped to ``[0, upper]`` after noise; every
+    #: other reading is only floored at 0.
+    _RATE_BOUNDS = {"cpu_util": 1.2, "mem_util": 1.2, "drop_rate": 1.0}
+
     def __init__(self, chain, noise_sigma: float = 0.02, random_state=None):
         if noise_sigma < 0:
             raise ValueError(f"noise_sigma must be >= 0, got {noise_sigma}")
@@ -91,69 +95,80 @@ class TelemetryCollector:
         self.noise_sigma = noise_sigma
         self._rng = check_random_state(random_state)
         self.feature_names = feature_names_for_chain(chain)
-        self._rows: list[list[float]] = []
+        self._blocks: list[np.ndarray] = []
 
-    def record_epoch(
+    def record_batch(
         self,
         *,
         vnf_metrics: list[dict],
         chain_metrics: dict,
-        epoch: int,
+        epochs,
         period_epochs: int,
     ) -> None:
-        """Append one epoch of measurements.
+        """Append one batch of T epochs of measurements.
 
-        ``vnf_metrics`` is one dict per VNF with keys
-        :data:`PER_VNF_METRICS`; ``chain_metrics`` has keys
-        :data:`CHAIN_METRICS`.
+        ``vnf_metrics`` is one dict per VNF mapping each of
+        :data:`PER_VNF_METRICS` to a length-T array; ``chain_metrics``
+        maps :data:`CHAIN_METRICS` to length-T arrays; ``epochs`` holds
+        the T epoch indices (for the time-of-day encoding).
+
+        The noise of the whole batch is one ``normal(size=(T, m))`` draw
+        over the m measured columns, which consumes the generator
+        exactly as m draws per epoch in row order would.
         """
         if len(vnf_metrics) != self.chain.length:
             raise ValueError(
                 f"expected {self.chain.length} VNF metric dicts, "
                 f"got {len(vnf_metrics)}"
             )
-        row: list[float] = []
+        epochs = np.asarray(epochs)
+        n_measured = len(self.feature_names) - len(TIME_METRICS)
+        rows = np.empty((len(epochs), len(self.feature_names)))
+        keys = []
         for metrics in vnf_metrics:
             for key in PER_VNF_METRICS:
-                row.append(self._noisy(key, metrics[key]))
+                rows[:, len(keys)] = metrics[key]
+                keys.append(key)
         for key in CHAIN_METRICS:
-            row.append(self._noisy(key, chain_metrics[key]))
-        angle = 2.0 * np.pi * (epoch % period_epochs) / period_epochs
-        row.append(np.sin(angle))
-        row.append(np.cos(angle))
-        self._rows.append(row)
-
-    def _noisy(self, key: str, value: float) -> float:
-        """Apply relative measurement noise; rates stay in [0, 1]."""
-        if self.noise_sigma == 0.0:
-            return float(value)
-        noisy = value * (1.0 + self._rng.normal(0.0, self.noise_sigma))
-        if key in ("cpu_util", "mem_util", "drop_rate"):
-            return float(np.clip(noisy, 0.0, 1.2 if key != "drop_rate" else 1.0))
-        return float(max(noisy, 0.0))
+            rows[:, len(keys)] = chain_metrics[key]
+            keys.append(key)
+        if self.noise_sigma != 0.0:
+            measured = rows[:, :n_measured]
+            noise = self._rng.normal(0.0, self.noise_sigma, size=measured.shape)
+            measured *= 1.0 + noise
+            for j, key in enumerate(keys):
+                col = measured[:, j]
+                upper = self._RATE_BOUNDS.get(key)
+                if upper is None:
+                    # max(value, 0.0): keeps -0.0 and NaN as they are
+                    measured[:, j] = np.where(0.0 > col, 0.0, col)
+                else:
+                    measured[:, j] = np.clip(col, 0.0, upper)
+        angle = 2.0 * np.pi * (epochs % period_epochs) / period_epochs
+        rows[:, n_measured] = np.sin(angle)
+        rows[:, n_measured + 1] = np.cos(angle)
+        self._blocks.append(rows)
 
     @property
     def n_epochs(self) -> int:
-        return len(self._rows)
+        return sum(len(block) for block in self._blocks)
 
     def to_feature_matrix(self) -> FeatureMatrix:
         """Render all recorded epochs as a named feature matrix."""
-        if not self._rows:
+        if not self._blocks:
             raise ValueError("no epochs recorded")
-        return FeatureMatrix(np.asarray(self._rows), self.feature_names)
+        return FeatureMatrix(np.vstack(self._blocks), self.feature_names)
 
     def flush(self) -> FeatureMatrix:
         """Render the epochs recorded since the last flush and clear them.
 
-        The streaming counterpart of :meth:`to_feature_matrix`: the
-        simulator's batch generator flushes the collector once per epoch
-        batch, so memory stays bounded by the batch size instead of the
-        full horizon.  Flushing every batch and stacking the results
-        reproduces :meth:`to_feature_matrix` byte for byte (rows are
-        converted with the same dtype and order).
+        The streaming counterpart of :meth:`to_feature_matrix`: memory
+        stays bounded by what was recorded since the last flush instead
+        of the full horizon.  Flushing after every batch and stacking
+        the results reproduces :meth:`to_feature_matrix` byte for byte.
         """
-        if not self._rows:
+        if not self._blocks:
             raise ValueError("no epochs recorded since the last flush")
-        matrix = FeatureMatrix(np.asarray(self._rows), self.feature_names)
-        self._rows = []
+        matrix = self.to_feature_matrix()
+        self._blocks = []
         return matrix

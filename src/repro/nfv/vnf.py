@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = ["VNFProfile", "VNFInstance", "VNF_CATALOG", "vnf_profile"]
 
 
@@ -61,10 +63,12 @@ class VNFProfile:
             raise ValueError(f"vcpus must be positive, got {vcpus}")
         return self.capacity_kpps_per_vcpu * vcpus * cpu_speed
 
-    def memory_mb(self, active_kflows: float) -> float:
-        """Resident memory when ``active_kflows`` thousand flows are live."""
-        if active_kflows < 0:
-            raise ValueError(f"active_kflows must be >= 0, got {active_kflows}")
+    def memory_mb(self, active_kflows):
+        """Resident memory when ``active_kflows`` thousand flows are live
+        (a scalar, or an array of per-epoch flow counts)."""
+        lowest = np.min(active_kflows)
+        if lowest < 0:
+            raise ValueError(f"active_kflows must be >= 0, got {lowest}")
         return self.mem_base_mb + self.mem_per_kflow_mb * active_kflows
 
 

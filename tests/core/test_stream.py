@@ -362,6 +362,38 @@ class TestLabelValidation:
         assert engine.pending_epochs == 0
         assert engine.epochs_seen == 0
 
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            np.array([0, 1, 2, 0]),
+            np.array([0.0, 0.3, 1.0, 0.0]),
+            np.array([0.0, np.nan, 1.0, 0.0]),
+            np.array(["0", "1", "1", "0"]),
+            np.array([0, None, 1, 0], dtype=object),
+        ],
+        ids=["int", "float", "nan", "str", "object-none"],
+    )
+    def test_labels_not_binary_fires_on_every_bad_dtype(self, labels):
+        engine = StreamingDiagnosisEngine(window_epochs=8, random_state=0)
+        with pytest.raises(MalformedBatchError) as excinfo:
+            engine.process_batch(self._batch_with_labels(labels))
+        assert excinfo.value.check == "labels-not-binary"
+        assert engine.pending_epochs == 0
+
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            np.array([True, False, True, False]),
+            np.array([0, 1, 1, 0], dtype=object),
+        ],
+        ids=["bool", "object-int"],
+    )
+    def test_binary_labels_of_any_dtype_accepted(self, labels):
+        engine = StreamingDiagnosisEngine(window_epochs=8, random_state=0)
+        engine.process_batch(self._batch_with_labels(labels))
+        assert engine.pending_epochs == 4
+        assert engine._pending_y[0].tolist() == [int(v) for v in labels]
+
     def test_exact_binary_floats_and_bools_accepted(self):
         engine = StreamingDiagnosisEngine(window_epochs=32, random_state=0)
         engine.process_batch(

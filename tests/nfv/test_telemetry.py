@@ -26,11 +26,12 @@ def chain():
     )
 
 
-def make_metrics(chain):
+def make_metrics(chain, n_epochs=1):
     vnf_metrics = [
-        {m: 0.5 for m in PER_VNF_METRICS} for _ in range(chain.length)
+        {m: np.full(n_epochs, 0.5) for m in PER_VNF_METRICS}
+        for _ in range(chain.length)
     ]
-    chain_metrics = {m: 1.0 for m in CHAIN_METRICS}
+    chain_metrics = {m: np.full(n_epochs, 1.0) for m in CHAIN_METRICS}
     return vnf_metrics, chain_metrics
 
 
@@ -61,23 +62,30 @@ class TestFeatureNames:
 class TestTelemetryCollector:
     def test_records_accumulate(self, chain):
         collector = TelemetryCollector(chain, noise_sigma=0.0)
-        vnf_metrics, chain_metrics = make_metrics(chain)
-        for t in range(5):
-            collector.record_epoch(
-                vnf_metrics=vnf_metrics,
-                chain_metrics=chain_metrics,
-                epoch=t,
-                period_epochs=288,
-            )
+        vnf_metrics, chain_metrics = make_metrics(chain, 5)
+        collector.record_batch(
+            vnf_metrics=vnf_metrics,
+            chain_metrics=chain_metrics,
+            epochs=np.arange(5),
+            period_epochs=288,
+        )
+        vnf_metrics, chain_metrics = make_metrics(chain, 2)
+        collector.record_batch(
+            vnf_metrics=vnf_metrics,
+            chain_metrics=chain_metrics,
+            epochs=np.arange(5, 7),
+            period_epochs=288,
+        )
+        assert collector.n_epochs == 7
         fm = collector.to_feature_matrix()
-        assert fm.shape == (5, len(collector.feature_names))
+        assert fm.shape == (7, len(collector.feature_names))
 
     def test_noise_free_values_exact(self, chain):
         collector = TelemetryCollector(chain, noise_sigma=0.0)
         vnf_metrics, chain_metrics = make_metrics(chain)
-        collector.record_epoch(
+        collector.record_batch(
             vnf_metrics=vnf_metrics, chain_metrics=chain_metrics,
-            epoch=0, period_epochs=288,
+            epochs=[0], period_epochs=288,
         )
         fm = collector.to_feature_matrix()
         assert fm.column("vnf0_firewall_cpu_util")[0] == 0.5
@@ -85,12 +93,11 @@ class TestTelemetryCollector:
 
     def test_noise_perturbs_but_bounds_rates(self, chain):
         collector = TelemetryCollector(chain, noise_sigma=0.3, random_state=0)
-        vnf_metrics, chain_metrics = make_metrics(chain)
-        for t in range(200):
-            collector.record_epoch(
-                vnf_metrics=vnf_metrics, chain_metrics=chain_metrics,
-                epoch=t, period_epochs=288,
-            )
+        vnf_metrics, chain_metrics = make_metrics(chain, 200)
+        collector.record_batch(
+            vnf_metrics=vnf_metrics, chain_metrics=chain_metrics,
+            epochs=np.arange(200), period_epochs=288,
+        )
         fm = collector.to_feature_matrix()
         cpu = fm.column("vnf0_firewall_cpu_util")
         assert cpu.std() > 0.0
@@ -98,14 +105,33 @@ class TestTelemetryCollector:
         drops = fm.column("vnf0_firewall_drop_rate")
         assert drops.max() <= 1.0
 
+    def test_batching_never_changes_the_noise(self, chain):
+        # one (T, m) normal draw consumes the generator exactly as T
+        # one-row draws do, so batch boundaries cannot move a value
+        whole = TelemetryCollector(chain, noise_sigma=0.3, random_state=4)
+        rows = TelemetryCollector(chain, noise_sigma=0.3, random_state=4)
+        vnf_metrics, chain_metrics = make_metrics(chain, 40)
+        whole.record_batch(
+            vnf_metrics=vnf_metrics, chain_metrics=chain_metrics,
+            epochs=np.arange(40), period_epochs=288,
+        )
+        for t in range(40):
+            row_vnf, row_chain = make_metrics(chain)
+            rows.record_batch(
+                vnf_metrics=row_vnf, chain_metrics=row_chain,
+                epochs=[t], period_epochs=288,
+            )
+        assert (
+            whole.flush().values.tobytes() == rows.flush().values.tobytes()
+        )
+
     def test_time_encoding_on_unit_circle(self, chain):
         collector = TelemetryCollector(chain, noise_sigma=0.0)
-        vnf_metrics, chain_metrics = make_metrics(chain)
-        for t in range(10):
-            collector.record_epoch(
-                vnf_metrics=vnf_metrics, chain_metrics=chain_metrics,
-                epoch=t * 30, period_epochs=288,
-            )
+        vnf_metrics, chain_metrics = make_metrics(chain, 10)
+        collector.record_batch(
+            vnf_metrics=vnf_metrics, chain_metrics=chain_metrics,
+            epochs=np.arange(10) * 30, period_epochs=288,
+        )
         fm = collector.to_feature_matrix()
         radius = fm.column("tod_sin") ** 2 + fm.column("tod_cos") ** 2
         np.testing.assert_allclose(radius, 1.0, atol=1e-12)
@@ -114,16 +140,28 @@ class TestTelemetryCollector:
         collector = TelemetryCollector(chain)
         _, chain_metrics = make_metrics(chain)
         with pytest.raises(ValueError, match="metric dicts"):
-            collector.record_epoch(
-                vnf_metrics=[{m: 0.0 for m in PER_VNF_METRICS}],
+            collector.record_batch(
+                vnf_metrics=[{m: np.zeros(1) for m in PER_VNF_METRICS}],
                 chain_metrics=chain_metrics,
-                epoch=0,
+                epochs=[0],
                 period_epochs=288,
             )
 
     def test_empty_collector_rejected(self, chain):
         with pytest.raises(ValueError, match="no epochs"):
             TelemetryCollector(chain).to_feature_matrix()
+
+    def test_flush_clears_what_it_renders(self, chain):
+        collector = TelemetryCollector(chain, noise_sigma=0.0)
+        vnf_metrics, chain_metrics = make_metrics(chain, 3)
+        collector.record_batch(
+            vnf_metrics=vnf_metrics, chain_metrics=chain_metrics,
+            epochs=np.arange(3), period_epochs=288,
+        )
+        assert collector.flush().shape == (3, len(collector.feature_names))
+        assert collector.n_epochs == 0
+        with pytest.raises(ValueError, match="since the last flush"):
+            collector.flush()
 
     def test_negative_noise_rejected(self, chain):
         with pytest.raises(ValueError, match="noise_sigma"):
