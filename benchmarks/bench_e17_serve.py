@@ -14,7 +14,8 @@ correctness, not timing):
   byte;
 * **throughput** — the fleet drains at a measurable sessions/sec with
   a bounded p99 per-window latency (reported here and recorded across
-  PRs by ``tools/bench_trajectory.py`` into ``BENCH_<n>.json``).
+  PRs by ``tools/bench_trajectory.py``, which calls
+  :func:`serve_fleet_sessions`, into ``BENCH_<n>.json``).
 
 Timing numbers are reported whenever available; nothing correctness-
 related is gated on ``--benchmark-disable`` (the CI smoke mode).
@@ -22,7 +23,7 @@ related is gated on ``--benchmark-disable`` (the CI smoke mode).
 
 import pickle
 
-from benchmarks._util import timing_enabled
+from benchmarks._util import timed, timing_enabled
 from benchmarks.conftest import SEED, save_result
 from repro.core.cache import clear_cache
 from repro.core.stream import StreamingDiagnosisEngine
@@ -43,10 +44,6 @@ CONFIG = dict(
 )
 
 
-def _scenario(index: int) -> str:
-    return SCENARIOS[index % len(SCENARIOS)]
-
-
 def _stream(seed: int, scenario: str):
     return stream_scenario_telemetry(
         scenario, EPOCHS, batch_epochs=BATCH_EPOCHS, random_state=seed
@@ -59,10 +56,16 @@ def _open_fleet(service) -> list:
     ]
 
 
-def _fleet_streams(sessions) -> dict:
-    return {
-        s.name: _stream(s.seed, _scenario(s.tenant_index)) for s in sessions
-    }
+def _fleet_streams(sessions, start_epoch=0) -> dict:
+    """Each session's telemetry from ``start_epoch`` on."""
+    streams = {}
+    for s in sessions:
+        scenario = SCENARIOS[s.tenant_index % len(SCENARIOS)]
+        streams[s.name] = (
+            b for b in _stream(s.seed, scenario)
+            if b.start_epoch >= start_epoch
+        )
+    return streams
 
 
 def _tables(service) -> dict:
@@ -82,26 +85,26 @@ def _run_full_fleet():
         interleave(service, _fleet_streams(sessions))
         service.flush_all()
         windows = [w for s in sessions for w in s.windows]
-        return _tables(service), windows, service.cache_stats()
+        return _tables(service), windows
 
 
-def test_serve_fleet_sessions(benchmark):
-    tables, windows, stats = benchmark.pedantic(
-        _run_full_fleet, rounds=1, iterations=1
-    )
+def serve_fleet_sessions() -> dict:
+    """BENCH row: the fleet's wall clock, sessions/s and p50/p99
+    per-window latency; ``exact_equal`` is the snapshot/restore claim."""
+    (tables, windows), seconds = timed(_run_full_fleet)
 
-    # -- isolation (unconditional): sampled tenants vs lone engines ----
+    # isolation: sampled tenants vs lone engines with the same seeds
     with DiagnosisService(random_state=SEED, **CONFIG) as probe:
-        sampled = [probe.open_session(f"tenant-{i:03d}")
-                   for i in range(N_SESSIONS)][:: N_SESSIONS // 3][:3]
-    for session in sampled:
-        engine = StreamingDiagnosisEngine(random_state=session.seed, **CONFIG)
-        lone = engine.run(_stream(session.seed, _scenario(session.tenant_index)))
-        assert tables[session.name] == lone.format_table(timing=False), (
-            f"{session.name} diverged from its isolated serial run"
+        sampled = _open_fleet(probe)[:: N_SESSIONS // 3][:3]
+    streams = _fleet_streams(sampled)
+    for s in sampled:
+        engine = StreamingDiagnosisEngine(random_state=s.seed, **CONFIG)
+        lone = engine.run(streams[s.name])
+        assert tables[s.name] == lone.format_table(timing=False), (
+            f"{s.name} diverged from its isolated serial run"
         )
 
-    # -- snapshot/restore (unconditional): interrupt ALL 100 sessions --
+    # snapshot/restore: interrupt ALL sessions, pickle, restore, finish
     clear_cache()
     with DiagnosisService(
         random_state=SEED, max_pending_epochs=4 * BATCH_EPOCHS, **CONFIG
@@ -111,19 +114,11 @@ def test_serve_fleet_sessions(benchmark):
             service, _fleet_streams(sessions), until_epoch=SNAPSHOT_EPOCH
         )
         blob = pickle.dumps(service.snapshot())
-
     restored = DiagnosisService.restore(pickle.loads(blob))
     with restored:
-        leftovers = {}
-        for name in restored.session_names:
-            session = restored.session(name)
-            assert session.epochs_seen == SNAPSHOT_EPOCH
-            leftovers[name] = (
-                b
-                for b in _stream(session.seed, _scenario(session.tenant_index))
-                if b.start_epoch >= SNAPSHOT_EPOCH
-            )
-        interleave(restored, leftovers)
+        sessions = [restored.session(n) for n in restored.session_names]
+        assert all(s.epochs_seen == SNAPSHOT_EPOCH for s in sessions)
+        interleave(restored, _fleet_streams(sessions, SNAPSHOT_EPOCH))
         restored.flush_all()
         resumed = _tables(restored)
     assert set(resumed) == set(tables)
@@ -132,28 +127,43 @@ def test_serve_fleet_sessions(benchmark):
             f"{name}: restored-from-snapshot report != uninterrupted report"
         )
 
-    # -- throughput report ---------------------------------------------
-    n_windows = len(windows)
-    seconds = sorted(w.seconds for w in windows)
-    p50 = seconds[n_windows // 2]
-    p99 = seconds[min(n_windows - 1, int(0.99 * n_windows))]
+    latencies = sorted(w.seconds for w in windows)
+    n_windows = len(latencies)
+    return {
+        "name": "serve_fleet_sessions",
+        "packed_seconds": seconds,
+        "sessions": N_SESSIONS,
+        "epochs_per_session": EPOCHS,
+        "sessions_per_sec": N_SESSIONS / seconds,
+        "windows": n_windows,
+        "p50_window_seconds": latencies[n_windows // 2],
+        "p99_window_seconds": latencies[
+            min(n_windows - 1, int(0.99 * n_windows))
+        ],
+        "exact_equal": True,
+    }
+
+
+PANEL = (serve_fleet_sessions,)
+
+
+def test_serve_fleet_sessions(benchmark):
+    row = benchmark.pedantic(serve_fleet_sessions, rounds=1, iterations=1)
     lines = [
         f"fleet: {N_SESSIONS} interleaved sessions x {EPOCHS} epochs "
         f"(window {CONFIG['window_epochs']}, batch {BATCH_EPOCHS})",
-        f"windows closed: {n_windows}  "
-        f"(p50 {p50 * 1e3:.1f} ms, p99 {p99 * 1e3:.1f} ms per window)",
-        f"shared cache: {stats['hits']} hits / {stats['misses']} misses, "
-        f"{stats['design_entries']} design entries",
+        f"windows closed: {row['windows']}  "
+        f"(p50 {row['p50_window_seconds'] * 1e3:.1f} ms, "
+        f"p99 {row['p99_window_seconds'] * 1e3:.1f} ms per window)",
         "isolation: 3 sampled tenants byte-identical to lone engines",
         f"snapshot/restore: all {N_SESSIONS} resumed reports "
         "byte-identical to the uninterrupted fleet",
     ]
     if timing_enabled(benchmark):
-        total = benchmark.stats["median"]
         lines.insert(
             1,
-            f"throughput: {N_SESSIONS / total:.1f} sessions/s "
-            f"({total:.2f}s for the fleet)",
+            f"throughput: {row['sessions_per_sec']:.1f} sessions/s "
+            f"({row['packed_seconds']:.2f}s for the fleet)",
         )
     save_result("E17 diagnosis-as-a-service fleet", "\n".join(lines))
 

@@ -13,8 +13,7 @@ timing):
   *every* catalog regime;
 * **admissibility** — every winner passes the same acceptance harness
   the catalog passes, and round-trips through the JSON store;
-* **throughput** — candidates evaluated per second (reported here and
-  recorded across PRs by ``tools/bench_trajectory.py``).
+* **throughput** — candidates evaluated per second (reported here).
 
 Timing numbers are reported whenever available; nothing correctness-
 related is gated on ``--benchmark-disable`` (the CI smoke mode).

@@ -1,10 +1,14 @@
-"""Shared fixtures and result-reporting helpers for the E1–E8 benches.
+"""Shared data, fixtures and result-reporting helpers for the benches.
 
 Every bench both *times* a representative operation (pytest-benchmark)
 and *prints/saves* the table or figure series it regenerates, so the
 numbers survive output capture: see ``benchmarks/results/``.
+
+The SLA split and reference models are memoised functions that the
+fixtures wrap and the BENCH rows call, so both see the same objects.
 """
 
+import functools
 import os
 import sys
 
@@ -13,7 +17,7 @@ import pytest
 
 from repro.core.explainers import model_output_fn
 from repro.datasets import make_root_cause_dataset, make_sla_violation_dataset
-from repro.ml import RandomForestClassifier
+from repro.ml import GradientBoostingClassifier, RandomForestClassifier
 from repro.ml.model_selection import train_test_split
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
@@ -36,10 +40,13 @@ def save_result(name: str, text: str) -> None:
         fh.write(banner)
 
 
-@pytest.fixture(scope="session")
-def sla_data():
+@functools.cache
+def sla_split():
     """The headline forecasting task: telemetry at t predicts the SLA
-    check at t+1 (horizon=1 removes the read-the-answer shortcut)."""
+    check at t+1 (horizon=1 removes the read-the-answer shortcut).
+
+    Returns ``(dataset, X_train, X_test, y_train, y_test)``.
+    """
     dataset = make_sla_violation_dataset(
         n_epochs=4000, horizon=1, random_state=SEED
     )
@@ -50,13 +57,32 @@ def sla_data():
     return dataset, X_train, X_test, y_train, y_test
 
 
-@pytest.fixture(scope="session")
-def sla_forest(sla_data):
+@functools.cache
+def reference_forest():
     """The reference model all explanation benches explain."""
-    _, X_train, _, y_train, _ = sla_data
+    _, X_train, _, y_train, _ = sla_split()
     return RandomForestClassifier(
         n_estimators=60, max_depth=10, random_state=0
     ).fit(X_train, y_train)
+
+
+@functools.cache
+def reference_boosting():
+    """The boosting model of the E15 margin and E16 attribution rows."""
+    _, X_train, _, y_train, _ = sla_split()
+    return GradientBoostingClassifier(
+        n_estimators=100, max_depth=3, random_state=0
+    ).fit(X_train, y_train)
+
+
+@pytest.fixture(scope="session")
+def sla_data():
+    return sla_split()
+
+
+@pytest.fixture(scope="session")
+def sla_forest():
+    return reference_forest()
 
 
 @pytest.fixture(scope="session")

@@ -19,13 +19,13 @@ path, and scores each cell with the evaluation suite:
 
 The result is a :class:`MatrixReport` whose :meth:`~MatrixReport.format_table`
 is directly comparable across cells — the CLI (``repro scenarios run``)
-and ``benchmarks/bench_e3_scenarios.py`` both print it.
+and ``benchmarks/bench_e12_scenarios.py`` both print it.
 
 The sweep is *sharded*: each scenario × model pair (one dataset, one
 fit, all explainers sharing that fit) is an independent task dispatched
 to an execution backend from :mod:`repro.core.executor` — serial,
 threads, or processes (``repro scenarios run --workers 4 --backend
-process``; speedup measured in ``benchmarks/bench_e4_parallel.py``).
+process``; speedup measured in ``benchmarks/bench_e13_parallel.py``).
 Shards are pure functions of their task and the integer seed, so every
 backend produces identical cells; ``format_table(timing=False)`` is
 byte-identical across backends and worker counts.

@@ -119,7 +119,7 @@ def window_seeds(random_state, n: int) -> list[int]:
     makes (model fit, train/test split, explainer sampling).  This is
     exactly :func:`repro.utils.rng.spawn_seeds` — re-exported under a
     contract-bearing name so tests and reference implementations (the
-    naive loop in ``benchmarks/bench_e5_stream.py``) can reproduce the
+    naive loop in ``benchmarks/bench_e14_stream.py``) can reproduce the
     engine without touching its internals.  Child seeds depend only on
     the seed and the window *index*: prefixes agree for any ``n``.
     """
@@ -650,11 +650,15 @@ class StreamingDiagnosisEngine:
         # None compare unequal) at a fifth of its cost on 1-row batches
         binary = (labels == 0) | (labels == 1)
         if not np.all(binary):
-            bad = np.unique(np.asarray(labels)[~binary])[:8]
+            bad = np.asarray(labels)[~binary]
+            try:
+                bad = np.unique(bad)
+            except TypeError:  # mixed objects (None and 2) do not sort
+                pass
             raise MalformedBatchError(
                 "labels-not-binary",
                 "sla_violation labels must be binary 0/1; "
-                f"{where} contains {bad.tolist()}",
+                f"{where} contains {bad[:8].tolist()}",
             )
         if self._feature_names is None:
             self._feature_names = list(features.feature_names)

@@ -370,8 +370,9 @@ class TestLabelValidation:
             np.array([0.0, np.nan, 1.0, 0.0]),
             np.array(["0", "1", "1", "0"]),
             np.array([0, None, 1, 0], dtype=object),
+            np.array([0, None, 2], dtype=object),
         ],
-        ids=["int", "float", "nan", "str", "object-none"],
+        ids=["int", "float", "nan", "str", "object-none", "object-mixed"],
     )
     def test_labels_not_binary_fires_on_every_bad_dtype(self, labels):
         engine = StreamingDiagnosisEngine(window_epochs=8, random_state=0)
