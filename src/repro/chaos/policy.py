@@ -31,6 +31,7 @@ permanent fault that must surface as a named error.
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass, replace
@@ -110,9 +111,9 @@ class ChaosPolicy:
     def __init__(self, seed: int, faults=(), *, hang_seconds: float = 0.05):
         if not isinstance(seed, (int, np.integer)) or seed < 0:
             raise ValueError(f"seed must be a non-negative int, got {seed!r}")
-        if hang_seconds <= 0:
+        if not 0 < hang_seconds < math.inf:  # also rejects nan
             raise ValueError(
-                f"hang_seconds must be positive, got {hang_seconds}"
+                f"hang_seconds must be finite and positive, got {hang_seconds}"
             )
         self.seed = int(seed)
         self.faults = tuple(faults)

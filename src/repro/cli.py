@@ -45,17 +45,20 @@ the determinism / picklability / lock-discipline contracts (see
 ``docs/linting.md``); ``validate`` runs the explainers against
 closed-form ground truth (a smoke test for installations).
 
-The fleet-scale commands (``explain-batch``, ``scenarios run``,
-``stream run``, ``serve run``, and ``chaos run``) accept ``--workers N --backend
-{serial,thread,process}`` to fan work out across an execution backend
-(:mod:`repro.core.executor`); results are identical to the serial run
-for a fixed ``--seed``.
+The run flags are declared once: ``--epochs`` and ``--seed`` on every
+data-driven command; on the timed fleet-scale commands also
+``--no-timing`` (drop wall-clock output so reports are byte-comparable)
+and ``--workers N --backend {serial,thread,process}``
+(:mod:`repro.core.executor`; results equal the serial run for a fixed
+``--seed``).
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
+import time
 
 import numpy as np
 
@@ -80,37 +83,112 @@ def _model_factories():
     return default_model_factories()
 
 
-def _positive_int(text: str) -> int:
-    """argparse type: an integer >= 1, with a readable error."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _number_type(name: str, convert, ok, requirement: str):
+    """An argparse type called ``name``: ``convert(text)`` checked by
+    ``ok``, with a readable error for bad text and for bad values."""
+    noun = "an integer" if convert is int else "a number"
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {noun}, got {text!r}")
+        if not ok(value):
+            raise argparse.ArgumentTypeError(
+                f"must be {requirement}, got {value}"
+            )
+        return value
+
+    parse.__name__ = name
+    return parse
 
 
-def _nonnegative_int(text: str) -> int:
-    """argparse type: an integer >= 0, with a readable error."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+_positive_int = _number_type("_positive_int", int, lambda v: v >= 1, ">= 1")
+_nonnegative_int = _number_type(
+    "_nonnegative_int", int, lambda v: v >= 0, ">= 0"
+)
+#: a probability
+_rate = _number_type("_rate", float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
+#: a duration in seconds: ``nan`` and ``inf`` fail, like values <= 0
+_positive_float = _number_type(
+    "_positive_float", float, lambda v: 0.0 < v < math.inf, "finite and > 0"
+)
 
 
-def _rate(text: str) -> float:
-    """argparse type: a probability in [0, 1], with a readable error."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {value}")
-    return value
+def _add_run_args(parser, epochs: int, epochs_help: str | None = None, *,
+                  method: str | None = None, timing: str | None = None):
+    """The run flags, with this command's defaults: ``--epochs`` and
+    ``--seed``; ``--method`` when ``method`` (its default) is given; and
+    ``--no-timing``, ``--workers`` and ``--backend`` when ``timing``
+    names what ``--no-timing`` drops."""
+    parser.add_argument(
+        "--epochs", type=_positive_int, default=epochs, help=epochs_help
+    )
+    parser.add_argument("--seed", type=int, default=0)
+    if method is not None:
+        parser.add_argument(
+            "--method", default=method,
+            help="explainer (auto, tree_shap, kernel_shap, lime, "
+                 "sampling_shapley, ...; default: %(default)s)",
+        )
+    if timing is None:
+        return
+    parser.add_argument(
+        "--no-timing", action="store_true",
+        help=f"drop {timing} (output becomes byte-comparable across runs "
+             "and backends)",
+    )
+    parser.add_argument(
+        "--workers", type=_positive_int, default=None,
+        help="worker budget for parallel execution "
+             "(default: 1, i.e. serial; with --backend, all usable CPUs)",
+    )
+    parser.add_argument(
+        "--backend", choices=("auto", "serial", "thread", "process"),
+        default="auto",
+        help="execution backend: serial, thread (numpy-bound models), "
+             "process (interpreter-bound); auto = serial unless "
+             "--workers > 1, then process.  Results are identical "
+             "across backends for a fixed --seed",
+    )
+
+
+def _add_engine_args(parser, *, scenario: str | None, epochs: int,
+                     window: int, refit_every: int, explain_per_window: int,
+                     timing: str):
+    """The streaming-engine flags of ``stream run``, ``serve run`` and
+    ``chaos run`` plus the run flags, with this command's defaults
+    (``serve run`` takes ``--scenarios`` instead of ``--scenario``)."""
+    if scenario is not None:
+        parser.add_argument(
+            "--scenario", default=scenario,
+            help="scenario name (see: repro scenarios list)",
+        )
+    _add_run_args(
+        parser, epochs, "streaming horizon in epochs",
+        method="kernel_shap", timing=timing,
+    )
+    parser.add_argument(
+        "--window", type=_positive_int, default=window,
+        help="epochs per diagnosis window",
+    )
+    parser.add_argument(
+        "--refit-every", type=_positive_int, default=refit_every,
+        help="refit the model + explainer every N windows",
+    )
+    parser.add_argument(
+        "--explain-per-window", type=_nonnegative_int,
+        default=explain_per_window,
+        help="cap on violation epochs diagnosed per window (0 = monitor only)",
+    )
+    parser.add_argument(
+        "--batch-epochs", type=_positive_int, default=None,
+        help="epoch-batch granularity of the telemetry stream "
+             "(default: --window; never changes results)",
+    )
+    parser.add_argument(
+        "--model", choices=_MODEL_NAMES, default="logistic_regression"
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -121,29 +199,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     simulate = sub.add_parser("simulate", help="generate labelled telemetry")
-    simulate.add_argument("--epochs", type=_positive_int, default=2000)
-    simulate.add_argument("--seed", type=int, default=0)
+    _add_run_args(simulate, 2000)
     simulate.add_argument("--no-faults", action="store_true")
     simulate.add_argument("--out", default=None, help="write .npz archive")
 
     train = sub.add_parser("train", help="train an SLA-violation model")
-    train.add_argument("--epochs", type=_positive_int, default=3000)
-    train.add_argument("--seed", type=int, default=0)
+    _add_run_args(train, 3000)
     train.add_argument("--horizon", type=_nonnegative_int, default=0)
     train.add_argument(
         "--model", choices=_MODEL_NAMES, default="random_forest"
     )
 
     explain = sub.add_parser("explain", help="explain one epoch's prediction")
-    explain.add_argument("--epochs", type=_positive_int, default=3000)
-    explain.add_argument("--seed", type=int, default=0)
+    _add_run_args(explain, 3000, method="auto")
     explain.add_argument(
         "--epoch-index", type=int, default=None,
         help="epoch to explain (default: first violation)",
-    )
-    explain.add_argument(
-        "--method", default="auto",
-        help="explainer (auto, tree_shap, kernel_shap, lime, ...)",
     )
     explain.add_argument("--top-k", type=_positive_int, default=5)
 
@@ -151,8 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
         "explain-batch",
         help="diagnose many epochs in one vectorized pass",
     )
-    batch.add_argument("--epochs", type=_positive_int, default=3000)
-    batch.add_argument("--seed", type=int, default=0)
+    _add_run_args(batch, 3000, method="auto", timing="wall-clock output")
     batch.add_argument(
         "--epoch-indices", default=None,
         help="comma-separated epochs to diagnose "
@@ -162,17 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--limit", type=_positive_int, default=32,
         help="cap on auto-selected violation epochs (default 32)",
     )
-    batch.add_argument(
-        "--method", default="auto",
-        help="explainer (auto, tree_shap, kernel_shap, lime, ...)",
-    )
     batch.add_argument("--top-k", type=_positive_int, default=3)
-    batch.add_argument(
-        "--no-timing", action="store_true",
-        help="drop wall-clock output (the report becomes byte-comparable "
-             "across runs and backends)",
-    )
-    _add_parallel_args(batch)
 
     scenarios = sub.add_parser(
         "scenarios",
@@ -193,6 +253,11 @@ def build_parser() -> argparse.ArgumentParser:
     run = scen_sub.add_parser(
         "run", help="sweep scenarios × models × explainers"
     )
+    _add_run_args(
+        run, 1000,
+        timing="wall-clock output: the per-cell progress lines and the "
+               "table's sec column",
+    )
     run.add_argument(
         "--scenarios", default="baseline,bursty-traffic,fault-storm",
         help="comma-separated scenario names (see: repro scenarios list)",
@@ -205,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--explainers", default="kernel_shap,lime",
         help="comma-separated model-agnostic explainer methods",
     )
-    run.add_argument("--epochs", type=_positive_int, default=1000)
     run.add_argument(
         "--explain", type=_positive_int, default=8,
         help="violation epochs diagnosed per matrix cell",
@@ -214,17 +278,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--stability-repeats", type=int, default=0,
         help="add the input-stability metric with N >= 2 repeats (0 = off)",
     )
-    run.add_argument("--seed", type=int, default=0)
-    run.add_argument(
-        "--no-timing", action="store_true",
-        help="drop wall-clock output: the per-cell progress lines and "
-             "the table's sec column (output becomes byte-comparable "
-             "across runs and backends)",
-    )
-    _add_parallel_args(run)
     search = scen_sub.add_parser(
         "search",
         help="adversarial search over the scenario-recipe grammar",
+    )
+    _add_run_args(
+        search, 600, "telemetry epochs per candidate evaluation",
+        timing="the wall-clock footer",
     )
     search.add_argument(
         "--generations", type=_positive_int, default=2,
@@ -244,10 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated explainer methods scored by the objective",
     )
     search.add_argument(
-        "--epochs", type=_positive_int, default=600,
-        help="telemetry epochs per candidate evaluation",
-    )
-    search.add_argument(
         "--explain", type=_positive_int, default=6,
         help="violation epochs diagnosed per evaluation cell",
     )
@@ -255,18 +311,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--probe-epochs", type=_positive_int, default=512,
         help="acceptance-probe horizon for mutated recipes",
     )
-    search.add_argument("--seed", type=int, default=0)
     search.add_argument(
         "--store", default=None,
         help="save winning recipes to this JSON store (readable back "
              "via 'repro scenarios list --generated --store ...')",
     )
-    search.add_argument(
-        "--no-timing", action="store_true",
-        help="drop the wall-clock footer (output becomes byte-comparable "
-             "across runs and backends)",
-    )
-    _add_parallel_args(search)
 
     stream = sub.add_parser(
         "stream",
@@ -277,45 +326,10 @@ def build_parser() -> argparse.ArgumentParser:
         "run",
         help="stream a scenario through the windowed diagnosis engine",
     )
-    srun.add_argument(
-        "--scenario", default="baseline",
-        help="scenario name (see: repro scenarios list)",
+    _add_engine_args(
+        srun, scenario="baseline", epochs=1000, window=64, refit_every=4,
+        explain_per_window=8, timing="wall-clock output",
     )
-    srun.add_argument(
-        "--epochs", type=_positive_int, default=1000,
-        help="streaming horizon in epochs",
-    )
-    srun.add_argument(
-        "--window", type=_positive_int, default=64,
-        help="epochs per diagnosis window",
-    )
-    srun.add_argument(
-        "--refit-every", type=_positive_int, default=4,
-        help="refit the model + explainer every N windows",
-    )
-    srun.add_argument(
-        "--explain-per-window", type=_nonnegative_int, default=8,
-        help="cap on violation epochs diagnosed per window (0 = monitor only)",
-    )
-    srun.add_argument(
-        "--batch-epochs", type=_positive_int, default=None,
-        help="epoch-batch granularity of the telemetry stream "
-             "(default: --window; never changes results)",
-    )
-    srun.add_argument(
-        "--method", default="kernel_shap",
-        help="explainer (kernel_shap, lime, sampling_shapley, ...)",
-    )
-    srun.add_argument(
-        "--model", choices=_MODEL_NAMES, default="logistic_regression"
-    )
-    srun.add_argument("--seed", type=int, default=0)
-    srun.add_argument(
-        "--no-timing", action="store_true",
-        help="drop wall-clock output (tables become byte-comparable "
-             "across runs and backends)",
-    )
-    _add_parallel_args(srun)
 
     serve = sub.add_parser(
         "serve",
@@ -325,6 +339,11 @@ def build_parser() -> argparse.ArgumentParser:
     vrun = serve_sub.add_parser(
         "run",
         help="drive N interleaved tenant sessions through one service",
+    )
+    _add_engine_args(
+        vrun, scenario=None, epochs=256, window=64, refit_every=2,
+        explain_per_window=4,
+        timing="wall-clock and cache-statistics output",
     )
     vrun.add_argument(
         "--tenants", type=_positive_int, default=4,
@@ -337,39 +356,10 @@ def build_parser() -> argparse.ArgumentParser:
              "round-robin by tenant index (see: repro scenarios list)",
     )
     vrun.add_argument(
-        "--epochs", type=_positive_int, default=256,
-        help="streaming horizon per tenant, in epochs",
-    )
-    vrun.add_argument(
-        "--window", type=_positive_int, default=64,
-        help="epochs per diagnosis window",
-    )
-    vrun.add_argument(
-        "--refit-every", type=_positive_int, default=2,
-        help="refit each tenant's model + explainer every N windows",
-    )
-    vrun.add_argument(
-        "--explain-per-window", type=_nonnegative_int, default=4,
-        help="cap on violation epochs diagnosed per window (0 = monitor only)",
-    )
-    vrun.add_argument(
-        "--batch-epochs", type=_positive_int, default=None,
-        help="epoch-batch granularity of each tenant's stream "
-             "(default: --window; never changes results)",
-    )
-    vrun.add_argument(
         "--max-pending", type=_positive_int, default=None,
         help="per-session ingest budget in epochs before submissions "
              "are rejected with backpressure (default: 4x --window)",
     )
-    vrun.add_argument(
-        "--method", default="kernel_shap",
-        help="explainer (kernel_shap, lime, sampling_shapley, ...)",
-    )
-    vrun.add_argument(
-        "--model", choices=_MODEL_NAMES, default="logistic_regression"
-    )
-    vrun.add_argument("--seed", type=int, default=0)
     vrun.add_argument(
         "--snapshot-epoch", type=_positive_int, default=None,
         help="stop every tenant once it has seen this many epochs (must "
@@ -386,12 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
              "is byte-identical (under --no-timing) to a run that was "
              "never interrupted",
     )
-    vrun.add_argument(
-        "--no-timing", action="store_true",
-        help="drop wall-clock and cache-statistics output (reports "
-             "become byte-comparable across runs, backends, restarts)",
-    )
-    _add_parallel_args(vrun)
 
     chaos = sub.add_parser(
         "chaos",
@@ -403,41 +387,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="stream a scenario under injected faults and verify the "
              "recovery invariant against a fault-free twin run",
     )
-    crun.add_argument(
-        "--scenario", default="fault-storm",
-        help="scenario name (see: repro scenarios list)",
+    # --explain-per-window stays above 16 (the vectorized explainer's
+    # chunk size) so diagnosis actually fans tasks out through the
+    # fault-injected executor
+    _add_engine_args(
+        crun, scenario="fault-storm", epochs=192, window=48, refit_every=2,
+        explain_per_window=24,
+        timing="wall-clock output",
     )
-    crun.add_argument(
-        "--epochs", type=_positive_int, default=192,
-        help="streaming horizon in epochs",
-    )
-    crun.add_argument(
-        "--window", type=_positive_int, default=48,
-        help="epochs per diagnosis window",
-    )
-    crun.add_argument(
-        "--refit-every", type=_positive_int, default=2,
-        help="refit the model + explainer every N windows",
-    )
-    crun.add_argument(
-        "--explain-per-window", type=_nonnegative_int, default=24,
-        help="cap on violation epochs diagnosed per window; keep above "
-             "16 (the vectorized explainer's chunk size) so diagnosis "
-             "actually fans tasks out through the fault-injected executor",
-    )
-    crun.add_argument(
-        "--batch-epochs", type=_positive_int, default=None,
-        help="epoch-batch granularity of the telemetry stream "
-             "(default: --window; never changes results)",
-    )
-    crun.add_argument(
-        "--method", default="kernel_shap",
-        help="explainer (kernel_shap, lime, sampling_shapley, ...)",
-    )
-    crun.add_argument(
-        "--model", choices=_MODEL_NAMES, default="logistic_regression"
-    )
-    crun.add_argument("--seed", type=int, default=0)
     crun.add_argument(
         "--chaos-seed", type=_nonnegative_int, default=0,
         help="seed of the fault-injection draws (independent of --seed, "
@@ -484,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
              "and record a named stream event",
     )
     crun.add_argument(
-        "--task-timeout", type=float, default=None,
+        "--task-timeout", type=_positive_float, default=None,
         help="per-task budget in seconds (default: no timeout)",
     )
     crun.add_argument(
@@ -492,15 +449,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-task retry budget before the run fails closed",
     )
     crun.add_argument(
-        "--hang-seconds", type=float, default=0.05,
+        "--hang-seconds", type=_positive_float, default=0.05,
         help="how long an injected hang sleeps",
     )
-    crun.add_argument(
-        "--no-timing", action="store_true",
-        help="drop wall-clock output (everything but the backend line "
-             "becomes byte-comparable across runs and backends)",
-    )
-    _add_parallel_args(crun)
 
     lint = sub.add_parser(
         "lint",
@@ -512,20 +463,80 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_parallel_args(parser) -> None:
-    """``--workers`` / ``--backend`` shared by the parallel hot paths."""
-    parser.add_argument(
-        "--workers", type=_positive_int, default=None,
-        help="worker budget for parallel execution "
-             "(default: 1, i.e. serial; with --backend, all usable CPUs)",
+def _timed(fn, *args, **kwargs):
+    """``(fn(*args, **kwargs), seconds)`` — the CLI's one clock.
+
+    The seconds are presentation only: every command drops them under
+    ``--no-timing``, which is what the byte-identical CLI comparisons
+    diff.
+    """
+    start = time.perf_counter()  # repro: lint-ignore[D103] opt-out via --no-timing
+    result = fn(*args, **kwargs)
+    return result, time.perf_counter() - start  # repro: lint-ignore[D103] opt-out via --no-timing
+
+
+def _names(text: str) -> list[str]:
+    """The non-blank, stripped entries of a comma-separated flag."""
+    return [token.strip() for token in text.split(",") if token.strip()]
+
+
+def _unknown(kind: str, names) -> bool:
+    """The one name check: print the message and return True when
+    ``names`` (one name, or a list) holds a name that is not a known
+    ``kind`` — ``"scenario"``, ``"model"`` or ``"explainer"``."""
+    if kind == "scenario":
+        from repro.nfv.scenarios import list_scenarios
+
+        known, hint = list_scenarios(), "see: repro scenarios list"
+    elif kind == "model":
+        known, hint = _MODEL_NAMES, f"choose from {list(_MODEL_NAMES)}"
+    else:
+        from repro.core.explainers import EXPLAINER_METHODS
+
+        known = EXPLAINER_METHODS
+        hint = f"choose from {', '.join(EXPLAINER_METHODS)}"
+    if isinstance(names, str):
+        if names in known:
+            return False
+        print(f"unknown {kind} {names!r}; {hint}")
+        return True
+    unknown = sorted(set(names) - set(known))
+    if unknown:
+        print(f"unknown {kind}s {unknown}; {hint}")
+    return bool(unknown)
+
+
+def _backend_label(run) -> str:
+    """``backend=NAME``, plus `` xWORKERS`` on a pool, for an executor
+    or a report's ``extras``."""
+    if isinstance(run, dict):
+        backend, workers = run.get("backend", "serial"), run.get("workers", 1)
+    else:
+        backend, workers = run.backend, run.workers
+    return f"backend={backend}" + (f" x{workers}" if backend != "serial" else "")
+
+
+def _engine_kwargs(args) -> dict:
+    """Streaming-engine settings from the engine flags."""
+    return dict(
+        window_epochs=args.window,
+        refit_every=args.refit_every,
+        explainer_method=args.method,
+        explain_per_window=args.explain_per_window,
+        random_state=args.seed,
     )
-    parser.add_argument(
-        "--backend", choices=("auto", "serial", "thread", "process"),
-        default="auto",
-        help="execution backend: serial, thread (numpy-bound models), "
-             "process (interpreter-bound); auto = serial unless "
-             "--workers > 1, then process.  Results are identical "
-             "across backends for a fixed --seed",
+
+
+def _telemetry(args, scenario: str, seed: int):
+    """``scenario``'s telemetry stream over ``--epochs``, cut into
+    ``--batch-epochs`` batches (default ``--window``)."""
+    from repro.datasets import stream_scenario_telemetry
+
+    return stream_scenario_telemetry(
+        scenario,
+        args.epochs,
+        batch_epochs=args.batch_epochs or args.window,
+        random_state=seed,
     )
 
 
@@ -589,6 +600,8 @@ def _fit_explain_pipeline(args):
 
 
 def _cmd_explain(args) -> int:
+    if _unknown("explainer", args.method):
+        return 1
     dataset, pipeline = _fit_explain_pipeline(args)
     index = args.epoch_index
     if index is None:
@@ -607,13 +620,15 @@ def _cmd_explain(args) -> int:
 
 
 def _cmd_explain_batch(args) -> int:
-    import time
+    from repro.core.executor import get_executor
 
+    if _unknown("explainer", args.method):
+        return 1
     dataset, pipeline = _fit_explain_pipeline(args)
 
     if args.epoch_indices:
         try:
-            indices = [int(tok) for tok in args.epoch_indices.split(",") if tok.strip()]
+            indices = [int(token) for token in _names(args.epoch_indices)]
         except ValueError:
             print(f"bad --epoch-indices {args.epoch_indices!r}")
             return 1
@@ -633,15 +648,11 @@ def _cmd_explain_batch(args) -> int:
             print("no violations in this trace; pass --epoch-indices")
             return 1
 
-    from repro.core.executor import get_executor
-
-    X = dataset.X.values[indices]
-    # timing is presentation-only: the footer drops it under --no-timing,
-    # which is what the byte-identical CLI comparisons diff
-    start = time.perf_counter()  # repro: lint-ignore[D103] opt-out via --no-timing
     with get_executor(args.backend, args.workers) as executor:
-        diagnoses = pipeline.diagnose_batch(X, executor=executor)
-    elapsed = time.perf_counter() - start  # repro: lint-ignore[D103] opt-out via --no-timing
+        diagnoses, elapsed = _timed(
+            pipeline.diagnose_batch, dataset.X.values[indices],
+            executor=executor,
+        )
 
     chain = pipeline.chain_
     print(f"{'epoch':>6} {'score':>7} {'alert':>6} {'vnf':>12} "
@@ -666,8 +677,7 @@ def _cmd_explain_batch(args) -> int:
     timing = "" if args.no_timing else f" in {elapsed:.2f}s"
     print(f"\ndiagnosed {len(diagnoses)} epochs ({n_alerts} alerts)"
           f"{timing} — method={pipeline.explainer_.method_name}, "
-          f"backend={executor.backend}"
-          + (f" x{executor.workers}" if executor.backend != "serial" else ""))
+          f"{_backend_label(executor)}")
     return 0
 
 
@@ -687,38 +697,24 @@ def _cmd_scenarios(args) -> int:
         return _cmd_scenarios_search(args)
 
     from repro.core.matrix import run_scenario_matrix
-    from repro.nfv.scenarios import list_scenarios
 
-    scenarios = [s.strip() for s in args.scenarios.split(",") if s.strip()]
-    models = [m.strip() for m in args.models.split(",") if m.strip()]
-    explainers = [e.strip() for e in args.explainers.split(",") if e.strip()]
+    scenarios = _names(args.scenarios)
+    models = _names(args.models)
+    explainers = _names(args.explainers)
     if not scenarios or not models or not explainers:
         print("need at least one scenario, model and explainer")
         return 1
-
-    known = set(list_scenarios())
-    unknown = sorted(set(scenarios) - known)
-    if unknown:
-        print(f"unknown scenarios {unknown}; see: repro scenarios list")
-        return 1
-    factories = _model_factories()
-    bad_models = sorted(set(models) - set(factories))
-    if bad_models:
-        print(f"unknown models {bad_models}; choose from {sorted(factories)}")
-        return 1
-    from repro.core.explainers import EXPLAINER_METHODS
-
-    bad_explainers = sorted(set(explainers) - set(EXPLAINER_METHODS))
-    if bad_explainers:
-        print(
-            f"unknown explainers {bad_explainers}; choose from "
-            f"{', '.join(EXPLAINER_METHODS)}"
-        )
+    if (
+        _unknown("scenario", scenarios)
+        or _unknown("model", models)
+        or _unknown("explainer", explainers)
+    ):
         return 1
     if args.stability_repeats < 0 or args.stability_repeats == 1:
         print("--stability-repeats must be 0 or >= 2")
         return 1
 
+    factories = _model_factories()
     report = run_scenario_matrix(
         scenarios,
         models={name: factories[name] for name in models},
@@ -734,14 +730,11 @@ def _cmd_scenarios(args) -> int:
     )
     print()
     print(report.format_table(timing=not args.no_timing))
-    backend = report.extras.get("backend", "serial")
-    workers = report.extras.get("workers", 1)
     print(
         f"\n{len(report.cells)} cells "
         f"({len(scenarios)} scenarios × {len(models)} models × "
         f"{len(explainers)} explainers), {args.epochs} epochs each, "
-        f"seed={args.seed}, backend={backend}"
-        + (f" x{workers}" if backend != "serial" else "")
+        f"seed={args.seed}, {_backend_label(report.extras)}"
     )
     return 0
 
@@ -766,26 +759,18 @@ def _cmd_scenarios_list_generated(args) -> int:
 
 
 def _cmd_scenarios_search(args) -> int:
-    import time
-
-    from repro.core.explainers import EXPLAINER_METHODS
     from repro.core.search import search_scenarios
     from repro.nfv.grammar import DEFAULT_GENERATED_STORE, save_generated
 
-    explainers = [e.strip() for e in args.explainers.split(",") if e.strip()]
+    explainers = _names(args.explainers)
     if not explainers:
         print("need at least one explainer")
         return 1
-    bad = sorted(set(explainers) - set(EXPLAINER_METHODS))
-    if bad:
-        print(
-            f"unknown explainers {bad}; choose from "
-            f"{', '.join(EXPLAINER_METHODS)}"
-        )
+    if _unknown("explainer", explainers):
         return 1
 
-    start = time.perf_counter()  # repro: lint-ignore[D103] opt-out via --no-timing
-    result = search_scenarios(
+    result, elapsed = _timed(
+        search_scenarios,
         seed=args.seed,
         generations=args.generations,
         population=args.population,
@@ -798,7 +783,6 @@ def _cmd_scenarios_search(args) -> int:
         workers=args.workers,
         progress=print,
     )
-    elapsed = time.perf_counter() - start  # repro: lint-ignore[D103] opt-out via --no-timing
     print()
     print(result.format_trace(), end="")
     if args.store:
@@ -814,65 +798,30 @@ def _cmd_scenarios_search(args) -> int:
             f"{DEFAULT_GENERATED_STORE} to save the winners)"
         )
     if not args.no_timing:
-        backend = result.extras.get("backend", "serial")
-        workers = result.extras.get("workers", 1)
-        print(
-            f"\n{elapsed:.2f}s total, backend={backend}"
-            + (f" x{workers}" if backend != "serial" else "")
-        )
+        print(f"\n{elapsed:.2f}s total, {_backend_label(result.extras)}")
     return 0
 
 
 def _cmd_stream(args) -> int:
-    import time
-
     from repro.core.stream import StreamingDiagnosisEngine
-    from repro.datasets import stream_scenario_telemetry
-    from repro.nfv.scenarios import list_scenarios
 
-    if args.scenario not in list_scenarios():
-        print(
-            f"unknown scenario {args.scenario!r}; see: repro scenarios list"
-        )
+    if _unknown("scenario", args.scenario) or _unknown("explainer", args.method):
         return 1
-    from repro.core.explainers import EXPLAINER_METHODS
-
-    if args.method not in EXPLAINER_METHODS:
-        print(
-            f"unknown explainer {args.method!r}; choose from "
-            f"{', '.join(EXPLAINER_METHODS)}"
-        )
-        return 1
-
     engine = StreamingDiagnosisEngine(
         _model_factories()[args.model],
-        window_epochs=args.window,
-        refit_every=args.refit_every,
-        explainer_method=args.method,
-        explain_per_window=args.explain_per_window,
         backend=args.backend,
         workers=args.workers,
-        random_state=args.seed,
+        **_engine_kwargs(args),
     )
-    stream = stream_scenario_telemetry(
-        args.scenario,
-        args.epochs,
-        batch_epochs=args.batch_epochs or args.window,
-        random_state=args.seed,
-    )
-    start = time.perf_counter()  # repro: lint-ignore[D103] opt-out via --no-timing
-    report = engine.run(stream, progress=print)
-    elapsed = time.perf_counter() - start  # repro: lint-ignore[D103] opt-out via --no-timing
+    stream = _telemetry(args, args.scenario, args.seed)
+    report, elapsed = _timed(engine.run, stream, progress=print)
 
     print()
     print(report.format_table(timing=not args.no_timing))
-    backend = report.extras.get("backend", "serial")
-    workers = report.extras.get("workers", 1)
     footer = (
         f"\n{report.summary()}\nscenario={args.scenario}, "
         f"model={args.model}, explainer={args.method}, seed={args.seed}, "
-        f"backend={backend}"
-        + (f" x{workers}" if backend != "serial" else "")
+        f"{_backend_label(report.extras)}"
     )
     if not args.no_timing:
         footer += (
@@ -883,31 +832,13 @@ def _cmd_stream(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    import time
+    from repro.serve import save_snapshot
 
-    from repro.core.explainers import EXPLAINER_METHODS
-    from repro.datasets import stream_scenario_telemetry
-    from repro.nfv.scenarios import list_scenarios
-    from repro.serve import (
-        DiagnosisService,
-        interleave,
-        load_snapshot,
-        save_snapshot,
-    )
-
-    scenarios = [s.strip() for s in args.scenarios.split(",") if s.strip()]
+    scenarios = _names(args.scenarios)
     if not scenarios:
         print("need at least one scenario")
         return 1
-    unknown = sorted(set(scenarios) - set(list_scenarios()))
-    if unknown:
-        print(f"unknown scenarios {unknown}; see: repro scenarios list")
-        return 1
-    if args.method not in EXPLAINER_METHODS:
-        print(
-            f"unknown explainer {args.method!r}; choose from "
-            f"{', '.join(EXPLAINER_METHODS)}"
-        )
+    if _unknown("scenario", scenarios) or _unknown("explainer", args.method):
         return 1
     batch_epochs = args.batch_epochs or args.window
     max_pending = args.max_pending or max(4 * args.window, batch_epochs)
@@ -932,8 +863,47 @@ def _cmd_serve(args) -> int:
         print("--restore and --snapshot-epoch are mutually exclusive")
         return 1
 
+    service, elapsed = _timed(_drive_service, args, scenarios, max_pending)
+    if args.snapshot_epoch is not None:
+        save_snapshot(service.snapshot(), args.snapshot_out)
+        print(
+            f"snapshot of {len(service.session_names)} sessions at "
+            f"epoch {args.snapshot_epoch} -> {args.snapshot_out}"
+        )
+        return 0
+
+    total_windows = 0
+    for name in service.session_names:
+        session = service.session(name)
+        scenario = scenarios[session.tenant_index % len(scenarios)]
+        report = session.report()
+        total_windows += len(report.windows)
+        print(f"=== {name} [{scenario}] seed={session.seed} ===")
+        print(report.format_table(timing=not args.no_timing))
+        print()
+    footer = (
+        f"{len(service.session_names)} sessions, {total_windows} "
+        f"windows, {args.epochs} epochs each, "
+        f"seed={service.random_state}, {_backend_label(service.executor)}"
+    )
+    if not args.no_timing:
+        stats = service.cache_stats()
+        footer += (
+            f"; {elapsed:.2f}s total; shared cache "
+            f"{stats['hits']} hits / {stats['misses']} misses"
+        )
+    print(footer)
+    return 0
+
+
+def _drive_service(args, scenarios, max_pending):
+    """Open the ``serve run`` service (or restore it from ``--restore``),
+    feed every tenant its scenario's stream up to ``--snapshot-epoch``
+    (else to the end, then flush) and return the closed service, whose
+    sessions stay readable."""
+    from repro.serve import DiagnosisService, interleave, load_snapshot
+
     factory = _model_factories()[args.model]
-    start = time.perf_counter()  # repro: lint-ignore[D103] opt-out via --no-timing
     if args.restore:
         service = DiagnosisService.restore(
             load_snapshot(args.restore),
@@ -947,11 +917,7 @@ def _cmd_serve(args) -> int:
             max_pending_epochs=max_pending,
             backend=args.backend,
             workers=args.workers,
-            random_state=args.seed,
-            window_epochs=args.window,
-            refit_every=args.refit_every,
-            explainer_method=args.method,
-            explain_per_window=args.explain_per_window,
+            **_engine_kwargs(args),
         )
         for i in range(args.tenants):
             service.open_session(f"tenant-{i}")
@@ -961,75 +927,25 @@ def _cmd_serve(args) -> int:
         for name in service.session_names:
             session = service.session(name)
             scenario = scenarios[session.tenant_index % len(scenarios)]
-            stream = stream_scenario_telemetry(
-                scenario,
-                args.epochs,
-                batch_epochs=batch_epochs,
-                random_state=session.seed,
+            # a restored tenant regenerates its deterministic stream and
+            # drops the batches the snapshot already absorbed
+            streams[name] = (
+                batch
+                for batch in _telemetry(args, scenario, session.seed)
+                if batch.start_epoch >= session.epochs_seen
             )
-            consumed = session.epochs_seen
-            if consumed:
-                # resume: regenerate the tenant's deterministic stream
-                # and drop the batches the snapshot already absorbed
-                stream = (b for b in stream if b.start_epoch >= consumed)
-            streams[name] = stream
         interleave(service, streams, until_epoch=args.snapshot_epoch)
-
-        if args.snapshot_epoch is not None:
-            save_snapshot(service.snapshot(), args.snapshot_out)
-            print(
-                f"snapshot of {len(service.session_names)} sessions at "
-                f"epoch {args.snapshot_epoch} -> {args.snapshot_out}"
-            )
-            return 0
-
-        service.flush_all()
-        elapsed = time.perf_counter() - start  # repro: lint-ignore[D103] opt-out via --no-timing
-        total_windows = 0
-        for name in service.session_names:
-            session = service.session(name)
-            scenario = scenarios[session.tenant_index % len(scenarios)]
-            report = session.report()
-            total_windows += len(report.windows)
-            print(f"=== {name} [{scenario}] seed={session.seed} ===")
-            print(report.format_table(timing=not args.no_timing))
-            print()
-        backend = service.executor.backend
-        footer = (
-            f"{len(service.session_names)} sessions, {total_windows} "
-            f"windows, {args.epochs} epochs each, "
-            f"seed={service.random_state}, backend={backend}"
-            + (f" x{service.executor.workers}" if backend != "serial" else "")
-        )
-        if not args.no_timing:
-            stats = service.cache_stats()
-            footer += (
-                f"; {elapsed:.2f}s total; shared cache "
-                f"{stats['hits']} hits / {stats['misses']} misses"
-            )
-        print(footer)
-    return 0
+        if args.snapshot_epoch is None:
+            service.flush_all()
+    return service
 
 
 def _cmd_chaos(args) -> int:
-    import time
-
     from repro.chaos import ChaosFault, ChaosPolicy
-    from repro.core.explainers import EXPLAINER_METHODS
-    from repro.core.stream import StreamingDiagnosisEngine
-    from repro.datasets import stream_scenario_telemetry
-    from repro.nfv.scenarios import list_scenarios
+    from repro.core.stream import MalformedBatchError, StreamingDiagnosisEngine
+    from repro.resilience import ResilienceError, ResilientExecutor
 
-    if args.scenario not in list_scenarios():
-        print(
-            f"unknown scenario {args.scenario!r}; see: repro scenarios list"
-        )
-        return 1
-    if args.method not in EXPLAINER_METHODS:
-        print(
-            f"unknown explainer {args.method!r}; choose from "
-            f"{', '.join(EXPLAINER_METHODS)}"
-        )
+    if _unknown("scenario", args.scenario) or _unknown("explainer", args.method):
         return 1
     faults = [
         ChaosFault(kind, rate, attempts=args.fault_attempts)
@@ -1047,30 +963,10 @@ def _cmd_chaos(args) -> int:
         print("every fault rate is zero; nothing to inject")
         return 1
 
-    from repro.core.stream import MalformedBatchError
-    from repro.resilience import ResilienceError, ResilientExecutor
-
     policy = ChaosPolicy(
         args.chaos_seed, faults, hang_seconds=args.hang_seconds
     )
-    batch_epochs = args.batch_epochs or args.window
     factory = _model_factories()[args.model]
-    engine_kwargs = dict(
-        window_epochs=args.window,
-        refit_every=args.refit_every,
-        explainer_method=args.method,
-        explain_per_window=args.explain_per_window,
-        random_state=args.seed,
-    )
-
-    def make_stream():
-        return stream_scenario_telemetry(
-            args.scenario,
-            args.epochs,
-            batch_epochs=batch_epochs,
-            random_state=args.seed,
-        )
-
     knobs = " ".join(f"{f.kind}={f.rate:g}" for f in faults)
     print(
         f"chaos run: scenario={args.scenario} epochs={args.epochs} "
@@ -1091,32 +987,34 @@ def _cmd_chaos(args) -> int:
 
     # The fault-free twin: same workload, no chaos, default executor.
     # Its report is the byte-comparison reference for the invariant.
-    twin = StreamingDiagnosisEngine(factory, **engine_kwargs)
-    clean_table = twin.run(make_stream()).format_table(timing=False)
+    twin = StreamingDiagnosisEngine(factory, **_engine_kwargs(args))
+    clean_table = twin.run(
+        _telemetry(args, args.scenario, args.seed)
+    ).format_table(timing=False)
 
     engine = StreamingDiagnosisEngine(
-        factory, on_malformed=args.on_malformed, **engine_kwargs
+        factory, on_malformed=args.on_malformed, **_engine_kwargs(args)
     )
-    named_error: Exception | None = None
-    report = None
-    start = time.perf_counter()  # repro: lint-ignore[D103] opt-out via --no-timing
-    with ResilientExecutor(
+    stream = policy.corrupt_stream(
+        _telemetry(args, args.scenario, args.seed), mode=args.corrupt_mode
+    )
+    executor = ResilientExecutor(
         args.backend,
         args.workers,
         task_timeout=args.task_timeout,
         retries=args.retries,
         chaos=policy,
-    ) as executor:
-        try:
-            report = engine.run(
-                policy.corrupt_stream(
-                    make_stream(), mode=args.corrupt_mode
-                ),
-                executor=executor,
-            )
-        except (MalformedBatchError, ResilienceError) as exc:
-            named_error = exc
-    elapsed = time.perf_counter() - start  # repro: lint-ignore[D103] opt-out via --no-timing
+    )
+
+    def run_under_chaos():
+        """``(report, None)``, or ``(None, the named error)``."""
+        with executor:
+            try:
+                return engine.run(stream, executor=executor), None
+            except (MalformedBatchError, ResilienceError) as exc:
+                return None, exc
+
+    (report, named_error), elapsed = _timed(run_under_chaos)
 
     print()
     if report is not None:
@@ -1125,12 +1023,7 @@ def _cmd_chaos(args) -> int:
         print(report.format_events())
     print(f"resilience: {executor.event_summary()}")
     print(
-        f"backend={executor.backend}"
-        + (
-            f" x{executor.workers}"
-            if executor.backend != "serial"
-            else ""
-        )
+        _backend_label(executor)
         + ("" if args.no_timing else f"; {elapsed:.2f}s total")
     )
 
@@ -1159,10 +1052,6 @@ def _cmd_chaos(args) -> int:
         "fault-free run with no recorded cause"
     )
     return 1
-
-
-def _cmd_lint(args) -> int:
-    return run_lint_command(args)
 
 
 def _cmd_validate(_args) -> int:
@@ -1209,7 +1098,7 @@ def main(argv=None) -> int:
         "stream": _cmd_stream,
         "serve": _cmd_serve,
         "chaos": _cmd_chaos,
-        "lint": _cmd_lint,
+        "lint": run_lint_command,
         "validate": _cmd_validate,
     }
     return handlers[args.command](args)

@@ -60,6 +60,53 @@ def _order_from(attributions: np.ndarray, order: str) -> np.ndarray:
     raise ValueError(f"unknown order {order!r}")
 
 
+def _hybrid_scores(
+    predict_fn,
+    x,
+    attributions,
+    baseline,
+    *,
+    keep_top: bool,
+    n_steps: int | None = None,
+    k: int | None = None,
+    order: str = "abs",
+):
+    """Validate, then score ``where(kept, x, baseline)`` rows in one
+    ``predict_fn`` call.
+
+    Each row perturbs the top-ranked features: ``n_steps + 1`` evenly
+    spaced counts of them (deduplicated) for a curve, or none and then
+    the top ``k`` for a top-k metric.  Perturbed features are the only
+    ones kept from ``x`` when ``keep_top``, else the ones replaced by
+    ``baseline``.  Returns ``(perturbed fraction per row, scores)``.
+    """
+    x = np.asarray(x, dtype=float).ravel()
+    attributions = np.asarray(attributions, dtype=float).ravel()
+    baseline = np.asarray(baseline, dtype=float).ravel()
+    d = len(x)
+    if not d == len(attributions) == len(baseline):
+        raise ValueError(
+            f"length mismatch: x={d}, attributions={len(attributions)}, "
+            f"baseline={len(baseline)}"
+        )
+    if k is None:
+        if n_steps < 1:
+            raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+        counts = np.unique(
+            np.round(np.linspace(0, d, n_steps + 1)).astype(int)
+        )
+    else:
+        if not 1 <= k <= d:
+            raise ValueError(f"k must be in [1, {d}], got {k}")
+        # the first row is x itself: every feature kept, or none deleted
+        counts = np.array([d if keep_top else 0, k])
+    rank = np.empty(d, dtype=np.intp)
+    rank[_order_from(attributions, order)] = np.arange(d)
+    top = rank < counts[:, None]
+    rows = np.where(top if keep_top else ~top, x, baseline)
+    return counts / d, np.asarray(predict_fn(rows), dtype=float)
+
+
 def deletion_curve(
     predict_fn,
     x,
@@ -87,29 +134,11 @@ def deletion_curve(
         ``"abs"`` ranks by |attribution| (default), ``"signed"`` by raw
         value.
     """
-    x = np.asarray(x, dtype=float).ravel()
-    attributions = np.asarray(attributions, dtype=float).ravel()
-    baseline = np.asarray(baseline, dtype=float).ravel()
-    if not len(x) == len(attributions) == len(baseline):
-        raise ValueError(
-            f"length mismatch: x={len(x)}, attributions={len(attributions)}, "
-            f"baseline={len(baseline)}"
-        )
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    ranking = _order_from(attributions, order)
-    d = len(x)
-    counts = np.unique(
-        np.round(np.linspace(0, d, n_steps + 1)).astype(int)
+    fractions, scores = _hybrid_scores(
+        predict_fn, x, attributions, baseline,
+        keep_top=False, n_steps=n_steps, order=order,
     )
-    rows = np.tile(x, (len(counts), 1))
-    for row, k in enumerate(counts):
-        idx = ranking[:k]
-        rows[row, idx] = baseline[idx]
-    scores = np.asarray(predict_fn(rows), dtype=float)
-    return PerturbationCurve(
-        fractions=counts / d, scores=scores, kind="deletion"
-    )
+    return PerturbationCurve(fractions, scores, kind="deletion")
 
 
 def insertion_curve(
@@ -122,26 +151,11 @@ def insertion_curve(
     order: str = "abs",
 ) -> PerturbationCurve:
     """Start from ``baseline`` and restore features in attribution order."""
-    x = np.asarray(x, dtype=float).ravel()
-    attributions = np.asarray(attributions, dtype=float).ravel()
-    baseline = np.asarray(baseline, dtype=float).ravel()
-    if not len(x) == len(attributions) == len(baseline):
-        raise ValueError("x, attributions and baseline must have equal length")
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    ranking = _order_from(attributions, order)
-    d = len(x)
-    counts = np.unique(
-        np.round(np.linspace(0, d, n_steps + 1)).astype(int)
+    fractions, scores = _hybrid_scores(
+        predict_fn, x, attributions, baseline,
+        keep_top=True, n_steps=n_steps, order=order,
     )
-    rows = np.tile(baseline, (len(counts), 1))
-    for row, k in enumerate(counts):
-        idx = ranking[:k]
-        rows[row, idx] = x[idx]
-    scores = np.asarray(predict_fn(rows), dtype=float)
-    return PerturbationCurve(
-        fractions=counts / d, scores=scores, kind="insertion"
-    )
+    return PerturbationCurve(fractions, scores, kind="insertion")
 
 
 def comprehensiveness(
@@ -153,16 +167,9 @@ def comprehensiveness(
     mean the explanation captured the features the model actually
     needed (DeYoung et al. 2020's "comprehensiveness").
     """
-    x = np.asarray(x, dtype=float).ravel()
-    attributions = np.asarray(attributions, dtype=float).ravel()
-    baseline = np.asarray(baseline, dtype=float).ravel()
-    if not 1 <= k <= len(x):
-        raise ValueError(f"k must be in [1, {len(x)}], got {k}")
-    top = np.argsort(-np.abs(attributions))[:k]
-    modified = x.copy()
-    modified[top] = baseline[top]
-    rows = np.vstack([x, modified])
-    scores = np.asarray(predict_fn(rows), dtype=float)
+    _, scores = _hybrid_scores(
+        predict_fn, x, attributions, baseline, keep_top=False, k=k
+    )
     return float(scores[0] - scores[1])
 
 
@@ -172,16 +179,9 @@ def sufficiency(predict_fn, x, attributions, baseline, k: int) -> float:
     ``f(x) - f(baseline with top-k taken from x)`` — *small* values mean
     the top-k features alone already reproduce the prediction.
     """
-    x = np.asarray(x, dtype=float).ravel()
-    attributions = np.asarray(attributions, dtype=float).ravel()
-    baseline = np.asarray(baseline, dtype=float).ravel()
-    if not 1 <= k <= len(x):
-        raise ValueError(f"k must be in [1, {len(x)}], got {k}")
-    top = np.argsort(-np.abs(attributions))[:k]
-    modified = baseline.copy()
-    modified[top] = x[top]
-    rows = np.vstack([x, modified])
-    scores = np.asarray(predict_fn(rows), dtype=float)
+    _, scores = _hybrid_scores(
+        predict_fn, x, attributions, baseline, keep_top=True, k=k
+    )
     return float(scores[0] - scores[1])
 
 

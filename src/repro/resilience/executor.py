@@ -34,6 +34,7 @@ deterministic whenever the executor is driven from a single thread
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import BrokenExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass
@@ -109,13 +110,14 @@ class ResilientExecutor(Executor):
         Degradation only ever moves *down* the chain
         ``process → thread → serial``.
     task_timeout:
-        Per-task budget in seconds, or ``None`` (no timeout).  On
-        pooled backends the collecting wait is interrupted and the
-        pool (whose worker is still occupied) is treated as a pool
-        incident; on the serial backend the task cannot be interrupted,
-        so the overrun is detected post hoc, the result is discarded,
-        and the task is retried — keeping timeout semantics (a timed-out
-        attempt never contributes bytes) identical across backends.
+        Per-task budget in seconds (finite, > 0), or ``None`` (no
+        timeout).  On pooled backends the collecting wait is
+        interrupted and the pool (whose worker is still occupied) is
+        treated as a pool incident; on the serial backend the task
+        cannot be interrupted, so the overrun is detected post hoc, the
+        result is discarded, and the task is retried — keeping timeout
+        semantics (a timed-out attempt never contributes bytes)
+        identical across backends.
     retries:
         How many times one task may fail before the map fails closed
         with :class:`~repro.resilience.errors.TaskFailedError`
@@ -135,9 +137,12 @@ class ResilientExecutor(Executor):
         retries: int = 2,
         chaos=None,
     ):
-        if task_timeout is not None and task_timeout <= 0:
+        # ``not 0 < t < inf`` also rejects nan, and inf would overflow
+        # the pooled backends' timed wait
+        if task_timeout is not None and not 0 < task_timeout < math.inf:
             raise ValueError(
-                f"task_timeout must be positive or None, got {task_timeout}"
+                f"task_timeout must be finite and positive or None, "
+                f"got {task_timeout}"
             )
         if retries < 0:
             raise ValueError(f"retries must be >= 0, got {retries}")

@@ -46,6 +46,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="hang_seconds"):
             ChaosPolicy(0, hang_seconds=0)
 
+    @pytest.mark.parametrize("seconds", [-1.0, float("nan"), float("inf")])
+    def test_hang_seconds_finite(self, seconds):
+        with pytest.raises(ValueError, match="hang_seconds must be finite"):
+            ChaosPolicy(0, hang_seconds=seconds)
+
     def test_faults_must_be_chaosfault(self):
         with pytest.raises(TypeError, match="ChaosFault"):
             ChaosPolicy(0, [("crash", 0.5)])

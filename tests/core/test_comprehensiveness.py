@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core.evaluation import comprehensiveness, sufficiency
+from repro.core.evaluation import (
+    comprehensiveness,
+    deletion_curve,
+    insertion_curve,
+    sufficiency,
+)
 from repro.core.explainers import LinearShapExplainer, model_output_fn
 from repro.ml import LinearRegression
 
@@ -86,3 +91,21 @@ class TestSufficiency:
         """The 3 informative features suffice for this model."""
         fn, x, attrs, baseline, _ = setup
         assert abs(sufficiency(fn, x, attrs, baseline, 3)) < 1e-9
+
+
+@pytest.mark.parametrize("metric", [
+    lambda f, x, a, b: comprehensiveness(f, x, a, b, 2),
+    lambda f, x, a, b: sufficiency(f, x, a, b, 2),
+    deletion_curve,
+    insertion_curve,
+], ids=["comprehensiveness", "sufficiency", "deletion", "insertion"])
+@pytest.mark.parametrize("n_attrs, n_baseline", [(2, 4), (4, 6), (6, 4)])
+def test_length_mismatch_is_named(metric, n_attrs, n_baseline):
+    """Every hybrid metric rejects mismatched lengths with one named
+    error: a short attribution vector used to score a number, and a long
+    baseline used to die inside ``np.vstack``."""
+    def f(X):
+        return np.asarray(X).sum(axis=1)
+
+    with pytest.raises(ValueError, match="length mismatch: x=4"):
+        metric(f, np.ones(4), np.ones(n_attrs), np.zeros(n_baseline))

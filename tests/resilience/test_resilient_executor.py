@@ -80,6 +80,14 @@ class TestCleanPath:
         with pytest.raises(ValueError, match="retries"):
             ResilientExecutor("serial", retries=-1)
 
+    @pytest.mark.parametrize("timeout", [-1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    def test_timeout_must_be_finite_and_positive(self, backend, timeout):
+        """``inf`` overflowed the thread backend's timed wait into a task
+        error, and ``nan`` passed a ``<= 0`` check."""
+        with pytest.raises(ValueError, match="task_timeout must be finite"):
+            ResilientExecutor(backend, 2, task_timeout=timeout)
+
 
 class TestRetries:
     def test_transient_fault_is_retried_to_the_clean_answer(self):

@@ -515,3 +515,62 @@ class TestChaos:
                      "--on-malformed", "raise"]) == 0
         out = capsys.readouterr().out
         assert "verdict: failed closed — MalformedBatchError" in out
+
+
+class TestTimeoutFlags:
+    @pytest.mark.parametrize("flag", ["--task-timeout", "--hang-seconds"])
+    @pytest.mark.parametrize("value", ["inf", "nan", "-1", "0", "soon"])
+    def test_bad_durations_are_parse_errors(self, capsys, flag, value):
+        """Non-finite and non-positive durations exit 2 at parse, not
+        with a constructor traceback or a run that "fails closed"."""
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["chaos", "run", flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "must be finite and > 0" in err or "expected a number" in err
+
+    def test_finite_durations_parse(self):
+        args = build_parser().parse_args(
+            ["chaos", "run", "--task-timeout", "2.5", "--hang-seconds", "1e-3"]
+        )
+        assert (args.task_timeout, args.hang_seconds) == (2.5, 1e-3)
+
+
+class TestUnknownNames:
+    @pytest.mark.parametrize("argv, message", [
+        (["explain", "--method", "nope"], "unknown explainer 'nope'"),
+        (["explain-batch", "--method", "nope"], "unknown explainer 'nope'"),
+        (["stream", "run", "--method", "nope"], "unknown explainer 'nope'"),
+        (["serve", "run", "--method", "nope"], "unknown explainer 'nope'"),
+        (["chaos", "run", "--method", "nope"], "unknown explainer 'nope'"),
+        (["stream", "run", "--scenario", "nope"], "unknown scenario 'nope'"),
+        (["chaos", "run", "--scenario", "nope"], "unknown scenario 'nope'"),
+        (["serve", "run", "--scenarios", "nope"],
+         "unknown scenarios ['nope']"),
+        (["scenarios", "run", "--scenarios", "nope"],
+         "unknown scenarios ['nope']"),
+        (["scenarios", "run", "--explainers", "nope"],
+         "unknown explainers ['nope']"),
+        (["scenarios", "search", "--explainers", "nope"],
+         "unknown explainers ['nope']"),
+    ])
+    def test_exit_1_with_the_message_before_any_work(
+        self, capsys, monkeypatch, argv, message
+    ):
+        import repro.cli
+        import repro.core.matrix
+        import repro.core.search
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the name check")
+
+        for module, name in ((repro.cli, "_load_dataset"),
+                             (repro.cli, "_telemetry"),
+                             (repro.cli, "_model_factories"),
+                             (repro.core.matrix, "run_scenario_matrix"),
+                             (repro.core.search, "search_scenarios")):
+            monkeypatch.setattr(module, name, no_work, raising=False)
+        assert main(argv) == 1
+        out = capsys.readouterr().out
+        assert message in out
+        assert "choose from" in out or "see: repro scenarios list" in out
