@@ -31,7 +31,7 @@ permanent fault that must surface as a named error.
 
 from __future__ import annotations
 
-import math
+import threading
 import time
 from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass, replace
@@ -111,9 +111,12 @@ class ChaosPolicy:
     def __init__(self, seed: int, faults=(), *, hang_seconds: float = 0.05):
         if not isinstance(seed, (int, np.integer)) or seed < 0:
             raise ValueError(f"seed must be a non-negative int, got {seed!r}")
-        if not 0 < hang_seconds < math.inf:  # also rejects nan
+        # time.sleep adds the monotonic clock to its argument, so half of
+        # TIMEOUT_MAX keeps the deadline in range; this also rejects nan
+        if not 0 < hang_seconds <= threading.TIMEOUT_MAX / 2:
             raise ValueError(
-                f"hang_seconds must be finite and positive, got {hang_seconds}"
+                f"hang_seconds must be > 0 and <= threading.TIMEOUT_MAX / 2 "
+                f"({threading.TIMEOUT_MAX / 2:.0f} s), got {hang_seconds}"
             )
         self.seed = int(seed)
         self.faults = tuple(faults)

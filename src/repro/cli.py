@@ -56,8 +56,8 @@ and ``--workers N --backend {serial,thread,process}``
 from __future__ import annotations
 
 import argparse
-import math
 import sys
+import threading
 import time
 
 import numpy as np
@@ -83,36 +83,52 @@ def _model_factories():
     return default_model_factories()
 
 
-def _number_type(name: str, convert, ok, requirement: str):
-    """An argparse type called ``name``: ``convert(text)`` checked by
-    ``ok``, with a readable error for bad text and for bad values."""
-    noun = "an integer" if convert is int else "a number"
-
-    def parse(text: str):
-        try:
-            value = convert(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected {noun}, got {text!r}")
-        if not ok(value):
-            raise argparse.ArgumentTypeError(
-                f"must be {requirement}, got {value}"
-            )
-        return value
-
-    parse.__name__ = name
-    return parse
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1, with a readable error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
-_positive_int = _number_type("_positive_int", int, lambda v: v >= 1, ">= 1")
-_nonnegative_int = _number_type(
-    "_nonnegative_int", int, lambda v: v >= 0, ">= 0"
-)
-#: a probability
-_rate = _number_type("_rate", float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
-#: a duration in seconds: ``nan`` and ``inf`` fail, like values <= 0
-_positive_float = _number_type(
-    "_positive_float", float, lambda v: 0.0 < v < math.inf, "finite and > 0"
-)
+def _nonnegative_int(text: str) -> int:
+    """argparse type: an integer >= 0, with a readable error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _rate(text: str) -> float:
+    """argparse type: a probability in [0, 1], with a readable error."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """argparse type: a duration in seconds that a timed wait and a
+    sleep can take (> 0 and at most half of ``threading.TIMEOUT_MAX``,
+    so also not nan or inf), with a readable error."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+    if not 0.0 < value <= threading.TIMEOUT_MAX / 2:
+        raise argparse.ArgumentTypeError(
+            f"must be > 0 and <= {threading.TIMEOUT_MAX / 2:.0f}, got {value}"
+        )
+    return value
 
 
 def _add_run_args(parser, epochs: int, epochs_help: str | None = None, *,
@@ -480,40 +496,45 @@ def _names(text: str) -> list[str]:
     return [token.strip() for token in text.split(",") if token.strip()]
 
 
-def _unknown(kind: str, names) -> bool:
-    """The one name check: print the message and return True when
-    ``names`` (one name, or a list) holds a name that is not a known
-    ``kind`` — ``"scenario"``, ``"model"`` or ``"explainer"``."""
-    if kind == "scenario":
-        from repro.nfv.scenarios import list_scenarios
+def _scenario_names():
+    """``(known scenario names, hint)`` for the name checks."""
+    from repro.nfv.scenarios import list_scenarios
 
-        known, hint = list_scenarios(), "see: repro scenarios list"
-    elif kind == "model":
-        known, hint = _MODEL_NAMES, f"choose from {list(_MODEL_NAMES)}"
-    else:
-        from repro.core.explainers import EXPLAINER_METHODS
+    return list_scenarios(), "see: repro scenarios list"
 
-        known = EXPLAINER_METHODS
-        hint = f"choose from {', '.join(EXPLAINER_METHODS)}"
-    if isinstance(names, str):
-        if names in known:
-            return False
-        print(f"unknown {kind} {names!r}; {hint}")
-        return True
+
+def _explainer_names():
+    """``(known explainer methods, hint)`` for the name checks."""
+    from repro.core.explainers import EXPLAINER_METHODS
+
+    return EXPLAINER_METHODS, f"choose from {', '.join(EXPLAINER_METHODS)}"
+
+
+_MODELS = (_MODEL_NAMES, f"choose from {list(_MODEL_NAMES)}")
+
+
+def _unknown(kind: str, names: list[str], known, hint: str) -> bool:
+    """The name check of a comma-separated flag: when ``names`` holds
+    names that are not ``known``, print them with ``hint`` and return
+    True."""
     unknown = sorted(set(names) - set(known))
     if unknown:
         print(f"unknown {kind}s {unknown}; {hint}")
     return bool(unknown)
 
 
-def _backend_label(run) -> str:
-    """``backend=NAME``, plus `` xWORKERS`` on a pool, for an executor
-    or a report's ``extras``."""
-    if isinstance(run, dict):
-        backend, workers = run.get("backend", "serial"), run.get("workers", 1)
-    else:
-        backend, workers = run.backend, run.workers
-    return f"backend={backend}" + (f" x{workers}" if backend != "serial" else "")
+def _unknown_one(kind: str, name: str, known, hint: str) -> bool:
+    """:func:`_unknown` for a one-name flag (``--scenario``, ``--method``)."""
+    if name in known:
+        return False
+    print(f"unknown {kind} {name!r}; {hint}")
+    return True
+
+
+def _backend_label(backend: str, workers: int) -> str:
+    """``backend=NAME``, plus `` xWORKERS`` on a pool."""
+    pool = "" if backend == "serial" else f" x{workers}"
+    return f"backend={backend}{pool}"
 
 
 def _engine_kwargs(args) -> dict:
@@ -527,17 +548,22 @@ def _engine_kwargs(args) -> dict:
     )
 
 
-def _telemetry(args, scenario: str, seed: int):
+def _telemetry(args, scenario: str, seed: int, from_epoch: int = 0):
     """``scenario``'s telemetry stream over ``--epochs``, cut into
-    ``--batch-epochs`` batches (default ``--window``)."""
+    ``--batch-epochs`` batches (default ``--window``).  A positive
+    ``from_epoch`` drops the batches that start before it, and with
+    them the stream's ``spec``."""
     from repro.datasets import stream_scenario_telemetry
 
-    return stream_scenario_telemetry(
+    stream = stream_scenario_telemetry(
         scenario,
         args.epochs,
         batch_epochs=args.batch_epochs or args.window,
         random_state=seed,
     )
+    if from_epoch:
+        return (b for b in stream if b.start_epoch >= from_epoch)
+    return stream
 
 
 def _load_dataset(args, horizon: int = 0):
@@ -600,8 +626,6 @@ def _fit_explain_pipeline(args):
 
 
 def _cmd_explain(args) -> int:
-    if _unknown("explainer", args.method):
-        return 1
     dataset, pipeline = _fit_explain_pipeline(args)
     index = args.epoch_index
     if index is None:
@@ -622,8 +646,6 @@ def _cmd_explain(args) -> int:
 def _cmd_explain_batch(args) -> int:
     from repro.core.executor import get_executor
 
-    if _unknown("explainer", args.method):
-        return 1
     dataset, pipeline = _fit_explain_pipeline(args)
 
     if args.epoch_indices:
@@ -677,7 +699,7 @@ def _cmd_explain_batch(args) -> int:
     timing = "" if args.no_timing else f" in {elapsed:.2f}s"
     print(f"\ndiagnosed {len(diagnoses)} epochs ({n_alerts} alerts)"
           f"{timing} — method={pipeline.explainer_.method_name}, "
-          f"{_backend_label(executor)}")
+          f"{_backend_label(executor.backend, executor.workers)}")
     return 0
 
 
@@ -687,12 +709,10 @@ def _cmd_scenarios(args) -> int:
             return _cmd_scenarios_list_generated(args)
         from repro.nfv.scenarios import scenario_descriptions, scenario_knobs
 
-        descriptions = scenario_descriptions()
-        width = max(len(name) for name in descriptions)
-        for name, description in descriptions.items():
-            knobs = ", ".join(sorted(scenario_knobs(name)))
-            print(f"{name:<{width}}  {description}  [knobs: {knobs}]")
-        return 0
+        return _print_catalog([
+            (name, description, scenario_knobs(name))
+            for name, description in scenario_descriptions().items()
+        ])
     if args.scenarios_command == "search":
         return _cmd_scenarios_search(args)
 
@@ -705,9 +725,9 @@ def _cmd_scenarios(args) -> int:
         print("need at least one scenario, model and explainer")
         return 1
     if (
-        _unknown("scenario", scenarios)
-        or _unknown("model", models)
-        or _unknown("explainer", explainers)
+        _unknown("scenario", scenarios, *_scenario_names())
+        or _unknown("model", models, *_MODELS)
+        or _unknown("explainer", explainers, *_explainer_names())
     ):
         return 1
     if args.stability_repeats < 0 or args.stability_repeats == 1:
@@ -734,7 +754,8 @@ def _cmd_scenarios(args) -> int:
         f"\n{len(report.cells)} cells "
         f"({len(scenarios)} scenarios × {len(models)} models × "
         f"{len(explainers)} explainers), {args.epochs} epochs each, "
-        f"seed={args.seed}, {_backend_label(report.extras)}"
+        f"seed={args.seed}, "
+        f"{_backend_label(report.extras['backend'], report.extras['workers'])}"
     )
     return 0
 
@@ -750,11 +771,19 @@ def _cmd_scenarios_list_generated(args) -> int:
             f"repro scenarios search --store {store}"
         )
         return 0
-    width = max(len(name) for name in recipes)
-    for name in sorted(recipes):
-        recipe = recipes[name]
-        knobs = ", ".join(sorted(recipe.knob_defaults()))
-        print(f"{name:<{width}}  {recipe.description}  [knobs: {knobs}]")
+    return _print_catalog([
+        (name, recipes[name].description, recipes[name].knob_defaults())
+        for name in sorted(recipes)
+    ])
+
+
+def _print_catalog(rows) -> int:
+    """Print one ``name  description  [knobs: ...]`` line per
+    ``(name, description, knob names)`` row, names aligned."""
+    width = max(len(name) for name, _, _ in rows)
+    for name, description, knobs in rows:
+        knobs = ", ".join(sorted(knobs))
+        print(f"{name:<{width}}  {description}  [knobs: {knobs}]")
     return 0
 
 
@@ -766,7 +795,7 @@ def _cmd_scenarios_search(args) -> int:
     if not explainers:
         print("need at least one explainer")
         return 1
-    if _unknown("explainer", explainers):
+    if _unknown("explainer", explainers, *_explainer_names()):
         return 1
 
     result, elapsed = _timed(
@@ -798,14 +827,16 @@ def _cmd_scenarios_search(args) -> int:
             f"{DEFAULT_GENERATED_STORE} to save the winners)"
         )
     if not args.no_timing:
-        print(f"\n{elapsed:.2f}s total, {_backend_label(result.extras)}")
+        extras = result.extras
+        label = _backend_label(extras["backend"], extras["workers"])
+        print(f"\n{elapsed:.2f}s total, {label}")
     return 0
 
 
 def _cmd_stream(args) -> int:
     from repro.core.stream import StreamingDiagnosisEngine
 
-    if _unknown("scenario", args.scenario) or _unknown("explainer", args.method):
+    if _unknown_one("scenario", args.scenario, *_scenario_names()):
         return 1
     engine = StreamingDiagnosisEngine(
         _model_factories()[args.model],
@@ -821,7 +852,7 @@ def _cmd_stream(args) -> int:
     footer = (
         f"\n{report.summary()}\nscenario={args.scenario}, "
         f"model={args.model}, explainer={args.method}, seed={args.seed}, "
-        f"{_backend_label(report.extras)}"
+        f"{_backend_label(report.extras['backend'], report.extras['workers'])}"
     )
     if not args.no_timing:
         footer += (
@@ -838,7 +869,7 @@ def _cmd_serve(args) -> int:
     if not scenarios:
         print("need at least one scenario")
         return 1
-    if _unknown("scenario", scenarios) or _unknown("explainer", args.method):
+    if _unknown("scenario", scenarios, *_scenario_names()):
         return 1
     batch_epochs = args.batch_epochs or args.window
     max_pending = args.max_pending or max(4 * args.window, batch_epochs)
@@ -884,7 +915,8 @@ def _cmd_serve(args) -> int:
     footer = (
         f"{len(service.session_names)} sessions, {total_windows} "
         f"windows, {args.epochs} epochs each, "
-        f"seed={service.random_state}, {_backend_label(service.executor)}"
+        f"seed={service.random_state}, "
+        f"{_backend_label(service.executor.backend, service.executor.workers)}"
     )
     if not args.no_timing:
         stats = service.cache_stats()
@@ -929,10 +961,8 @@ def _drive_service(args, scenarios, max_pending):
             scenario = scenarios[session.tenant_index % len(scenarios)]
             # a restored tenant regenerates its deterministic stream and
             # drops the batches the snapshot already absorbed
-            streams[name] = (
-                batch
-                for batch in _telemetry(args, scenario, session.seed)
-                if batch.start_epoch >= session.epochs_seen
+            streams[name] = _telemetry(
+                args, scenario, session.seed, session.epochs_seen
             )
         interleave(service, streams, until_epoch=args.snapshot_epoch)
         if args.snapshot_epoch is None:
@@ -945,7 +975,7 @@ def _cmd_chaos(args) -> int:
     from repro.core.stream import MalformedBatchError, StreamingDiagnosisEngine
     from repro.resilience import ResilienceError, ResilientExecutor
 
-    if _unknown("scenario", args.scenario) or _unknown("explainer", args.method):
+    if _unknown_one("scenario", args.scenario, *_scenario_names()):
         return 1
     faults = [
         ChaosFault(kind, rate, attempts=args.fault_attempts)
@@ -973,16 +1003,14 @@ def _cmd_chaos(args) -> int:
         f"window={args.window} seed={args.seed} "
         f"chaos-seed={args.chaos_seed}"
     )
+    timeout = (
+        "" if args.task_timeout is None
+        else f", task-timeout={args.task_timeout:g}s"
+    )
     print(
         f"policy: {knobs} (attempts={args.fault_attempts}, "
         f"corrupt-mode={args.corrupt_mode}, "
-        f"on-malformed={args.on_malformed}, retries={args.retries}"
-        + (
-            f", task-timeout={args.task_timeout:g}s"
-            if args.task_timeout is not None
-            else ""
-        )
-        + ")"
+        f"on-malformed={args.on_malformed}, retries={args.retries}{timeout})"
     )
 
     # The fault-free twin: same workload, no chaos, default executor.
@@ -1023,7 +1051,7 @@ def _cmd_chaos(args) -> int:
         print(report.format_events())
     print(f"resilience: {executor.event_summary()}")
     print(
-        _backend_label(executor)
+        _backend_label(executor.backend, executor.workers)
         + ("" if args.no_timing else f"; {elapsed:.2f}s total")
     )
 
@@ -1089,6 +1117,11 @@ def _cmd_validate(_args) -> int:
 def main(argv=None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
+    # every command that takes --method checks it here, before any work
+    if "method" in args and _unknown_one(
+        "explainer", args.method, *_explainer_names()
+    ):
+        return 1
     handlers = {
         "simulate": _cmd_simulate,
         "train": _cmd_train,

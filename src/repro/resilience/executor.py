@@ -34,7 +34,7 @@ deterministic whenever the executor is driven from a single thread
 
 from __future__ import annotations
 
-import math
+import threading
 from concurrent.futures import BrokenExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass
@@ -137,12 +137,14 @@ class ResilientExecutor(Executor):
         retries: int = 2,
         chaos=None,
     ):
-        # ``not 0 < t < inf`` also rejects nan, and inf would overflow
-        # the pooled backends' timed wait
-        if task_timeout is not None and not 0 < task_timeout < math.inf:
+        # the pooled backends' timed wait overflows above TIMEOUT_MAX;
+        # the chained comparison also rejects nan
+        if task_timeout is not None and not (
+            0 < task_timeout <= threading.TIMEOUT_MAX
+        ):
             raise ValueError(
-                f"task_timeout must be finite and positive or None, "
-                f"got {task_timeout}"
+                f"task_timeout must be > 0 and <= threading.TIMEOUT_MAX "
+                f"({threading.TIMEOUT_MAX:.0f} s) or None, got {task_timeout}"
             )
         if retries < 0:
             raise ValueError(f"retries must be >= 0, got {retries}")

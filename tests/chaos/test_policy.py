@@ -1,6 +1,7 @@
 """Tests for the seeded fault-injection policy (repro.chaos)."""
 
 import pickle
+import threading
 
 import numpy as np
 import pytest
@@ -46,10 +47,18 @@ class TestValidation:
         with pytest.raises(ValueError, match="hang_seconds"):
             ChaosPolicy(0, hang_seconds=0)
 
-    @pytest.mark.parametrize("seconds", [-1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("seconds", [
+        -1.0, float("nan"), float("inf"), 1e20, threading.TIMEOUT_MAX,
+    ])
     def test_hang_seconds_finite(self, seconds):
-        with pytest.raises(ValueError, match="hang_seconds must be finite"):
+        """``time.sleep`` overflows on these (it adds the monotonic clock
+        first, so even ``TIMEOUT_MAX`` fails)."""
+        with pytest.raises(ValueError, match="hang_seconds must be > 0"):
             ChaosPolicy(0, hang_seconds=seconds)
+
+    def test_hang_seconds_bound_is_accepted(self):
+        bound = threading.TIMEOUT_MAX / 2
+        assert ChaosPolicy(0, hang_seconds=bound).hang_seconds == bound
 
     def test_faults_must_be_chaosfault(self):
         with pytest.raises(TypeError, match="ChaosFault"):

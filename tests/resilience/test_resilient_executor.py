@@ -1,6 +1,8 @@
 """Tests for the fault-tolerant executor (repro.resilience)."""
 
 import pickle
+import threading
+import time
 
 import pytest
 
@@ -80,13 +82,22 @@ class TestCleanPath:
         with pytest.raises(ValueError, match="retries"):
             ResilientExecutor("serial", retries=-1)
 
-    @pytest.mark.parametrize("timeout", [-1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "timeout", [-1.0, float("nan"), float("inf"), 1e20]
+    )
     @pytest.mark.parametrize("backend", ["serial", "thread"])
     def test_timeout_must_be_finite_and_positive(self, backend, timeout):
-        """``inf`` overflowed the thread backend's timed wait into a task
-        error, and ``nan`` passed a ``<= 0`` check."""
-        with pytest.raises(ValueError, match="task_timeout must be finite"):
+        """``inf`` and ``1e20`` overflowed the thread backend's timed
+        wait into a task error, and ``nan`` passed a ``<= 0`` check."""
+        with pytest.raises(ValueError, match="task_timeout must be > 0"):
             ResilientExecutor(backend, 2, task_timeout=timeout)
+
+    def test_timeout_max_is_a_working_budget(self):
+        """The largest accepted budget still runs on the thread backend."""
+        with ResilientExecutor(
+            "thread", 2, task_timeout=threading.TIMEOUT_MAX, retries=0
+        ) as executor:
+            assert executor.map(time.sleep, [0.0, 0.0]) == [None, None]
 
 
 class TestRetries:
