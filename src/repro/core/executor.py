@@ -195,29 +195,29 @@ class SerialExecutor(Executor):
         return _ImmediateFuture(fn, args)
 
 
-class ThreadExecutor(Executor):
-    """Thread-pool execution for GIL-releasing (numpy-bound) tasks."""
+class _PoolExecutor(Executor):
+    """The lazily created pool the thread and process backends share.
 
-    backend = "thread"
+    Subclasses build their pool in :meth:`_new_pool` and define
+    :meth:`imap` on themselves.
+    """
 
     def __init__(self, workers: int = 2):
         super().__init__(workers)
-        self._pool: ThreadPoolExecutor | None = None
+        self._pool = None
         # pool creation is lazy and executors may be shared across
         # client threads (the serve layer drives one executor from many
         # sessions), so the create-once step must not race
         self._pool_lock = threading.Lock()
 
-    def _ensure_pool(self) -> ThreadPoolExecutor:
+    def _new_pool(self):
+        raise NotImplementedError
+
+    def _ensure_pool(self):
         with self._pool_lock:
             if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.workers, thread_name_prefix="repro-exec"
-                )
+                self._pool = self._new_pool()
             return self._pool
-
-    def imap(self, fn, *iterables):
-        return self._ensure_pool().map(fn, *iterables)
 
     def submit(self, fn, *args):
         return self._ensure_pool().submit(fn, *args)
@@ -233,7 +233,21 @@ class ThreadExecutor(Executor):
             self._pool = None
 
 
-class ProcessExecutor(Executor):
+class ThreadExecutor(_PoolExecutor):
+    """Thread-pool execution for GIL-releasing (numpy-bound) tasks."""
+
+    backend = "thread"
+
+    def _new_pool(self) -> ThreadPoolExecutor:
+        return ThreadPoolExecutor(
+            max_workers=self.workers, thread_name_prefix="repro-exec"
+        )
+
+    def imap(self, fn, *iterables):
+        return self._ensure_pool().map(fn, *iterables)
+
+
+class ProcessExecutor(_PoolExecutor):
     """Process-pool execution for interpreter-bound tasks.
 
     Tasks, their arguments, and their results are pickled, so the
@@ -245,48 +259,24 @@ class ProcessExecutor(Executor):
 
     backend = "process"
 
-    def __init__(self, workers: int = 2):
-        super().__init__(workers)
-        self._pool: ProcessPoolExecutor | None = None
-        self._pool_lock = threading.Lock()
-
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        with self._pool_lock:
-            if self._pool is None:
-                # fork on Linux: workers inherit sys.path and loaded
-                # modules for free.  Elsewhere (macOS forks crash under
-                # threaded BLAS; Windows has no fork) use the platform
-                # default — spawned workers re-import repro, inheriting
-                # PYTHONPATH.
-                use_fork = (
-                    sys.platform.startswith("linux")
-                    and "fork" in multiprocessing.get_all_start_methods()
-                )
-                context = multiprocessing.get_context(
-                    "fork" if use_fork else None
-                )
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.workers, mp_context=context
-                )
-            return self._pool
+    def _new_pool(self) -> ProcessPoolExecutor:
+        # fork on Linux: workers inherit sys.path and loaded modules for
+        # free.  Elsewhere (macOS forks crash under threaded BLAS;
+        # Windows has no fork) use the platform default — spawned
+        # workers re-import repro, inheriting PYTHONPATH.
+        use_fork = (
+            sys.platform.startswith("linux")
+            and "fork" in multiprocessing.get_all_start_methods()
+        )
+        context = multiprocessing.get_context("fork" if use_fork else None)
+        return ProcessPoolExecutor(
+            max_workers=self.workers, mp_context=context
+        )
 
     def imap(self, fn, *iterables):
         # chunksize=1: tasks here are few and heavy (matrix shards,
         # explanation chunks), so latency balance beats batching
         return self._ensure_pool().map(fn, *iterables, chunksize=1)
-
-    def submit(self, fn, *args):
-        return self._ensure_pool().submit(fn, *args)
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def abandon(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
 
 
 def get_executor(backend: str = "auto", workers: int | None = None) -> Executor:

@@ -516,14 +516,17 @@ class ModelOutputFn:
         """``(packed ensemble, column)`` when this score is a column of
         the model's ``PackedEnsemble.predict`` taken verbatim (the
         model's ``packed_output`` is this output and no instance
-        attribute replaces the scoring method), else ``None``."""
+        attribute replaces the scoring method, and the ensemble has the
+        column :meth:`~repro.ml.packed.PackedEnsemble.output_column`
+        maps ``class_index`` to), else ``None``."""
         if (
             getattr(self.model, "packed_output", None) != self.output
             or _SCORE_METHODS[self.output] in vars(self.model)
         ):
             return None
-        column = self.class_index if self.output == "proba" else 0
-        return self.model.packed_ensemble(), column
+        packed = self.model.packed_ensemble()
+        column = packed.output_column(self.class_index)
+        return None if column is None else (packed, column)
 
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
         return (

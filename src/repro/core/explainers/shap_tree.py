@@ -28,12 +28,37 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.explainers.base import BatchExplanation, Explainer
-from repro.ml.boosting import GradientBoostingClassifier, GradientBoostingRegressor
-from repro.ml.forest import RandomForestClassifier, RandomForestRegressor
+from repro.ml.packed import PackedModelMixin
 from repro.ml.packed_shap import packed_tree_shap
-from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor
+from repro.ml.tree import DecisionTreeClassifier
 
 __all__ = ["TreeShapExplainer"]
+
+
+def packed_output_column(model, class_index: int):
+    """``(packed, column)``: ``model``'s packed ensemble and the output
+    column ``class_index`` selects
+    (:meth:`~repro.ml.packed.PackedEnsemble.output_column`; ``None``, so
+    all-zero attributions, for a forest class past the class set).
+    Raises ``TypeError`` for a model that is not a tree ensemble, and
+    ``ValueError`` for a negative classifier class index or one past a
+    standalone tree's classes."""
+    if not isinstance(model, PackedModelMixin):
+        raise TypeError(
+            "TreeShapExplainer supports this library's decision trees, "
+            f"random forests and gradient boosting; got {type(model).__name__}"
+        )
+    packed = model.packed_ensemble()
+    column = packed.output_column(class_index)
+    if packed.outputs_are_classes and (
+        class_index < 0
+        or (column is None and isinstance(model, DecisionTreeClassifier))
+    ):
+        raise ValueError(
+            f"class_index {class_index} out of range for "
+            f"{packed.n_outputs} classes"
+        )
+    return packed, column
 
 
 class TreeShapExplainer(Explainer):
@@ -60,85 +85,15 @@ class TreeShapExplainer(Explainer):
     method_name = "tree_shap"
 
     def __init__(self, model, feature_names=None, *, class_index: int = 1):
-        self._components = self._decompose(model, class_index)
+        packed, column = packed_output_column(model, class_index)
         self.model = model
         self.class_index = class_index
         self._set_feature_names(feature_names, model.n_features_in_)
-        self.expected_value_ = self._expected_value()
-
-    def _expected_value(self) -> float:
-        """The ensemble's base value (coverage-weighted mean output):
-        one vectorized level walk over all trees of the packed form
-        (:meth:`PackedEnsemble.expected_value`), the construction-time
-        cost that streaming refits re-pay every window."""
-        packed, column = self._packed_column()
-        if column is None:
-            # no tree ever saw this class: every component was skipped
-            return self._base_offset
-        return float(packed.expected_value()[column])
-
-    # ------------------------------------------------------------------
-    def _decompose(self, model, class_index):
-        """Flatten any supported model into ``(tree, weight, output)``
-        triples whose weighted sum reproduces the explained output."""
-        self._base_offset = 0.0
-        if isinstance(model, (DecisionTreeRegressor,)):
-            return [(model.tree_, 1.0, 0)]
-        if isinstance(model, DecisionTreeClassifier):
-            # a standalone tree's value columns are indexed by class code,
-            # i.e. by predict_proba column — class_index maps directly
-            if not 0 <= class_index < len(model.classes_):
-                raise ValueError(
-                    f"class_index {class_index} out of range for "
-                    f"{len(model.classes_)} classes"
-                )
-            return [(model.tree_, 1.0, class_index)]
-        if isinstance(model, RandomForestRegressor):
-            w = 1.0 / len(model.estimators_)
-            return [(t.tree_, w, 0) for t in model.estimators_]
-        if isinstance(model, RandomForestClassifier):
-            if class_index < 0:
-                raise ValueError(
-                    f"class_index {class_index} out of range for "
-                    f"{len(model.classes_)} classes"
-                )
-            w = 1.0 / len(model.estimators_)
-            components = []
-            for t in model.estimators_:
-                output = self._tree_output_column(t, class_index)
-                if output is None:
-                    # this bootstrap never saw the class: constant 0
-                    # probability, which contributes nothing
-                    continue
-                components.append((t.tree_, w, output))
-            return components
-        if isinstance(
-            model, (GradientBoostingRegressor, GradientBoostingClassifier)
-        ):
-            self._base_offset = model.init_prediction_
-            return [
-                (t.tree_, model.learning_rate, 0) for t in model.estimators_
-            ]
-        raise TypeError(
-            "TreeShapExplainer supports this library's decision trees, "
-            f"random forests and gradient boosting; got {type(model).__name__}"
+        # coverage-weighted mean output: a cost streaming refits re-pay
+        # every window, so one vectorized level walk over all trees
+        self.expected_value_ = (
+            0.0 if column is None else float(packed.expected_value()[column])
         )
-
-    @staticmethod
-    def _tree_output_column(tree_model, class_index):
-        """Column of ``tree_.value`` matching the requested class code,
-        or ``None`` when this tree never saw the class."""
-        matches = np.flatnonzero(tree_model.classes_ == class_index)
-        return int(matches[0]) if len(matches) else None
-
-    def _packed_column(self):
-        """``(packed, column)``: the model's packed ensemble and the
-        output column the kernel explains.  ``column`` is ``None`` for a
-        class no tree in the ensemble carries, whose attributions are
-        all zero."""
-        packed = self.model.packed_ensemble()
-        column = self.class_index if packed.outputs_are_classes else 0
-        return packed, (column if column < packed.n_outputs else None)
 
     # ------------------------------------------------------------------
     def explain_batch(self, X) -> BatchExplanation:
@@ -154,7 +109,7 @@ class TreeShapExplainer(Explainer):
         X = self._check_batch(X, expected_d=len(self.feature_names))
         if X.shape[0] == 0:
             return self._empty_batch(X)
-        packed, column = self._packed_column()
+        packed, column = packed_output_column(self.model, self.class_index)
         if column is None:
             phi = np.zeros(X.shape)
         else:
@@ -164,5 +119,5 @@ class TreeShapExplainer(Explainer):
             phi,
             np.full(len(X), self.expected_value_),
             self.expected_value_ + phi.sum(axis=1),
-            extras={"n_trees": len(self._components), "vectorized": True},
+            extras={"n_trees": packed.n_trees, "vectorized": True},
         )

@@ -34,7 +34,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.explainers.base import BatchExplanation, Explainer
-from repro.core.explainers.shap_tree import TreeShapExplainer
+from repro.core.explainers.shap_tree import packed_output_column
 from repro.ml.packed_shap import packed_interventional_shap
 
 __all__ = ["InterventionalTreeShapExplainer"]
@@ -43,10 +43,12 @@ __all__ = ["InterventionalTreeShapExplainer"]
 class InterventionalTreeShapExplainer(Explainer):
     """Background-data TreeSHAP for this library's tree models.
 
-    Shares model decomposition with :class:`TreeShapExplainer` (same
-    supported model set, same output conventions) but computes the
-    interventional value function against ``background``, so its
-    results are directly comparable to KernelSHAP / exact enumeration.
+    Same supported model set and output conventions as
+    :class:`TreeShapExplainer`, but computes the interventional value
+    function against ``background``, so its results are directly
+    comparable to KernelSHAP / exact enumeration.  Its base value is
+    theirs too, bit for bit: the background mean of the explained
+    model output.
 
     Parameters
     ----------
@@ -62,33 +64,14 @@ class InterventionalTreeShapExplainer(Explainer):
         background = self._set_background(
             background, feature_names, n_features=model.n_features_in_
         )
-        # reuse the ensemble decomposition logic from the path-dependent
-        # explainer (same weights, offsets, and output-column handling)
-        self._delegate = TreeShapExplainer(
-            model, feature_names, class_index=class_index
-        )
+        packed, column = packed_output_column(model, class_index)
         self.background = background
         self.model = model
-        base = self._delegate._base_offset
-        for tree, weight, output in self._delegate._components:
-            values = np.array(
-                [
-                    self._leaf_value_at(tree, z, output)
-                    for z in background
-                ]
-            )
-            base += weight * float(values.mean())
-        self.expected_value_ = base
-
-    @staticmethod
-    def _leaf_value_at(tree, z: np.ndarray, output: int) -> float:
-        node = 0
-        while not tree.is_leaf(node):
-            if z[tree.feature[node]] <= tree.threshold[node]:
-                node = tree.children_left[node]
-            else:
-                node = tree.children_right[node]
-        return float(tree.value[node, output])
+        self.class_index = class_index
+        self.expected_value_ = (
+            0.0 if column is None
+            else float(np.mean(packed.predict(background)[:, column]))
+        )
 
     def explain_batch(self, X) -> BatchExplanation:
         """Vectorized interventional TreeSHAP over all rows at once.
@@ -102,7 +85,7 @@ class InterventionalTreeShapExplainer(Explainer):
         X = self._check_batch(X, expected_d=len(self.feature_names))
         if X.shape[0] == 0:
             return self._empty_batch(X)
-        packed, column = self._delegate._packed_column()
+        packed, column = packed_output_column(self.model, self.class_index)
         if column is None:
             phi = np.zeros(X.shape)
         else:

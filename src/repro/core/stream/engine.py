@@ -31,7 +31,8 @@ Determinism contract (the same one the matrix runner makes, see
 serial/thread/process backends and worker counts.  Window boundaries
 depend only on ``window_epochs`` and the stream length — never on how
 the stream was batched; window ``w`` draws the integer child seed
-``spawn_seeds(seed, w + 1)[w]`` (exposed as :func:`window_seeds`), so
+``child_seed(seed, w)``, equal to ``spawn_seeds(seed, n)[w]`` for any
+``n > w`` (exposed as :func:`window_seeds`), so
 every refit, split, and coalition design is a pure function of
 ``(configuration, history, window index)``; explanation chunks keep the
 fixed 16-row boundaries of ``explain_batch_chunked``.
@@ -49,7 +50,7 @@ from repro.core.executor import get_executor
 from repro.core.explainers import resolve_explainer_method
 from repro.core.pipeline import NFVExplainabilityPipeline
 from repro.core.stream.drift import PageHinkley
-from repro.utils.rng import spawn_seeds
+from repro.utils.rng import child_seed, spawn_seeds
 from repro.utils.tabular import FeatureMatrix
 
 __all__ = [
@@ -451,9 +452,8 @@ class StreamingDiagnosisEngine:
             self.random_state = int(random_state)
         else:
             # freeze None / live Generators / SeedSequences into one
-            # drawn integer seed: window_seeds prefixes must stay
-            # stable across seed-cache regrowth and reset() (a live
-            # generator would advance on every spawn_seeds call)
+            # drawn integer seed: window seeds must stay stable across
+            # reset() (a live generator would advance on every draw)
             self.random_state = spawn_seeds(random_state, 1)[0]
         self.reset()
 
@@ -476,7 +476,6 @@ class StreamingDiagnosisEngine:
         self._pipeline: NFVExplainabilityPipeline | None = None
         self._test_accuracy: float | None = None
         self._previous_profile: np.ndarray | None = None
-        self._seed_cache: list[int] = []
         self.violation_detector = PageHinkley(**self._violation_drift_kwargs)
         self.attribution_detector = PageHinkley(
             **self._attribution_drift_kwargs
@@ -604,15 +603,6 @@ class StreamingDiagnosisEngine:
         self.events = list(state.get("events", []))
 
     # ------------------------------------------------------------------
-    def _window_seed(self, index: int) -> int:
-        """Child seed of window ``index`` (see :func:`window_seeds`)."""
-        if index >= len(self._seed_cache):
-            # regrow in blocks; spawn_seeds prefixes agree for any n,
-            # so the cache only ever extends, never changes
-            n = max(64, 2 * len(self._seed_cache), index + 1)
-            self._seed_cache = window_seeds(self.random_state, n)
-        return self._seed_cache[index]
-
     def _ingest(self, batch) -> None:
         """Append one epoch batch's rows to the pending buffer."""
         features = getattr(batch, "features", None)
@@ -785,7 +775,7 @@ class StreamingDiagnosisEngine:
         # format_table(timing=False) — the determinism-golden surface
         start = time.perf_counter()  # repro: lint-ignore[D103] opt-out via timing=False
         index = self._window_index
-        seed = self._window_seed(index)
+        seed = child_seed(self.random_state, index)
         X, y = self._pop_window(n_rows)
         start_epoch = self._epoch
         self._epoch += n_rows

@@ -81,21 +81,12 @@ class _BaseGradientBoosting(PackedModelMixin, BaseEstimator):
 
     def staged_raw_predict(self, X):
         """Yield raw predictions after each boosting stage (for tests
-        of monotone training-loss decrease and early-stopping studies)."""
+        of monotone training-loss decrease and early-stopping studies):
+        the rows of the packed ensemble's running sums, the last of
+        which is the final margin."""
         check_fitted(self, "estimators_")
         X = check_array(X, name="X")
-        if X.shape[1] != self.n_features_in_:
-            raise ValueError(
-                f"X has {X.shape[1]} features, "
-                f"ensemble fitted on {self.n_features_in_}"
-            )
-        out = np.full(len(X), self.init_prediction_)
-        for tree in self.estimators_:
-            # stage trees are read directly (X is validated once above);
-            # going through tree.predict would pack each stage tree for
-            # a single staged sweep
-            out = out + self.learning_rate * tree.tree_.predict_value(X)[:, 0]
-            yield out.copy()
+        yield from self.packed_ensemble().staged_sums(X)[1:, :, 0]
 
 
 class GradientBoostingRegressor(_BaseGradientBoosting, RegressorMixin):

@@ -98,22 +98,6 @@ class RandomForestClassifier(_BaseForest, ClassifierMixin):
             random_state=rng,
         )
 
-    def _tree_proba(self, tree, X: np.ndarray) -> np.ndarray:
-        """Per-tree probabilities re-aligned to the forest's class set.
-
-        A bootstrap sample can miss a rare class entirely, so individual
-        trees may know fewer classes than the forest.  The packed
-        inference engine bakes this realignment into its ``value`` rows
-        at pack time; this per-call version remains as the reference
-        implementation (the equivalence suite and bench E15 check the
-        packed path against it).
-        """
-        proba = np.zeros((len(X), len(self.classes_)))
-        tree_proba = tree.tree_.predict_value(X)
-        for j, code in enumerate(tree.classes_):
-            proba[:, int(code)] = tree_proba[:, j]
-        return proba
-
     def predict_proba(self, X) -> np.ndarray:
         """Mean of per-tree class probabilities, columns as ``classes_``.
 

@@ -4,22 +4,23 @@ Every tree-based model in this library stores its fitted trees as flat
 :class:`~repro.ml.tree.TreeStructure` arrays, but evaluation loops over
 the estimators in Python: a 100-tree forest pays 100 separate
 vectorized descents plus, for classifiers, 100 per-tree
-class-realignment allocations (``_tree_proba``).  Under the explainers
-— KernelSHAP's stacked masked-background calls, SamplingSHAP's
-permutation sweeps, faithfulness deletion curves — the model is the
-hot layer, so that per-tree Python loop is the single largest cost in
-the whole pipeline (bench E2b: batching wins 14x on a logistic model
-but ~1x on the forest, because the forest call itself dominates).
+class-realignment allocations.  Under the explainers — KernelSHAP's
+stacked masked-background calls, SamplingSHAP's permutation sweeps,
+faithfulness deletion curves — the model is the hot layer, so that
+per-tree Python loop is the single largest cost in the whole pipeline
+(bench E2b: batching wins 14x on a logistic model but ~1x on the
+forest, because the forest call itself dominates).
 
-:class:`PackedEnsemble` removes the per-tree loop.  At pack time all
-trees are flattened into one contiguous node block:
+:class:`PackedEnsemble` removes the per-tree loop, and is the one place
+that knows how a model's trees combine.  At pack time all trees are
+flattened into one contiguous node block:
 
 * ``children_left`` / ``children_right`` / ``feature`` / ``threshold``
   are concatenated with per-tree root offsets, so a node id addresses
   the whole forest;
 * ``value`` rows are **pre-realigned to the ensemble's class set** —
   a bootstrap tree that never saw a rare class gets zero columns for
-  it — which deletes the per-call ``_tree_proba`` allocation;
+  it — which deletes the per-call realignment;
 * trees are ordered by decreasing depth (``tree_order`` maps packed
   position back to estimator order), so at traversal depth ``L`` the
   still-active trees are a contiguous prefix of the node state.
@@ -38,13 +39,14 @@ element work near-minimal:
   **sparse** phase switches to explicit active-pair compaction so deep
   stragglers do not drag every pair along.
 
-Aggregation gathers per-tree leaf values and accumulates them in the
-original estimator order with the exact arithmetic of the legacy
-loops (sequential sums, division by the tree count at the end, or
-``base + learning_rate * value`` per stage), so packed outputs are
-**byte-identical** to the per-tree implementations — the property the
-equivalence suite (tests/ml/test_packed.py) and bench E15 assert
-unconditionally.
+Aggregation stacks the start value (zero, or the boosting base offset)
+on the per-tree leaf terms in estimator order and sums them with one
+sequential ``np.add.accumulate`` (:meth:`PackedEnsemble.staged_sums`
+keeps its rows, the boosting stages), dividing forests by the tree
+count at the end: the exact arithmetic of the per-tree loops in
+``tests/oracles/per_tree_loops.py``, so packed outputs are
+**byte-identical** to them — the property the equivalence suite
+(tests/ml/test_packed.py) and bench E15 assert unconditionally.
 
 KernelSHAP and exact Shapley need the background mean of the model
 over ``where(mask, x, background)`` hybrids, not the hybrids'
@@ -151,7 +153,7 @@ class PackedEnsemble:
         (boosting: ``base_offset + scale * sum(tree values)``).
     outputs_are_classes:
         Whether ``value`` columns are class probabilities (drives which
-        column a ``class_index`` selects downstream).
+        column a ``class_index`` selects, :meth:`output_column`).
     """
 
     def __init__(
@@ -437,39 +439,70 @@ class PackedEnsemble:
         return out
 
     def predict(self, X) -> np.ndarray:
-        """Aggregated ensemble output, shape ``(n_rows, n_outputs)``.
-
-        Byte-identical to the legacy per-tree loops: per-tree leaf
-        values are accumulated sequentially in estimator order, then
-        scaled exactly as the legacy code does (``/ n_trees`` for
-        ``"mean"``, ``base + scale * value`` per tree for
-        ``"scaled_sum"``).
-        """
+        """Aggregated ensemble output, shape ``(n_rows, n_outputs)``:
+        the last row of :meth:`staged_sums`, divided by the tree count
+        for ``"mean"``."""
         X = self._check_X(X)
+        out = np.empty((len(X), self.n_outputs))
+        for start, sums in self._block_sums(X):
+            out[start:start + sums.shape[1]] = sums[-1]
+        return self._finish(out)
+
+    def staged_sums(self, X) -> np.ndarray:
+        """Running sums of the per-tree terms in estimator order, shape
+        ``(n_trees + 1, n_rows, n_outputs)``: row ``t`` is the start
+        value plus the terms of the first ``t`` trees (for boosting,
+        the margin after stage ``t``)."""
+        X = self._check_X(X)
+        sums = np.empty((self.n_trees + 1, len(X), self.n_outputs))
+        for start, block in self._block_sums(X):
+            sums[:, start:start + block.shape[1]] = block
+        return sums
+
+    def _block_sums(self, X: np.ndarray):
+        """``(first row, staged sums)`` of each row block of ``X``."""
         n = len(X)
         block = self._block_rows()
         scratch = self._scratch(min(block, max(n, 1)))
-        if self.mode == "mean":
-            out = np.zeros((n, self.n_outputs))
-        else:
-            out = np.full((n, self.n_outputs), self.base_offset)
         for start in range(0, n, block):
             stop = min(n, start + block)
             leaves = self._apply_block(X[start:stop], scratch)
-            ob = out[start:stop]
-            if self.mode == "mean" and self.n_trees == 1:
-                # a single tree returns its raw leaf values (the legacy
-                # DecisionTree path has no accumulator at all)
-                ob[:] = self.value[leaves[0]]
-            elif self.mode == "mean":
-                for position in self._inverse_order:
-                    ob += self.value[leaves[position]]
-            else:
-                for position in self._inverse_order:
-                    ob += self.scale * self.value[leaves[position]]
-        if self.mode == "mean" and self.n_trees > 1:
-            out /= self.n_trees
-        return out
+            terms = np.empty((self.n_trees + 1, stop - start, self.n_outputs))
+            np.take(self.value, leaves[self._inverse_order], axis=0,
+                    out=terms[1:], mode="clip")
+            yield start, self._accumulate(terms)
+
+    @property
+    def _start(self) -> float:
+        """What the per-tree terms are added to: the boosting base
+        offset, or zero for a mean — negative zero for a lone tree, the
+        exact additive identity, so its output is its raw leaf value
+        (signed zeros included)."""
+        if self.mode == "scaled_sum":
+            return self.base_offset
+        return -0.0 if self.n_trees == 1 else 0.0
+
+    def _accumulate(self, terms: np.ndarray) -> np.ndarray:
+        """Running sums, in place, of ``terms`` whose rows ``1..n_trees``
+        hold each tree's leaf values in estimator order: row 0 becomes
+        :attr:`_start` and boosting terms are scaled first."""
+        terms[0] = self._start
+        if self.mode == "scaled_sum":
+            np.multiply(terms[1:], self.scale, out=terms[1:])
+        return np.add.accumulate(terms, axis=0, out=terms)
+
+    def _finish(self, total: np.ndarray) -> np.ndarray:
+        """Divide a mean's total by the tree count (exact for one)."""
+        if self.mode == "mean":
+            total /= self.n_trees
+        return total
+
+    def output_column(self, class_index: int) -> int | None:
+        """The column of :meth:`predict` that ``class_index`` selects:
+        the class code of a probability ensemble, else column 0.
+        ``None`` for a class code no tree carries."""
+        column = int(class_index) if self.outputs_are_classes else 0
+        return column if column < self.n_outputs else None
 
     # ------------------------------------------------------------------
     # masked evaluation (KernelSHAP and exact Shapley coalition values)
@@ -562,12 +595,7 @@ class PackedEnsemble:
         work = states + (
             shapes[:, 0] + shapes[:, 1] * shapes[:, 2]
         ) * np.diff(self._offsets)
-        if self.mode == "mean" and self.n_trees > 1:
-            acc = np.zeros((len(masks), nb * n_bg))
-        elif self.mode == "mean":
-            acc = np.empty((len(masks), nb * n_bg))
-        else:
-            acc = np.full((len(masks), nb * n_bg), self.base_offset)
+        acc = np.full((len(masks), nb * n_bg), self._start)
         gathered = np.empty_like(acc)
         for estimators in self._tree_groups(work):
             positions = np.sort(self._inverse_order[estimators])
@@ -580,15 +608,9 @@ class PackedEnsemble:
                 (_, pattern), (_, row), (_, bg_row) = kinds[q]
                 own = values[ends[q] - states[q]:ends[q]].reshape(shapes[q])
                 hybrids = own[:, row[:, None], bg_row].reshape(len(own), -1)
-                if self.mode == "mean" and self.n_trees == 1:
-                    # a single tree's output is its raw leaf value
-                    np.take(hybrids, pattern, axis=0, out=acc, mode="clip")
-                else:
-                    np.take(hybrids, pattern, axis=0, out=gathered, mode="clip")
-                    acc += gathered
-        if self.mode == "mean" and self.n_trees > 1:
-            acc /= self.n_trees
-        return acc.reshape(len(masks), nb, n_bg).mean(axis=2)
+                np.take(hybrids, pattern, axis=0, out=gathered, mode="clip")
+                acc += gathered
+        return self._finish(acc).reshape(len(masks), nb, n_bg).mean(axis=2)
 
     def _tree_groups(self, work: np.ndarray):
         """Estimator indices in consecutive groups of at most
@@ -699,20 +721,11 @@ class PackedEnsemble:
         return per_tree[self._inverse_order]
 
     def expected_value(self) -> np.ndarray:
-        """Aggregated ensemble base value, shape ``(n_outputs,)`` —
-        accumulated tree by tree exactly like :meth:`predict`."""
-        per_tree = self.expected_values()
-        if self.mode == "mean":
-            if self.n_trees == 1:
-                return per_tree[0]
-            total = np.zeros(self.n_outputs)
-            for row in per_tree:
-                total += row
-            return total / self.n_trees
-        total = np.full(self.n_outputs, self.base_offset)
-        for row in per_tree:
-            total += self.scale * row
-        return total
+        """Aggregated ensemble base value, shape ``(n_outputs,)`` — the
+        per-tree base values combined exactly like :meth:`predict`."""
+        terms = np.empty((self.n_trees + 1, self.n_outputs))
+        terms[1:] = self.expected_values()
+        return self._finish(self._accumulate(terms)[-1])
 
     # ------------------------------------------------------------------
     # attribution (vectorized TreeSHAP support)

@@ -13,7 +13,8 @@ infrastructure:
   sample budget and integer seed share one design across session
   boundaries;
 * one **seed** covers the whole service: tenant ``i``'s engine seed is
-  ``spawn_seeds(service_seed, i + 1)[i]``, which is prefix-stable, so
+  ``child_seed(service_seed, i)``, equal to
+  ``spawn_seeds(service_seed, n)[i]`` for any ``n > i``, so
   a tenant's reports do not depend on how many tenants open after it,
   and a restored service hands out the same seeds it did before.
 
@@ -38,7 +39,7 @@ from repro.core import cache
 from repro.core.executor import get_executor
 from repro.core.stream import StreamingDiagnosisEngine, StreamReport
 from repro.resilience import ResilientExecutor
-from repro.utils.rng import spawn_seeds
+from repro.utils.rng import child_seed, spawn_seeds
 
 from .session import BackpressureError, SessionQuarantinedError, TenantSession
 from .snapshot import ServiceSnapshot
@@ -185,7 +186,7 @@ class DiagnosisService:
 
     def tenant_seed(self, index: int) -> int:
         """The engine seed of tenant ``index`` (prefix-stable)."""
-        return spawn_seeds(self.random_state, index + 1)[index]
+        return child_seed(self.random_state, index)
 
     # ------------------------------------------------------------------
     def open_session(self, name: str, *,

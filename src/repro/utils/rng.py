@@ -12,6 +12,7 @@ import numpy as np
 __all__ = [
     "Generator",
     "check_random_state",
+    "child_seed",
     "derive_seed",
     "spawn_rngs",
     "spawn_seeds",
@@ -94,10 +95,38 @@ def spawn_seeds(random_state, n: int) -> list[int]:
             "random_state must be None, an int, a numpy Generator or a "
             f"SeedSequence, got {type(random_state).__name__}"
         )
-    return [
-        int(child.generate_state(1, dtype=np.uint64)[0] >> np.uint64(1))
-        for child in base.spawn(n)
-    ]
+    return [_int_seed(child) for child in base.spawn(n)]
+
+
+def child_seed(seed: int, index: int) -> int:
+    """``spawn_seeds(seed, n)[index]`` for every ``n > index``, in O(1).
+
+    ``SeedSequence(seed).spawn(n)`` gives child ``i`` the spawn key
+    ``(i,)`` under the parent's entropy, so child ``index`` is built
+    directly instead of spawning the ``index`` children before it.
+    ``seed`` is a non-negative ``int``, as :func:`spawn_seeds` takes it.
+    """
+    seed, index = _seed_path("child_seed", (seed, index))
+    return _int_seed(np.random.SeedSequence(seed, spawn_key=(index,)))
+
+
+def _seed_path(name: str, values) -> list[int]:
+    """``values`` as plain ints, each checked to be a non-negative
+    integer (``name`` is the calling function, for the message)."""
+    parts = []
+    for value in values:
+        if not isinstance(value, (int, np.integer)):
+            raise TypeError(f"{name} takes integers, got {type(value).__name__}")
+        if value < 0:
+            raise ValueError(f"seed path must be non-negative, got {value}")
+        parts.append(int(value))
+    return parts
+
+
+def _int_seed(sequence: np.random.SeedSequence) -> int:
+    """The non-negative ``int`` seed a :class:`~numpy.random.SeedSequence`
+    stands for: its first 64-bit word, shifted into 63 bits."""
+    return int(sequence.generate_state(1, dtype=np.uint64)[0] >> np.uint64(1))
 
 
 def derive_seed(root, *path) -> int:
@@ -112,17 +141,8 @@ def derive_seed(root, *path) -> int:
     ``index``?" must not shift when another fault is added or another
     task runs first.
     """
-    parts = []
-    for value in (root, *path):
-        if not isinstance(value, (int, np.integer)):
-            raise TypeError(
-                f"derive_seed takes integers, got {type(value).__name__}"
-            )
-        if value < 0:
-            raise ValueError(f"seed path must be non-negative, got {value}")
-        parts.append(int(value))
-    base = np.random.SeedSequence(entropy=parts)
-    return int(base.generate_state(1, dtype=np.uint64)[0] >> np.uint64(1))
+    parts = _seed_path("derive_seed", (root, *path))
+    return _int_seed(np.random.SeedSequence(entropy=parts))
 
 
 def spawn_rngs(random_state, n: int) -> list[np.random.Generator]:

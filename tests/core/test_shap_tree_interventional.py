@@ -19,6 +19,7 @@ from oracles.tree_shap_recursion import _weight, tree_shap_interventional
 from repro.core.explainers import (
     ExactShapleyExplainer,
     InterventionalTreeShapExplainer,
+    KernelShapExplainer,
     model_output_fn,
 )
 from repro.ml import (
@@ -183,6 +184,30 @@ class TestBoostingScaling:
         )
 
 
+def _base_value_model(kind, forest_setup):
+    """``(fitted model, X)`` of one model kind: a standalone tree and a
+    forest on three classes (some bootstraps miss the rare one), the
+    shared forest regressor, and a binary boosting ensemble."""
+    if kind == "forest_regressor":
+        return forest_setup
+    gen = np.random.default_rng(19)
+    X = gen.normal(size=(200, 4))
+    y = (X[:, 0] + X[:, 2] > 0).astype(int)
+    if kind == "boosting":
+        model = GradientBoostingClassifier(
+            n_estimators=30, max_depth=2, random_state=0
+        )
+        return model.fit(X, y), X
+    y[:5] = 2
+    if kind == "tree":
+        model = DecisionTreeClassifier(max_depth=4, random_state=0)
+    else:
+        model = RandomForestClassifier(
+            n_estimators=25, max_depth=4, random_state=0
+        )
+    return model.fit(X, y), X
+
+
 class TestExactAgreement:
     """Interventional TreeSHAP vs brute-force Shapley enumeration —
     both play the same game ``v(S) = E_z[f(x_S, z_!S)]``, so on
@@ -258,6 +283,39 @@ class TestExactAgreement:
             exact.explain(X[1]).values,
             atol=1e-10,
         )
+
+    @pytest.mark.parametrize(
+        "kind, output, class_index",
+        [
+            ("tree", "proba", 0),
+            ("tree", "proba", 1),
+            ("forest", "proba", 0),
+            ("forest", "proba", 1),
+            ("forest", "proba", 2),
+            ("forest_regressor", "predict", 1),
+            ("boosting", "margin", 1),
+        ],
+    )
+    def test_base_value_is_the_exact_shapley_base_value(
+        self, forest_setup, kind, output, class_index
+    ):
+        """``v(empty)`` of all three explainers is one number, bit for
+        bit: the background mean of the explained model output."""
+        model, X = _base_value_model(kind, forest_setup)
+        background = X[:37]
+        tree_explainer = InterventionalTreeShapExplainer(
+            model, background, class_index=class_index
+        )
+        exact = ExactShapleyExplainer(
+            model_output_fn(model, output=output, class_index=class_index),
+            background,
+        )
+        kernel = KernelShapExplainer(
+            model_output_fn(model, output=output, class_index=class_index),
+            background, n_samples=64, random_state=0,
+        )
+        assert tree_explainer.expected_value_ == exact.expected_value_
+        assert tree_explainer.expected_value_ == kernel.expected_value_
 
     def test_vectorized_batch_agrees_with_exact(self, forest_setup):
         """The full chain: vectorized packed kernel == brute force."""

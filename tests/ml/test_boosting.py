@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from oracles.per_tree_loops import staged_raw
 
 from repro.ml import (
     GradientBoostingClassifier,
@@ -38,7 +39,9 @@ class TestGradientBoostingRegressor:
         model = GradientBoostingRegressor(n_estimators=10, random_state=0).fit(X, y)
         stages = list(model.staged_raw_predict(X[:20]))
         assert len(stages) == 10
-        np.testing.assert_allclose(stages[-1], model.predict(X[:20]))
+        for stage, want in zip(stages, staged_raw(model, X[:20])):
+            assert np.array_equal(stage, want)
+        assert np.array_equal(stages[-1], model.predict(X[:20]))
 
     def test_init_prediction_is_mean(self, regression_data):
         X, y = regression_data

@@ -1,11 +1,10 @@
 """Equivalence and structure tests for the packed inference engine.
 
-ISSUE 5 tentpole contract: :class:`repro.ml.packed.PackedEnsemble`
-must be **exactly** equal (``np.array_equal``, not ``allclose``) to
-the legacy per-tree evaluation loops on every supported model — the
-packed engine is a faster arrangement of the same arithmetic, never a
-numerical approximation.  The reference loops live here, verbatim
-copies of the pre-packing implementations.
+:class:`repro.ml.packed.PackedEnsemble` must be **exactly** equal
+(``np.array_equal``, not ``allclose``) to the per-tree evaluation loops
+on every supported model — the packed engine is a faster arrangement of
+the same arithmetic, never a numerical approximation.  The reference
+loops live in ``tests/oracles/per_tree_loops.py``.
 """
 
 import pickle
@@ -14,6 +13,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles.per_tree_loops import (
+    boosting_raw,
+    decompose,
+    ensemble_loop,
+    forest_predict,
+    forest_proba,
+    staged_raw,
+    tree_proba,
+)
 from oracles.tree_shap_recursion import tree_expected_value
 
 from repro.core.explainers.shap_tree import TreeShapExplainer
@@ -28,30 +36,6 @@ from repro.ml import (
 from repro.ml.packed import PackedEnsemble
 
 
-# ----------------------------------------------------------------------
-# the legacy per-tree loops (the seed implementations, kept verbatim)
-# ----------------------------------------------------------------------
-def legacy_forest_proba(forest, X):
-    out = np.zeros((len(X), len(forest.classes_)))
-    for tree in forest.estimators_:
-        out += forest._tree_proba(tree, X)
-    return out / len(forest.estimators_)
-
-
-def legacy_forest_predict(forest, X):
-    out = np.zeros(len(X))
-    for tree in forest.estimators_:
-        out += tree.tree_.predict_value(X)[:, 0]
-    return out / len(forest.estimators_)
-
-
-def legacy_boosting_raw(model, X):
-    out = np.full(len(X), model.init_prediction_)
-    for tree in model.estimators_:
-        out += model.learning_rate * tree.tree_.predict_value(X)[:, 0]
-    return out
-
-
 def _toy_data(seed=0, n=300, d=6):
     gen = np.random.default_rng(seed)
     X = gen.normal(size=(n, d))
@@ -63,12 +47,12 @@ class TestExactEquivalence:
     def test_forest_classifier_proba(self, sla_split, fitted_rf):
         _, X_test, _, _ = sla_split
         packed = fitted_rf.predict_proba(X_test)
-        assert np.array_equal(packed, legacy_forest_proba(fitted_rf, X_test))
+        assert np.array_equal(packed, forest_proba(fitted_rf, X_test))
 
     def test_forest_classifier_predict_labels(self, sla_split, fitted_rf):
         _, X_test, _, _ = sla_split
         legacy_labels = fitted_rf.classes_[
-            np.argmax(legacy_forest_proba(fitted_rf, X_test), axis=1)
+            np.argmax(forest_proba(fitted_rf, X_test), axis=1)
         ]
         assert np.array_equal(fitted_rf.predict(X_test), legacy_labels)
 
@@ -77,19 +61,19 @@ class TestExactEquivalence:
         forest = RandomForestRegressor(
             n_estimators=20, max_depth=6, random_state=0
         ).fit(X, y)
-        assert np.array_equal(forest.predict(X), legacy_forest_predict(forest, X))
+        assert np.array_equal(forest.predict(X), forest_predict(forest, X))
 
     def test_unbounded_depth_forest(self):
         X, y = _toy_data(3)
         forest = RandomForestClassifier(n_estimators=15, random_state=1).fit(X, y)
         assert np.array_equal(
-            forest.predict_proba(X), legacy_forest_proba(forest, X)
+            forest.predict_proba(X), forest_proba(forest, X)
         )
 
     def test_forest_with_bootstrap_missing_classes(self):
         """Rare third class: some bootstraps never see it, so their
         trees carry fewer value columns than the forest — the packed
-        realignment must reproduce ``_tree_proba`` exactly."""
+        realignment must reproduce ``tree_proba`` exactly."""
         X, y = _toy_data(7, n=250)
         y = y.copy()
         y[:4] = 2  # rare class
@@ -99,7 +83,7 @@ class TestExactEquivalence:
         n_classes_seen = {len(t.classes_) for t in forest.estimators_}
         assert min(n_classes_seen) < 3, "fixture should produce missing classes"
         assert np.array_equal(
-            forest.predict_proba(X), legacy_forest_proba(forest, X)
+            forest.predict_proba(X), forest_proba(forest, X)
         )
 
     def test_boosting_classifier_margin_and_proba(self):
@@ -107,7 +91,7 @@ class TestExactEquivalence:
         model = GradientBoostingClassifier(
             n_estimators=40, max_depth=2, random_state=0
         ).fit(X, y)
-        raw = legacy_boosting_raw(model, X)
+        raw = boosting_raw(model, X)
         assert np.array_equal(model.decision_function(X), raw)
 
     def test_boosting_regressor(self, regression_data):
@@ -115,7 +99,7 @@ class TestExactEquivalence:
         model = GradientBoostingRegressor(
             n_estimators=30, max_depth=3, random_state=0
         ).fit(X, y)
-        assert np.array_equal(model.predict(X), legacy_boosting_raw(model, X))
+        assert np.array_equal(model.predict(X), boosting_raw(model, X))
 
     def test_boosting_with_subsample(self):
         X, y = _toy_data(13)
@@ -123,7 +107,7 @@ class TestExactEquivalence:
             n_estimators=25, subsample=0.6, random_state=5
         ).fit(X, y)
         assert np.array_equal(
-            model.decision_function(X), legacy_boosting_raw(model, X)
+            model.decision_function(X), boosting_raw(model, X)
         )
 
     def test_single_tree_classifier(self):
@@ -156,7 +140,7 @@ class TestExactEquivalence:
         assert all(t.tree_.n_nodes == 1 for t in forest.estimators_)
         assert forest.packed_ensemble().max_depth == 0
         assert np.array_equal(
-            forest.predict_proba(X), legacy_forest_proba(forest, X)
+            forest.predict_proba(X), forest_proba(forest, X)
         )
 
     def test_oob_score_matches_legacy_formula(self):
@@ -170,7 +154,7 @@ class TestExactEquivalence:
         for tree, mask in zip(forest.estimators_, forest._oob_masks):
             if not np.any(mask):
                 continue
-            votes[mask] += forest._tree_proba(tree, X[mask])
+            votes[mask] += tree_proba(forest, tree, X[mask])
             counts[mask] += 1
         covered = counts > 0
         expected = float(
@@ -210,8 +194,97 @@ class TestExactEquivalence:
             n_estimators=n_estimators, max_depth=max_depth, random_state=seed
         ).fit(X, y)
         assert np.array_equal(
-            forest.predict_proba(X), legacy_forest_proba(forest, X)
+            forest.predict_proba(X), forest_proba(forest, X)
         )
+
+
+def _accumulate_models():
+    """One fitted model per aggregation shape: mean over a 3-class
+    forest whose bootstraps miss a class, over a regression forest and
+    over a lone tree; scaled sums over a margin and a regressor."""
+    X, y = _toy_data(59, n=200)
+    y3 = y.copy()
+    y3[:3] = 2
+    target = X[:, 0] - X[:, 1] ** 2
+    return X, [
+        RandomForestClassifier(n_estimators=17, max_depth=5, random_state=0)
+        .fit(X, y3),
+        RandomForestRegressor(n_estimators=5, max_depth=4, random_state=1)
+        .fit(X, target),
+        DecisionTreeClassifier(max_depth=4, random_state=2).fit(X, y),
+        GradientBoostingClassifier(
+            n_estimators=30, max_depth=2, random_state=3
+        ).fit(X, y),
+        GradientBoostingRegressor(
+            n_estimators=9, subsample=0.7, random_state=4
+        ).fit(X, target),
+    ]
+
+
+def _loop(model, X):
+    """The model's per-tree loop, shaped like ``PackedEnsemble.predict``."""
+    if hasattr(model, "tree_"):
+        return model.tree_.predict_value(X)
+    if hasattr(model, "init_prediction_"):
+        return boosting_raw(model, X)[:, None]
+    if hasattr(model, "classes_"):
+        return forest_proba(model, X)
+    return forest_predict(model, X)[:, None]
+
+
+class TestAccumulateEquivalence:
+    """``predict`` sums each row block with one ``np.add.accumulate``;
+    every row count and block boundary must give the loop's bytes."""
+
+    def test_small_slices_and_block_boundaries(self):
+        X, models = _accumulate_models()
+        gen = np.random.default_rng(61)
+        for model in models:
+            packed = model.packed_ensemble()
+            block = packed._block_rows()
+            fleet = X[gen.integers(0, len(X), size=2 * block + 3)]
+            edges = (block - 1, block, block + 1, 2 * block + 3)
+            for n in (1, 2, 3, 5, 17, *edges):
+                for start in (0, 1, 7):
+                    rows = fleet[start:start + n]
+                    want = _loop(model, rows)
+                    assert np.array_equal(packed.predict(rows), want)
+
+    @pytest.mark.parametrize("n_trees", [1, 2, 5])
+    @pytest.mark.parametrize("mode", ["mean", "scaled_sum"])
+    def test_signed_zero_leaves(self, mode, n_trees):
+        """Leaves holding -0.0 and +0.0 keep the loop's zero signs: a
+        lone tree's raw -0.0 survives, a sum from +0.0 does not."""
+        X, y = _toy_data(67, n=120, d=3)
+        trees = [
+            DecisionTreeRegressor(max_depth=3, random_state=t)
+            .fit(X, X[:, t % 3] + y).tree_
+            for t in range(n_trees)
+        ]
+        values = []
+        for t, tree in enumerate(trees):
+            value = np.where(np.arange(tree.n_nodes) % 2 == t % 2, -0.0, 0.0)
+            values.append(value[:, None])
+        kwargs = {"mode": mode}
+        if mode == "scaled_sum":
+            kwargs.update(scale=0.5, base_offset=-0.0)
+        packed = PackedEnsemble(trees, values, n_features=3, **kwargs)
+        for n in (1, 2, 3, 5, 17, len(X)):
+            got = packed.predict(X[:n])
+            want = ensemble_loop(trees, values, X[:n], **kwargs)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+        if mode == "mean" and n_trees == 1:
+            assert np.signbit(packed.predict(X)).any()
+
+    def test_staged_sums_are_the_loop_stages(self):
+        X, models = _accumulate_models()
+        for model in models[3:]:
+            sums = model.packed_ensemble().staged_sums(X)
+            start = np.full((len(X), 1), model.init_prediction_)
+            assert np.array_equal(sums[0], start)
+            for stage, want in zip(sums[1:], staged_raw(model, X)):
+                assert np.array_equal(stage[:, 0], want)
 
 
 class TestPickleRoundTrip:
@@ -250,7 +323,7 @@ class TestPackedStructure:
         repacked = forest.packed_ensemble()
         assert repacked is not packed
         assert np.array_equal(
-            forest.predict_proba(X), legacy_forest_proba(forest, X)
+            forest.predict_proba(X), forest_proba(forest, X)
         )
 
     def test_apply_matches_per_tree_apply(self, fitted_rf, sla_split):
@@ -301,7 +374,7 @@ class TestPackedStructure:
         explainer = TreeShapExplainer(fitted_rf, class_index=1)
         legacy = sum(
             weight * tree_expected_value(tree, output)
-            for tree, weight, output in explainer._components
+            for tree, weight, output in decompose(fitted_rf, 1)[1]
         )
         assert explainer.expected_value_ == pytest.approx(legacy, rel=1e-12)
         # and the efficiency axiom still closes through the packed base

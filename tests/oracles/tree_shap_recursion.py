@@ -15,10 +15,12 @@ per (row, tree) or (row, reference row, tree):
   single-reference game ``v(S) = tree(x_S, z_!S)``, averaged over the
   background rows ``z``.
 
-:func:`reference_batch` sums either recursion over an explainer's
-``(tree, weight, output)`` components, which is what the explainer's
-``explain_batch`` must equal to <= 1e-10.  Nothing here calls the packed
-kernels, so the benches time these as their baseline arms.
+:func:`reference_batch` sums either recursion over the
+``(tree, weight, output)`` components of an explainer's model
+(:func:`oracles.per_tree_loops.decompose`), which is what the
+explainer's ``explain_batch`` must equal to <= 1e-10.  Nothing here
+calls the packed kernels, so the benches time these as their baseline
+arms.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ from __future__ import annotations
 from math import exp, lgamma
 
 import numpy as np
+
+from oracles.per_tree_loops import decompose
 
 from repro.core.explainers.base import BatchExplanation, Explanation
 
@@ -267,8 +271,8 @@ def tree_shap_interventional(
 # ----------------------------------------------------------------------
 def reference_batch(explainer, X) -> BatchExplanation:
     """``explainer``'s attributions of every row of ``X``, summed from
-    the per-tree recursions over its ``(tree, weight, output)``
-    components.
+    the per-tree recursions over the ``(tree, weight, output)``
+    components of its model and ``class_index``.
 
     ``explainer`` is a ``TreeShapExplainer`` or an
     ``InterventionalTreeShapExplainer`` (recognised by its
@@ -277,13 +281,12 @@ def reference_batch(explainer, X) -> BatchExplanation:
     """
     X = np.asarray(X, dtype=float)
     background = getattr(explainer, "background", None)
+    _, components = decompose(explainer.model, explainer.class_index)
     if background is None:
-        components = explainer._components
 
         def game(tree, x, output):
             return tree_shap_values(tree, x, output=output)
     else:
-        components = explainer._delegate._components
 
         def game(tree, x, output):
             return tree_shap_interventional(tree, x, background, output=output)

@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.utils.rng import check_random_state, spawn_rngs
+from repro.utils.rng import (
+    check_random_state,
+    child_seed,
+    spawn_rngs,
+    spawn_seeds,
+)
 
 
 class TestCheckRandomState:
@@ -63,3 +68,30 @@ class TestSpawnRngs:
         b = [g.random(3) for g in spawn_rngs(9, 2)]
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
+
+
+class TestChildSeed:
+    @pytest.mark.parametrize("seed", [0, 1, 7, 12345, 2**62])
+    def test_equals_every_spawn_seeds_entry(self, seed):
+        """``child_seed(seed, i) == spawn_seeds(seed, n)[i]`` for every
+        ``n > i``: the engine's window seeds and the service's tenant
+        seeds rest on it."""
+        spawned = {n: spawn_seeds(seed, n) for n in (1, 2, 17, 64, 300)}
+        for i in range(300):
+            child = child_seed(seed, i)
+            for n, seeds in spawned.items():
+                if i < n:
+                    assert seeds[i] == child
+
+    def test_numpy_integers_accepted(self):
+        assert child_seed(np.int64(3), np.int32(4)) == spawn_seeds(3, 5)[4]
+
+    @pytest.mark.parametrize("seed, index", [(-1, 0), (0, -1)])
+    def test_negative_rejected(self, seed, index):
+        with pytest.raises(ValueError, match="non-negative"):
+            child_seed(seed, index)
+
+    @pytest.mark.parametrize("seed, index", [(1.0, 0), (0, "1"), (None, 0)])
+    def test_non_integers_rejected(self, seed, index):
+        with pytest.raises(TypeError, match="integers"):
+            child_seed(seed, index)
