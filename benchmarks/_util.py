@@ -7,12 +7,12 @@ bench that reads ``benchmark.stats`` or asserts a speedup goes through
 these helpers instead of copy-pasting the ``stats is None`` guard.
 """
 
-import time
-
 import numpy as np
 
+from repro.utils.clock import timed
+
 __all__ = [
-    "timing_enabled", "median_seconds", "timed",
+    "timing_enabled", "median_seconds",
     "ab_compare", "ab_line", "assert_speedup",
 ]
 
@@ -33,17 +33,6 @@ def median_seconds(benchmark) -> float | None:
     if not timing_enabled(benchmark):
         return None
     return benchmark.stats["median"]
-
-
-def timed(fn):
-    """Run ``fn()`` and return ``(result, elapsed_seconds)``.
-
-    For hand-rolled A/B comparisons (batch vs loop, cached vs naive)
-    where pytest-benchmark's single-callable model does not fit.
-    """
-    start = time.perf_counter()
-    result = fn()
-    return result, time.perf_counter() - start
 
 
 def ab_compare(name, packed_fn, legacy_fn, *, repeats, legacy_repeats=None,

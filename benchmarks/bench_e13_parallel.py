@@ -20,11 +20,10 @@ asserted unconditionally — parallel dispatch on one core still
 exercises every code path that could drift.
 """
 
-import time
-
 from benchmarks.conftest import SEED, save_result
 from repro.core.executor import available_workers
 from repro.core.matrix import run_scenario_matrix
+from repro.utils.clock import timed
 
 #: The ``repro scenarios run`` defaults (see repro.cli).
 DEFAULT_SCENARIOS = ("baseline", "bursty-traffic", "fault-storm")
@@ -33,8 +32,8 @@ WORKERS = 4
 
 
 def _run(backend: str, workers=None):
-    start = time.perf_counter()
-    report = run_scenario_matrix(
+    return timed(
+        run_scenario_matrix,
         DEFAULT_SCENARIOS,
         explainers=DEFAULT_EXPLAINERS,
         n_epochs=1000,
@@ -43,7 +42,6 @@ def _run(backend: str, workers=None):
         backend=backend,
         workers=workers,
     )
-    return report, time.perf_counter() - start
 
 
 def test_e13_parallel_matrix_speedup_and_determinism():

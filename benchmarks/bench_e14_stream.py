@@ -22,7 +22,7 @@ under ``--benchmark-disable``, the CI smoke mode).
 
 import numpy as np
 
-from benchmarks._util import timed, timing_enabled
+from benchmarks._util import timing_enabled
 from benchmarks.conftest import SEED, save_result
 from repro.core.cache import clear_cache
 from repro.core.matrix import default_explainer_kwargs
@@ -35,6 +35,7 @@ from repro.core.stream import (
 )
 from repro.core.stream.engine import _HistoryDataset
 from repro.datasets import stream_scenario_telemetry
+from repro.utils.clock import timed
 
 N_EPOCHS = 400
 CONFIG = dict(

@@ -30,7 +30,7 @@ import types
 import numpy as np
 import pytest
 
-from benchmarks._util import ab_compare, ab_line, assert_speedup, timed
+from benchmarks._util import ab_compare, ab_line, assert_speedup
 from benchmarks.conftest import (
     reference_boosting,
     reference_forest,
@@ -39,6 +39,7 @@ from benchmarks.conftest import (
 )
 from repro.core.cache import clear_cache
 from repro.core.explainers import KernelShapExplainer, model_output_fn
+from repro.utils.clock import timed
 from repro.utils.validation import check_array
 
 #: the explainers' stacked-model-call row budget (base._ROW_BUDGET)

@@ -23,12 +23,13 @@ related is gated on ``--benchmark-disable`` (the CI smoke mode).
 
 import pickle
 
-from benchmarks._util import timed, timing_enabled
+from benchmarks._util import timing_enabled
 from benchmarks.conftest import SEED, save_result
 from repro.core.cache import clear_cache
 from repro.core.stream import StreamingDiagnosisEngine
 from repro.datasets import stream_scenario_telemetry
 from repro.serve import DiagnosisService, interleave
+from repro.utils.clock import timed
 
 N_SESSIONS = 100
 EPOCHS = 48

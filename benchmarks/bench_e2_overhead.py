@@ -18,13 +18,14 @@ text table snapshots median latencies for EXPERIMENTS.md.
 
 import pytest
 
-from benchmarks._util import median_seconds, timed, timing_enabled
+from benchmarks._util import median_seconds, timing_enabled
 from benchmarks.conftest import save_result
 from repro.core.explainers import (
     KernelShapExplainer,
     LimeExplainer,
     TreeShapExplainer,
 )
+from repro.utils.clock import timed
 
 _timings: dict[str, float] = {}
 
@@ -196,10 +197,10 @@ def test_e2_batch_vs_loop(sla_data, forest_fn):
     for label, build, loop_arm, rows, regime in configs:
         clear_cache()
         explainer = build()
-        batch, t_batch = timed(lambda: explainer.explain_batch(rows))
+        batch, t_batch = timed(explainer.explain_batch, rows)
         clear_cache()
         explainer = build()
-        loop, t_loop = timed(lambda: loop_arm(explainer, rows))
+        loop, t_loop = timed(loop_arm, explainer, rows)
         diff = float(np.abs(batch.values - np.vstack(loop)).max())
         assert diff < 1e-8, f"{label}: batch != loop ({diff:.2e})"
         speedups[label] = t_loop / t_batch

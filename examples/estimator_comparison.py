@@ -11,8 +11,6 @@ Run:
     python examples/estimator_comparison.py
 """
 
-import time
-
 import numpy as np
 
 from repro.core.evaluation import spearman_correlation
@@ -27,6 +25,7 @@ from repro.core.explainers import (
 from repro.datasets import make_sla_violation_dataset
 from repro.ml import MLPClassifier, RandomForestClassifier, StandardScaler
 from repro.ml.model_selection import train_test_split
+from repro.utils.clock import timed
 
 
 def main() -> None:
@@ -62,9 +61,7 @@ def main() -> None:
     print(f"{'estimator':<22} {'time':>8}  top-3 signals")
     attributions = {}
     for name, explainer in explainers.items():
-        start = time.perf_counter()
-        e = explainer.explain(incident)
-        elapsed = time.perf_counter() - start
+        e, elapsed = timed(explainer.explain, incident)
         attributions[name] = e.values
         top = ", ".join(f"{n}" for n, _ in e.top_features(3))
         print(f"{name:<22} {elapsed * 1000:>6.0f}ms  {top}")

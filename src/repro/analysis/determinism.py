@@ -12,7 +12,10 @@ from __future__ import annotations
 import ast
 
 from repro.analysis.engine import Checker, dotted_name, is_set_expr
-from repro.analysis.rules import is_benchmark_path, is_sanctioned_rng_module
+from repro.analysis.rules import (
+    is_sanctioned_clock_module,
+    is_sanctioned_rng_module,
+)
 
 __all__ = ["RngChecker", "WallClockChecker", "UnorderedIterationChecker"]
 
@@ -109,25 +112,19 @@ class RngChecker(Checker):
 
 
 class WallClockChecker(Checker):
-    """D103: wall-clock reads outside ``benchmarks/``.
-
-    Benchmarks measure time on purpose (behind
-    ``benchmarks/_util.timing_enabled``); anywhere else a clock read
-    feeding output must be suppressed with a justification naming the
-    opt-out that keeps reports byte-comparable (``timing=False`` /
-    ``--no-timing``).
-    """
+    """D103: wall-clock reads outside :mod:`repro.utils.clock`, the one
+    reader that library, benches and examples all time through."""
 
     def check(self, node, ctx):
-        if not isinstance(node, ast.Call) or is_benchmark_path(ctx.path):
+        if is_sanctioned_clock_module(ctx.path) or not isinstance(node, ast.Call):
             return []
         resolved = dotted_name(node.func, ctx.aliases)
         if resolved not in _WALL_CLOCK:
             return []
         return [ctx.finding(
             "D103", node,
-            f"wall-clock read {resolved}() outside benchmarks/ — output "
-            "derived from it cannot be byte-compared across runs",
+            f"wall-clock read {resolved}() outside repro.utils.clock — "
+            "time through its timed() to keep output byte-comparable",
         )]
 
 

@@ -93,10 +93,10 @@ def is_sanctioned_rng_module(path: str) -> bool:
     return path_parts(path)[-3:] == ("repro", "utils", "rng.py")
 
 
-def is_benchmark_path(path: str) -> bool:
-    """``benchmarks/`` measures wall-clock time on purpose; the shared
-    ``benchmarks/_util.timing_enabled`` guard keeps its asserts honest."""
-    return "benchmarks" in path_parts(path)
+def is_sanctioned_clock_module(path: str) -> bool:
+    """``repro/utils/clock.py`` is the one module allowed to read the
+    wall clock — it exists to wrap it."""
+    return path_parts(path)[-3:] == ("repro", "utils", "clock.py")
 
 
 # ----------------------------------------------------------------------
@@ -133,14 +133,12 @@ D103 = register_rule(Rule(
     id="D103",
     name="wall-clock",
     family="determinism",
-    summary=(
-        "wall-clock read (time.*, datetime.now, ...) outside benchmarks/"
-    ),
+    summary="wall-clock read (time.*, datetime.*) outside repro.utils.clock",
     rationale=(
-        "Reports must be byte-identical across runs and backends; timing "
-        "belongs in benchmarks/ behind the _util.timing_enabled guard, or "
-        "must feed only opt-out presentation columns (timing=False / "
-        "--no-timing)."
+        "Reports must be byte-identical across runs and backends; every "
+        "clock read goes through repro.utils.clock.timed, whose seconds "
+        "feed only opt-out presentation columns (timing=False / "
+        "--no-timing) or checks that never reach report bytes."
     ),
 ))
 

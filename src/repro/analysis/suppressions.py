@@ -2,8 +2,8 @@
 
 Syntax (on the line where the finding starts)::
 
-    start = time.perf_counter()  # repro: lint-ignore[D103] presentation only
-    x = rng()                    # repro: lint-ignore[D101,D102]
+    rng = np.random.default_rng(7)  # repro: lint-ignore[D102] oracle fixture
+    x = rng()                       # repro: lint-ignore[D101,D102]
 
 A bare ``# repro: lint-ignore`` (no bracket) suppresses every rule on
 that line.  Comments are located with :mod:`tokenize`, so the marker

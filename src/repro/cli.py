@@ -58,11 +58,11 @@ from __future__ import annotations
 import argparse
 import sys
 import threading
-import time
 
 import numpy as np
 
 from repro.analysis.cli import add_lint_arguments, run_lint_command
+from repro.utils.clock import timed
 
 __all__ = ["main", "build_parser"]
 
@@ -479,18 +479,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _timed(fn, *args, **kwargs):
-    """``(fn(*args, **kwargs), seconds)`` — the CLI's one clock.
-
-    The seconds are presentation only: every command drops them under
-    ``--no-timing``, which is what the byte-identical CLI comparisons
-    diff.
-    """
-    start = time.perf_counter()  # repro: lint-ignore[D103] opt-out via --no-timing
-    result = fn(*args, **kwargs)
-    return result, time.perf_counter() - start  # repro: lint-ignore[D103] opt-out via --no-timing
-
-
 def _names(text: str) -> list[str]:
     """The non-blank, stripped entries of a comma-separated flag."""
     return [token.strip() for token in text.split(",") if token.strip()]
@@ -671,7 +659,7 @@ def _cmd_explain_batch(args) -> int:
             return 1
 
     with get_executor(args.backend, args.workers) as executor:
-        diagnoses, elapsed = _timed(
+        diagnoses, elapsed = timed(
             pipeline.diagnose_batch, dataset.X.values[indices],
             executor=executor,
         )
@@ -798,7 +786,7 @@ def _cmd_scenarios_search(args) -> int:
     if _unknown("explainer", explainers, *_explainer_names()):
         return 1
 
-    result, elapsed = _timed(
+    result, elapsed = timed(
         search_scenarios,
         seed=args.seed,
         generations=args.generations,
@@ -845,7 +833,7 @@ def _cmd_stream(args) -> int:
         **_engine_kwargs(args),
     )
     stream = _telemetry(args, args.scenario, args.seed)
-    report, elapsed = _timed(engine.run, stream, progress=print)
+    report, elapsed = timed(engine.run, stream, progress=print)
 
     print()
     print(report.format_table(timing=not args.no_timing))
@@ -894,7 +882,7 @@ def _cmd_serve(args) -> int:
         print("--restore and --snapshot-epoch are mutually exclusive")
         return 1
 
-    service, elapsed = _timed(_drive_service, args, scenarios, max_pending)
+    service, elapsed = timed(_drive_service, args, scenarios, max_pending)
     if args.snapshot_epoch is not None:
         save_snapshot(service.snapshot(), args.snapshot_out)
         print(
@@ -1042,7 +1030,7 @@ def _cmd_chaos(args) -> int:
             except (MalformedBatchError, ResilienceError) as exc:
                 return None, exc
 
-    (report, named_error), elapsed = _timed(run_under_chaos)
+    (report, named_error), elapsed = timed(run_under_chaos)
 
     print()
     if report is not None:

@@ -38,9 +38,9 @@ import multiprocessing
 import os
 import sys
 import threading
-import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
+from repro.utils.clock import timed
 from repro.utils.rng import spawn_seeds
 
 __all__ = [
@@ -144,21 +144,19 @@ class Executor:
 class _ImmediateFuture:
     """Already-resolved future for :meth:`SerialExecutor.submit`.
 
-    Runs the task inline at construction, capturing the result or the
-    exception, plus the task's wall-clock ``duration`` so a resilience
+    Runs the task inline at construction, capturing the exception, or
+    the result and the task's wall-clock ``duration`` so a resilience
     wrapper can detect post hoc that an inline task blew its timeout
     budget (the serial backend has no second thread to interrupt from).
     """
 
     def __init__(self, fn, args):
-        start = time.perf_counter()  # repro: lint-ignore[D103] feeds post-hoc timeout detection only, never report bytes
+        self._result = self._exception = None
+        self.duration = 0.0
         try:
-            self._result = fn(*args)
-            self._exception = None
+            self._result, self.duration = timed(fn, *args)
         except BaseException as exc:
-            self._result = None
             self._exception = exc
-        self.duration = time.perf_counter() - start  # repro: lint-ignore[D103] feeds post-hoc timeout detection only, never report bytes
 
     def result(self, timeout=None):
         """The captured result; re-raises the captured exception."""

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import contextlib
 import pickle
-import time
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache, partial
 
@@ -50,6 +49,7 @@ from repro.core.evaluation import (
 from repro.core.executor import get_executor
 from repro.core.pipeline import NFVExplainabilityPipeline
 from repro.datasets import make_scenario_dataset
+from repro.utils.clock import timed
 
 __all__ = [
     "MatrixCell",
@@ -307,9 +307,7 @@ def _run_matrix_shard(task: _ShardTask) -> list[MatrixCell]:
 
         # feeds only the `sec` column, dropped by format_table(timing=False)
         # — the byte-identical cross-backend comparison surface
-        start = time.perf_counter()  # repro: lint-ignore[D103] opt-out via timing=False
-        diagnoses = pipeline.diagnose_batch(X_sel)
-        elapsed = time.perf_counter() - start  # repro: lint-ignore[D103] opt-out via timing=False
+        diagnoses, elapsed = timed(pipeline.diagnose_batch, X_sel)
         A = np.vstack([d.explanation.values for d in diagnoses])
         attributions[method] = A
 

@@ -41,7 +41,6 @@ fixed 16-row boundaries of ``explain_batch_chunked``.
 from __future__ import annotations
 
 import contextlib
-import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -50,7 +49,8 @@ from repro.core.executor import get_executor
 from repro.core.explainers import resolve_explainer_method
 from repro.core.pipeline import NFVExplainabilityPipeline
 from repro.core.stream.drift import PageHinkley
-from repro.utils.rng import child_seed, spawn_seeds
+from repro.utils.clock import timed
+from repro.utils.rng import child_seed, freeze_seed, spawn_seeds
 from repro.utils.tabular import FeatureMatrix
 
 __all__ = [
@@ -448,13 +448,7 @@ class StreamingDiagnosisEngine:
         self.backend = backend
         self.workers = workers
         self.on_malformed = on_malformed
-        if isinstance(random_state, (int, np.integer)):
-            self.random_state = int(random_state)
-        else:
-            # freeze None / live Generators / SeedSequences into one
-            # drawn integer seed: window seeds must stay stable across
-            # reset() (a live generator would advance on every draw)
-            self.random_state = spawn_seeds(random_state, 1)[0]
+        self.random_state = freeze_seed(random_state)
         self.reset()
 
     # ------------------------------------------------------------------
@@ -771,9 +765,15 @@ class StreamingDiagnosisEngine:
         return len(rows), n_alerts, mean_score, top_feature, shift
 
     def _process_window(self, n_rows: int, executor) -> StreamWindow:
-        # feeds only StreamWindow.seconds, dropped by
-        # format_table(timing=False) — the determinism-golden surface
-        start = time.perf_counter()  # repro: lint-ignore[D103] opt-out via timing=False
+        # times the whole window, refit included; feeds only .seconds,
+        # dropped by format_table(timing=False) — the golden surface
+        fields, seconds = timed(self._window_fields, n_rows, executor)
+        window = StreamWindow(**fields, seconds=seconds)
+        self._window_index += 1
+        self.windows.append(window)
+        return window
+
+    def _window_fields(self, n_rows: int, executor) -> dict:
         index = self._window_index
         seed = child_seed(self.random_state, index)
         X, y = self._pop_window(n_rows)
@@ -802,7 +802,7 @@ class StreamingDiagnosisEngine:
             else False
         )
 
-        window = StreamWindow(
+        return dict(
             index=index,
             start_epoch=start_epoch,
             end_epoch=start_epoch + n_rows,
@@ -817,11 +817,7 @@ class StreamingDiagnosisEngine:
             attribution_shift=shift,
             violation_drift=violation_drift,
             attribution_drift=attribution_drift,
-            seconds=time.perf_counter() - start,  # repro: lint-ignore[D103] opt-out via timing=False
         )
-        self._window_index += 1
-        self.windows.append(window)
-        return window
 
     # ------------------------------------------------------------------
     @property

@@ -33,13 +33,11 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.core import cache
 from repro.core.executor import get_executor
 from repro.core.stream import StreamingDiagnosisEngine, StreamReport
 from repro.resilience import ResilientExecutor
-from repro.utils.rng import child_seed, spawn_seeds
+from repro.utils.rng import child_seed, freeze_seed
 
 from .session import BackpressureError, SessionQuarantinedError, TenantSession
 from .snapshot import ServiceSnapshot
@@ -146,12 +144,7 @@ class DiagnosisService:
         self.model_factory = model_factory
         self.max_pending_epochs = int(max_pending_epochs)
         self.failure_budget = int(failure_budget)
-        if isinstance(random_state, (int, np.integer)):
-            self.random_state = int(random_state)
-        else:
-            # freeze live generators / None into one drawn integer so
-            # tenant seeds are reproducible across snapshot/restore
-            self.random_state = spawn_seeds(random_state, 1)[0]
+        self.random_state = freeze_seed(random_state)
         self._engine_kwargs = dict(engine_kwargs)
         self._sessions: dict[str, TenantSession] = {}
         self._next_index = 0

@@ -14,6 +14,7 @@ __all__ = [
     "check_random_state",
     "child_seed",
     "derive_seed",
+    "freeze_seed",
     "spawn_rngs",
     "spawn_seeds",
 ]
@@ -73,8 +74,8 @@ def spawn_seeds(random_state, n: int) -> list[int]:
     serial, threaded, and multiprocess runs reproduce each other.
 
     ``random_state`` may be an ``int`` (fully deterministic children),
-    a :class:`~numpy.random.SeedSequence`, a live Generator (consumes
-    one draw), or ``None`` (fresh entropy).
+    a :class:`~numpy.random.SeedSequence` (read, never advanced), a
+    live Generator (consumes one draw), or ``None`` (fresh entropy).
     """
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
@@ -95,7 +96,20 @@ def spawn_seeds(random_state, n: int) -> list[int]:
             "random_state must be None, an int, a numpy Generator or a "
             f"SeedSequence, got {type(random_state).__name__}"
         )
-    return [_int_seed(child) for child in base.spawn(n)]
+    # child i of a fresh base, built directly: spawn() would advance it
+    key, pool = base.spawn_key, base.pool_size
+    return [_int_seed(np.random.SeedSequence(
+        base.entropy, spawn_key=key + (i,), pool_size=pool
+    )) for i in range(n)]
+
+
+def freeze_seed(random_state) -> int:
+    """An ``int`` seed as a plain ``int``; anything else drawn once into
+    ``spawn_seeds(random_state, 1)[0]``, so seeds derived from it later
+    survive ``reset()`` and snapshot/restore."""
+    if isinstance(random_state, (int, np.integer)):
+        return int(random_state)
+    return spawn_seeds(random_state, 1)[0]
 
 
 def child_seed(seed: int, index: int) -> int:

@@ -153,11 +153,31 @@ class TestD103WallClock:
         """))
         assert "D103" in rules_of(report)
 
-    def test_benchmark_path_is_exempt(self):
+    def test_clock_module_is_sanctioned(self):
+        """``repro/utils/clock.py`` is the one module that reads the
+        clock; the same source anywhere else fires."""
+        source = "import time\n\nstart = time.perf_counter()\n"
+        assert lint_source(source, path="src/repro/utils/clock.py").clean
+        assert "D103" in rules_of(
+            lint_source(source, path="src/repro/utils/timer.py")
+        )
+
+    def test_benchmark_path_fires(self):
+        """Benches time through ``repro.utils.clock.timed`` too: a raw
+        read under ``benchmarks/`` is no longer exempt."""
         report = lint_source(
             "import time\n\nstart = time.perf_counter()\n",
             path="benchmarks/bench_e1.py",
         )
+        assert "D103" in rules_of(report)
+
+    def test_timing_through_the_clock_module_passes(self):
+        report = lint_source(dedent("""\
+            from repro.utils.clock import timed
+
+            def run(fn):
+                return timed(fn, 1, key=2)
+        """), path="benchmarks/bench_e1.py")
         assert report.clean
 
     def test_time_sleep_passes(self):

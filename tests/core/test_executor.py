@@ -171,6 +171,18 @@ class TestSeededMapping:
         assert len(gen_seeds) == 4
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    def test_map_seeded_reads_a_seed_sequence_without_advancing_it(
+        self, backend
+    ):
+        sequence = np.random.SeedSequence(42)
+        with get_executor(backend, 2) as ex:
+            first = ex.map_seeded(_seeded_normal, range(4), sequence)
+            second = ex.map_seeded(_seeded_normal, range(4), sequence)
+        with get_executor("serial") as serial:
+            reference = serial.map_seeded(_seeded_normal, range(4), 42)
+        assert first == second == reference
+
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_map_seeded_identical_across_backends(self, backend):
         with get_executor(backend, 2) as ex:
             result = ex.map_seeded(_seeded_normal, range(6), 42)

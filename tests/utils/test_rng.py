@@ -6,9 +6,20 @@ import pytest
 from repro.utils.rng import (
     check_random_state,
     child_seed,
+    freeze_seed,
     spawn_rngs,
     spawn_seeds,
 )
+
+SeedSequence = np.random.SeedSequence
+
+
+def _int_seeds(sequences):
+    """The ``int`` seeds ``spawn_seeds`` derives from child sequences."""
+    return [
+        int(s.generate_state(1, dtype=np.uint64)[0] >> np.uint64(1))
+        for s in sequences
+    ]
 
 
 class TestCheckRandomState:
@@ -95,3 +106,56 @@ class TestChildSeed:
     def test_non_integers_rejected(self, seed, index):
         with pytest.raises(TypeError, match="integers"):
             child_seed(seed, index)
+
+
+class TestSeedSequenceArgument:
+    """A SeedSequence handed to ``spawn_seeds`` is read, never advanced."""
+
+    def test_same_object_twice_gives_the_same_seeds(self):
+        sequence = SeedSequence(3)
+        first = spawn_seeds(sequence, 4)
+        assert spawn_seeds(sequence, 4) == first
+        assert spawn_seeds(sequence, 2) == first[:2]
+        assert sequence.n_children_spawned == 0
+
+    @pytest.mark.parametrize("make", [
+        lambda: SeedSequence(3),
+        lambda: SeedSequence(2**80 + 5, pool_size=8),
+        lambda: SeedSequence(11).spawn(2)[1],
+        lambda: SeedSequence([1, 2, 3], spawn_key=(4, 5)),
+    ], ids=["int", "pool-size", "spawned-child", "spawn-key"])
+    def test_equals_the_first_spawn_of_a_fresh_sequence(self, make):
+        assert spawn_seeds(make(), 6) == _int_seeds(make().spawn(6))
+
+
+class TestFreezeSeed:
+    def test_integers_pass_through_as_int(self):
+        assert freeze_seed(7) == 7
+        frozen = freeze_seed(np.int64(7))
+        assert frozen == 7 and type(frozen) is int
+
+    def test_seed_sequence_freezes_to_its_first_child(self):
+        sequence = SeedSequence(5)
+        assert freeze_seed(sequence) == child_seed(5, 0)
+        assert freeze_seed(sequence) == child_seed(5, 0)
+
+    def test_generator_freezes_to_one_draw(self):
+        expected = spawn_seeds(check_random_state(3), 1)[0]
+        assert freeze_seed(check_random_state(3)) == expected
+
+    def test_none_freezes_to_a_nonnegative_int(self):
+        frozen = freeze_seed(None)
+        assert type(frozen) is int and frozen >= 0
+
+    def test_engine_and_service_freeze_alike(self):
+        from repro.core.stream import StreamingDiagnosisEngine
+        from repro.serve import DiagnosisService
+
+        sequence = SeedSequence(9)
+        engines = [
+            StreamingDiagnosisEngine(random_state=sequence) for _ in range(2)
+        ]
+        with DiagnosisService(random_state=sequence) as service:
+            frozen = service.random_state
+        assert [e.random_state for e in engines] == [frozen, frozen]
+        assert frozen == freeze_seed(SeedSequence(9))
