@@ -5,8 +5,8 @@ an operator should trust fleet-wide.  This module sweeps the full
 matrix: for every registered scenario (see :mod:`repro.nfv.scenarios`)
 it generates one dataset, fits every model once, rebuilds every
 explainer on the shared fit (:meth:`NFVExplainabilityPipeline.with_explainer`),
-diagnoses a batch of violation epochs through the vectorized
-:meth:`~repro.core.pipeline.NFVExplainabilityPipeline.diagnose_batch`
+explains a batch of violation epochs through the vectorized
+:meth:`~repro.core.pipeline.NFVExplainabilityPipeline.explain_rows`
 path, and scores each cell with the evaluation suite:
 
 * **faithfulness** — normalized deletion/insertion AUCs plus a
@@ -307,8 +307,8 @@ def _run_matrix_shard(task: _ShardTask) -> list[MatrixCell]:
 
         # feeds only the `sec` column, dropped by format_table(timing=False)
         # — the byte-identical cross-backend comparison surface
-        diagnoses, elapsed = timed(pipeline.diagnose_batch, X_sel)
-        A = np.vstack([d.explanation.values for d in diagnoses])
+        (batch, _), elapsed = timed(pipeline.explain_rows, X_sel)
+        A = np.ascontiguousarray(batch.values)
         attributions[method] = A
 
         baseline = _neutral_baseline(pipeline)

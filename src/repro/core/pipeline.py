@@ -13,6 +13,7 @@ import numpy as np
 
 from repro.core.explainers import (
     STOCHASTIC_EXPLAINERS,
+    BatchExplanation,
     make_explainer,
     model_output_fn,
     resolve_explainer_method,
@@ -252,10 +253,17 @@ class NFVExplainabilityPipeline:
         score = float(self._score_fn(x.reshape(1, -1))[0])
         return self._resolve(explanation, score, aggregation)
 
-    def diagnose_batch(
-        self, X, *, aggregation: str = "abs", executor=None
-    ) -> list[NFVDiagnosis]:
-        """Diagnose every row of ``X`` in one vectorized pass.
+    def explain_rows(
+        self, X, *, executor=None
+    ) -> tuple[BatchExplanation, np.ndarray]:
+        """Explain and score every row of ``X`` in one vectorized pass.
+
+        Returns ``(batch, scores)``: the explainer's
+        :class:`~repro.core.explainers.BatchExplanation` and the 1-D
+        model scores, one per row.  This is the array half of
+        :meth:`diagnose_batch`, for callers that read the attribution
+        matrix and the scores and no per-row NFV diagnosis (the stream
+        engine's windows, the scenario matrix).
 
         The explainer's :meth:`~repro.core.explainers.Explainer.explain_batch`
         shares the coalition design and background evaluation across all
@@ -275,13 +283,23 @@ class NFVExplainabilityPipeline:
         X = np.asarray(X, dtype=float)
         if X.ndim != 2:
             raise ValueError(f"X must be 2-D, got shape {X.shape}")
-        if X.shape[0] == 0:
-            return []
         if executor is None:
             batch = self.explainer_.explain_batch(X)
         else:
             batch = self.explainer_.explain_batch_chunked(X, executor)
         scores = np.asarray(self._score_fn(X), dtype=float)
+        return batch, scores
+
+    def diagnose_batch(
+        self, X, *, aggregation: str = "abs", executor=None
+    ) -> list[NFVDiagnosis]:
+        """Diagnose every row of ``X``: :meth:`explain_rows`, then one
+        :class:`NFVDiagnosis` per row (``[]`` for zero rows)."""
+        X = np.asarray(X, dtype=float)
+        if X.ndim == 2 and X.shape[0] == 0:
+            self._check_fitted()
+            return []
+        batch, scores = self.explain_rows(X, executor=executor)
         return [
             self._resolve(explanation, float(score), aggregation)
             for explanation, score in zip(batch, scores)

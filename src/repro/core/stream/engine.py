@@ -17,10 +17,12 @@ windows of ``window_epochs`` epochs, and per window:
 1. appends the epochs to a bounded sliding history (``max_history``),
 2. refits the model + explainer every ``refit_every`` windows (and at
    the first window where the history supports a stratified fit),
-3. diagnoses the window's violation epochs through the *batched*
-   explanation engine — one vectorized ``diagnose_batch`` per window,
-   chunk-dispatched to an execution backend, with the explainer (and
-   its expected value) reused across windows between refits,
+3. explains and scores the window's violation epochs through the
+   *batched* explanation engine — one vectorized ``explain_rows`` per
+   window, chunk-dispatched to an execution backend, with the explainer
+   (and its expected value) reused across windows between refits; the
+   window reads the attribution matrix and the scores as arrays and
+   builds no per-row :class:`~repro.core.pipeline.NFVDiagnosis`,
 4. feeds the window's violation rate and the shift of its mean
    attribution profile into Page–Hinkley drift detectors
    (:mod:`repro.core.stream.drift`).
@@ -742,10 +744,12 @@ class StreamingDiagnosisEngine:
         rows = np.flatnonzero(y == 1)[: self.explain_per_window]
         if len(rows) == 0:
             return 0, 0, None, None, None
-        diagnoses = self._pipeline.diagnose_batch(X[rows], executor=executor)
-        n_alerts = int(sum(d.alert for d in diagnoses))
-        mean_score = float(np.mean([d.prediction for d in diagnoses]))
-        A = np.vstack([d.explanation.values for d in diagnoses])
+        batch, scores = self._pipeline.explain_rows(X[rows], executor=executor)
+        n_alerts = int(np.count_nonzero(scores >= self._pipeline.threshold))
+        mean_score = float(np.mean(scores))
+        # C order, as a row stack would be: the column means below sum
+        # in a different order (other bits) on a Fortran-ordered matrix
+        A = np.ascontiguousarray(batch.values)
         profile = np.abs(A).mean(axis=0)
         total = profile.sum()
         if total <= 0:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import NFVExplainabilityPipeline
+from repro.core.executor import get_executor
 from repro.core.explainers import (
     KernelShapExplainer,
     LimeExplainer,
@@ -203,6 +204,54 @@ class TestDiagnoseBatch:
             single.explanation.values,
             atol=1e-8,
         )
+
+
+@pytest.fixture(scope="module")
+def kernel_lr_pipeline(sla_dataset):
+    return NFVExplainabilityPipeline(
+        LogisticRegression(max_iter=200),
+        explainer_method="kernel_shap",
+        explainer_kwargs={"n_samples": 64},
+        random_state=0,
+    ).fit(sla_dataset)
+
+
+class TestExplainRows:
+    """``explain_rows`` is the array half of ``diagnose_batch``: the same
+    attribution bytes, and the scores and alerts each diagnosis reports.
+    16 rows is one dispatch chunk, 17 rows is two."""
+
+    @pytest.fixture(scope="class", params=["serial", "process"])
+    def executor(self, request):
+        with get_executor(request.param, 2) as ex:
+            yield ex
+
+    @pytest.mark.parametrize("n_rows", [1, 16, 17])
+    @pytest.mark.parametrize("which", ["pipeline", "kernel_lr_pipeline"])
+    def test_matches_diagnose_batch(
+        self, request, which, n_rows, executor, sla_dataset
+    ):
+        pipe = request.getfixturevalue(which)
+        X = sla_dataset.X.values[:n_rows]
+        batch, scores = pipe.explain_rows(X, executor=executor)
+        diagnoses = pipe.diagnose_batch(X, executor=executor)
+        assert len(diagnoses) == batch.n_samples == len(scores) == n_rows
+        assert np.array_equal(
+            batch.values,
+            np.vstack([d.explanation.values for d in diagnoses]),
+        )
+        assert scores.tolist() == [d.prediction for d in diagnoses]
+        assert (scores >= pipe.threshold).tolist() == [
+            d.alert for d in diagnoses
+        ]
+
+    def test_rejects_1d_and_unfitted(self, pipeline, sla_dataset):
+        with pytest.raises(ValueError, match="2-D"):
+            pipeline.explain_rows(sla_dataset.X.values[0])
+        with pytest.raises(RuntimeError, match="not fitted"):
+            NFVExplainabilityPipeline(GaussianNB()).explain_rows(
+                np.zeros((2, 31))
+            )
 
 
 class TestReports:

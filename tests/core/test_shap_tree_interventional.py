@@ -29,6 +29,7 @@ from repro.ml import (
     RandomForestRegressor,
 )
 from repro.ml.packed_shap import interventional_weight_table
+from repro.utils.rng import check_random_state
 
 
 class TestOrderingWeights:
@@ -190,7 +191,7 @@ def _base_value_model(kind, forest_setup):
     shared forest regressor, and a binary boosting ensemble."""
     if kind == "forest_regressor":
         return forest_setup
-    gen = np.random.default_rng(19)
+    gen = check_random_state(19)
     X = gen.normal(size=(200, 4))
     y = (X[:, 0] + X[:, 2] > 0).astype(int)
     if kind == "boosting":

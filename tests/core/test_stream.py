@@ -1,6 +1,7 @@
 """Tests for the streaming diagnosis engine (repro.core.stream)."""
 
 import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -727,9 +728,9 @@ class TestGoldenTable:
 class TestPackedWindowAttribution:
     """Per-window attribution rides the packed TreeSHAP kernel.
 
-    ``_explain_window`` goes through ``pipeline.diagnose_batch``, whose
-    batch path calls the explainer's ``explain_batch`` — for
-    ``tree_shap`` on a forest that is the packed kernel.  This pins
+    ``_explain_window`` goes through ``pipeline.explain_rows``, which
+    calls the explainer's ``explain_batch`` — for ``tree_shap`` on a
+    forest that is the packed kernel.  This pins
     byte-equality of the report when attribution runs through the
     per-tree recursion of ``tests/oracles/tree_shap_recursion.py``
     instead."""
@@ -762,3 +763,56 @@ class TestPackedWindowAttribution:
         assert packed.format_table(timing=False) == recursion.format_table(
             timing=False
         )
+
+
+class TestWindowOracle:
+    """Windows read the attribution matrix and the scores as arrays;
+    they must match the per-row diagnosis path of
+    ``tests/oracles/stream_window.py`` byte for byte.  Up to 24 rows
+    are explained per window: above 8 rows the column means of a
+    Fortran-ordered matrix take other bits than a row stack's."""
+
+    CONFIGS = {
+        "tree_shap": dict(
+            window_epochs=64,
+            refit_every=2,
+            explainer_method="tree_shap",
+            explain_per_window=24,
+            random_state=7,
+        ),
+        "kernel_shap": dict(
+            FAST, explain_per_window=24, explainer_method="kernel_shap"
+        ),
+    }
+
+    @pytest.mark.parametrize("method", sorted(CONFIGS))
+    def test_windows_match_the_per_row_diagnosis_path(
+        self, method, monkeypatch
+    ):
+        from oracles.stream_window import explain_window
+
+        from repro.core.matrix import default_model_factories
+
+        def run():
+            return StreamingDiagnosisEngine(
+                default_model_factories()["random_forest"],
+                **self.CONFIGS[method],
+            ).run(_stream())
+
+        arrays = run()
+        monkeypatch.setattr(
+            StreamingDiagnosisEngine, "_explain_window", explain_window
+        )
+        per_row = run()
+        assert max(w.n_explained for w in arrays.windows) > 8
+        assert arrays.format_table(timing=False) == per_row.format_table(
+            timing=False
+        )
+
+        def fields(report):
+            return [
+                {k: v for k, v in asdict(w).items() if k != "seconds"}
+                for w in report.windows
+            ]
+
+        assert fields(arrays) == fields(per_row)

@@ -34,6 +34,7 @@ from repro.ml import (
     RandomForestRegressor,
 )
 from repro.ml.packed import PackedEnsemble
+from repro.utils.rng import check_random_state
 
 
 def _toy_data(seed=0, n=300, d=6):
@@ -238,7 +239,7 @@ class TestAccumulateEquivalence:
 
     def test_small_slices_and_block_boundaries(self):
         X, models = _accumulate_models()
-        gen = np.random.default_rng(61)
+        gen = check_random_state(61)
         for model in models:
             packed = model.packed_ensemble()
             block = packed._block_rows()
