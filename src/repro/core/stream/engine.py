@@ -617,11 +617,11 @@ class StreamingDiagnosisEngine:
             if start is not None
             else f"batch at stream offset {self._epoch + self._pending_rows}"
         )
-        if values.ndim != 2 or len(values) != len(labels):
+        if values.ndim != 2 or labels.shape != (len(values),):
             raise MalformedBatchError(
                 "misaligned-shapes",
                 f"batch features {values.shape} do not align with "
-                f"{len(labels)} labels",
+                f"labels {labels.shape}; {where}",
             )
         if not np.isfinite(values).all():
             raise MalformedBatchError(
@@ -937,13 +937,20 @@ class StreamingDiagnosisEngine:
             emit(self.flush(executor))
             extras = {"backend": executor.backend, "workers": executor.workers}
 
+        return self.report(first, first_event, scenario=scenario, extras=extras)
+
+    def report(self, first_window: int = 0, first_event: int = 0, *,
+               scenario: str | None = None,
+               extras: dict | None = None) -> StreamReport:
+        """A :class:`StreamReport` over the windows and events recorded
+        from ``first_window`` and ``first_event`` on."""
         return StreamReport(
-            windows=self.windows[first:],
+            windows=self.windows[first_window:],
             window_epochs=self.window_epochs,
             refit_every=self.refit_every,
             explainer=self.explainer_method,
             scenario=scenario,
             seed=self.random_state,
-            extras=extras,
+            extras=extras or {},
             events=self.events[first_event:],
         )

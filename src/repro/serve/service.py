@@ -173,9 +173,12 @@ class DiagnosisService:
     @property
     def session_names(self) -> list[str]:
         """Open session names in tenant-index order."""
+        return [s.name for s in self._ordered_sessions()]
+
+    def _ordered_sessions(self) -> list[TenantSession]:
         with self._lock:
             sessions = list(self._sessions.values())
-        return [s.name for s in sorted(sessions, key=lambda s: s.tenant_index)]
+        return sorted(sessions, key=lambda s: s.tenant_index)
 
     def tenant_seed(self, index: int) -> int:
         """The engine seed of tenant ``index`` (prefix-stable)."""
@@ -202,23 +205,33 @@ class DiagnosisService:
                 raise ValueError(f"session {name!r} is already open")
             index = self._next_index
             self._next_index += 1
-            seed = self.tenant_seed(index)
-            engine = StreamingDiagnosisEngine(
-                self.model_factory, random_state=seed, **self._engine_kwargs
-            )
-            session = TenantSession(
-                name, index, seed, engine,
-                max_pending_epochs=(
-                    self.max_pending_epochs if max_pending_epochs is None
-                    else max_pending_epochs
-                ),
-                failure_budget=(
-                    self.failure_budget if failure_budget is None
-                    else failure_budget
-                ),
+            session = self._new_session(
+                name, index, max_pending_epochs, failure_budget
             )
             self._sessions[name] = session
             return session
+
+    def _new_session(self, name: str, index: int,
+                     max_pending_epochs: int | None,
+                     failure_budget: int | None) -> TenantSession:
+        """Tenant ``index``'s fresh session, its engine built from the
+        service's engine configuration and ``tenant_seed(index)``
+        (``None`` budgets take the service defaults)."""
+        seed = self.tenant_seed(index)
+        engine = StreamingDiagnosisEngine(
+            self.model_factory, random_state=seed, **self._engine_kwargs
+        )
+        return TenantSession(
+            name, index, seed, engine,
+            max_pending_epochs=(
+                self.max_pending_epochs if max_pending_epochs is None
+                else max_pending_epochs
+            ),
+            failure_budget=(
+                self.failure_budget if failure_budget is None
+                else failure_budget
+            ),
+        )
 
     def session(self, name: str) -> TenantSession:
         """Look up an open session by name (``KeyError`` if absent)."""
@@ -243,39 +256,26 @@ class DiagnosisService:
 
     def process(self, name: str, batch) -> list:
         """``submit`` + ``drain`` for tenant ``name`` in one call."""
-        session = self.session(name)
-        session.submit(batch)
-        return session.drain(self._executor)
+        return self.session(name).process(batch, self._executor)
 
     def drain_all(self) -> dict[str, list]:
-        """Drain every healthy session; windows keyed by session name.
+        """Drain every healthy session; windows keyed by session name."""
+        return self._sweep(TenantSession.drain)
+
+    def flush_all(self) -> dict[str, list]:
+        """Flush every healthy session's trailing partial window."""
+        return self._sweep(TenantSession.flush)
+
+    def _sweep(self, step) -> dict[str, list]:
+        """``step(session, executor)`` for every session, keyed by name.
 
         Quarantined sessions are skipped (an empty list), not raised:
         one bad tenant must never block a fleet-wide sweep.  Read
         :meth:`health_report` to see who was sidelined.
         """
         return {
-            name: (
-                []
-                if self.session(name).quarantined
-                else self.session(name).drain(self._executor)
-            )
-            for name in self.session_names
-        }
-
-    def flush_all(self) -> dict[str, list]:
-        """Flush every healthy session's trailing partial window.
-
-        Like :meth:`drain_all`, quarantined sessions are skipped, not
-        raised.
-        """
-        return {
-            name: (
-                []
-                if self.session(name).quarantined
-                else self.session(name).flush(self._executor)
-            )
-            for name in self.session_names
+            s.name: [] if s.quarantined else step(s, self._executor)
+            for s in self._ordered_sessions()
         }
 
     def report(self, name: str) -> StreamReport:
@@ -289,10 +289,7 @@ class DiagnosisService:
         breaker — the first thing to read after a fault storm.
         """
         return ServiceHealth(
-            sessions={
-                name: self.session(name).health()
-                for name in self.session_names
-            }
+            sessions={s.name: s.health() for s in self._ordered_sessions()}
         )
 
     def close_session(self, name: str, *, flush: bool = True) -> StreamReport:
@@ -308,10 +305,7 @@ class DiagnosisService:
     # ------------------------------------------------------------------
     def snapshot(self) -> ServiceSnapshot:
         """Detached, picklable snapshot of the service and all sessions."""
-        with self._lock:
-            sessions = sorted(
-                self._sessions.values(), key=lambda s: s.tenant_index
-            )
+        sessions = self._ordered_sessions()
         return ServiceSnapshot(
             service_config={
                 "max_pending_epochs": self.max_pending_epochs,
@@ -334,8 +328,12 @@ class DiagnosisService:
         resilience knobs) are supplied by the restoring code — they are
         deliberately not in the snapshot; everything report-determining
         comes from the snapshot, so the restored service resumes every
-        tenant byte-identically.  A tenant quarantined at snapshot time
-        is restored quarantined.
+        tenant byte-identically.  Each session is built from the
+        service configuration, exactly as :meth:`open_session` builds
+        it, before its engine state loads, so an engine whose snapshot
+        configuration disagrees is refused with ``ValueError`` naming
+        the differing keys.  A tenant quarantined at snapshot time is
+        restored quarantined.
         """
         config = snapshot.service_config
         service = cls(
@@ -351,17 +349,13 @@ class DiagnosisService:
         )
         try:
             for snap in snapshot.sessions:
-                engine = StreamingDiagnosisEngine(
-                    model_factory, **snap.engine["config"]
-                )
-                engine.load_state_dict(snap.engine)
-                session = TenantSession(
-                    snap.name, snap.tenant_index, snap.seed, engine,
-                    max_pending_epochs=snap.max_pending_epochs,
+                session = service._new_session(
+                    snap.name, snap.tenant_index, snap.max_pending_epochs,
                     # getattr: schema-1 snapshots from before the
                     # circuit breakers lack these fields
-                    failure_budget=getattr(snap, "failure_budget", 3),
+                    getattr(snap, "failure_budget", 3),
                 )
+                session.engine.load_state_dict(snap.engine)
                 session._load_health(getattr(snap, "health", {}) or {})
                 with service._lock:
                     service._sessions[snap.name] = session

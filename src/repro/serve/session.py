@@ -34,6 +34,8 @@ from __future__ import annotations
 import pickle
 import threading
 
+import numpy as np
+
 from repro.core.stream import StreamingDiagnosisEngine, StreamReport
 
 from .snapshot import SessionSnapshot
@@ -145,31 +147,47 @@ class TenantSession:
         return self._quarantined
 
     # -- circuit breaker -----------------------------------------------
-    def _check_open(self) -> None:
-        """Refuse work while quarantined (call under the lock)."""
-        if self._quarantined:
-            raise SessionQuarantinedError(
-                self.name, self._quarantine_check,
-                self._consecutive_failures,
-            )
+    def _refusal(self) -> SessionQuarantinedError:
+        return SessionQuarantinedError(
+            self.name, self._quarantine_check, self._consecutive_failures
+        )
 
-    def _note_failure(self, exc: BaseException) -> None:
-        """Count one failure; trip the breaker at the budget.
-
-        Call under the lock.  Raises :class:`SessionQuarantinedError`
-        (chained from ``exc``) on the failure that crosses the budget;
-        otherwise returns so the caller can re-raise the original.
-        """
+    def _note_failure(self, exc: BaseException, *, trip: bool = False) -> None:
+        """Count one failure; open the breaker at the budget (at once
+        with ``trip``).  Call under the lock."""
         self._failures_total += 1
         self._consecutive_failures += 1
         self._last_error = f"{type(exc).__name__}: {exc}"
-        if self._consecutive_failures >= self.failure_budget:
+        if trip or self._consecutive_failures >= self.failure_budget:
             self._quarantined = True
             self._quarantine_check = _failure_check(exc)
-            raise SessionQuarantinedError(
-                self.name, self._quarantine_check,
-                self._consecutive_failures,
-            ) from exc
+
+    def _guarded(self, step, *args, needs_windows: bool = False):
+        """Run ``step(*args)`` under the lock and the circuit breaker.
+
+        A quarantined session refuses the call.  A failure counts
+        against the budget and is re-raised, or raised as
+        :class:`SessionQuarantinedError` chained from it once the
+        breaker opens; a :class:`BackpressureError` is flow control, not
+        a fault, and never counts.  Success closes the failure streak —
+        with ``needs_windows``, only if ``step`` closed windows, so an
+        empty drain cannot launder a tenant whose submits keep failing.
+        """
+        with self._lock:
+            if self._quarantined:
+                raise self._refusal()
+            try:
+                result = step(*args)
+            except BackpressureError:
+                raise
+            except Exception as exc:
+                self._note_failure(exc)
+                if self._quarantined:
+                    raise self._refusal() from exc
+                raise
+            if result or not needs_windows:
+                self._consecutive_failures = 0
+            return result
 
     def record_stream_failure(self, exc: BaseException) -> None:
         """Record that the tenant's *stream iterator* raised.
@@ -180,11 +198,7 @@ class TenantSession:
         telemetry source itself is broken.
         """
         with self._lock:
-            self._failures_total += 1
-            self._consecutive_failures += 1
-            self._last_error = f"{type(exc).__name__}: {exc}"
-            self._quarantined = True
-            self._quarantine_check = _failure_check(exc)
+            self._note_failure(exc, trip=True)
 
     def reinstate(self) -> None:
         """Close the breaker again (an operator decision, never automatic).
@@ -236,41 +250,23 @@ class TenantSession:
         ``max_pending_epochs`` to at least the largest batch the
         tenant emits.
         """
+        return self._guarded(self._admit, batch)
+
+    def _admit(self, batch) -> int:
         labels = getattr(batch, "sla_violation", None)
-        batch_epochs = len(labels) if labels is not None else 0
-        with self._lock:
-            self._check_open()
-            pending = self.engine.pending_epochs
-            if pending + batch_epochs > self.max_pending_epochs:
-                # flow control, not a fault: backpressure never counts
-                # against the failure budget
-                raise BackpressureError(
-                    self.name, pending, batch_epochs,
-                    self.max_pending_epochs,
-                )
-            try:
-                result = self.engine.ingest(batch)
-            except Exception as exc:
-                self._note_failure(exc)
-                raise
-            self._consecutive_failures = 0
-            return result
+        batch_epochs = 0 if labels is None else int(np.size(labels))
+        pending = self.engine.pending_epochs
+        if pending + batch_epochs > self.max_pending_epochs:
+            raise BackpressureError(
+                self.name, pending, batch_epochs, self.max_pending_epochs
+            )
+        return self.engine.ingest(batch)
 
     def drain(self, executor=None) -> list:
         """Close every complete window in the pending buffer."""
-        with self._lock:
-            self._check_open()
-            try:
-                windows = self.engine.process_pending(executor)
-            except Exception as exc:
-                self._note_failure(exc)
-                raise
-            if windows:
-                # only real work closes the failure streak — an empty
-                # drain must not launder a tenant whose submits keep
-                # failing
-                self._consecutive_failures = 0
-            return windows
+        return self._guarded(
+            self.engine.process_pending, executor, needs_windows=True
+        )
 
     def process(self, batch, executor=None) -> list:
         """``submit`` then ``drain`` — the one-call streaming step."""
@@ -279,29 +275,14 @@ class TenantSession:
 
     def flush(self, executor=None) -> list:
         """End of stream: close the trailing partial window, if any."""
-        with self._lock:
-            self._check_open()
-            try:
-                windows = self.engine.flush(executor)
-            except Exception as exc:
-                self._note_failure(exc)
-                raise
-            if windows:
-                self._consecutive_failures = 0
-            return windows
+        return self._guarded(self.engine.flush, executor, needs_windows=True)
 
     # ------------------------------------------------------------------
     def report(self) -> StreamReport:
-        """A :class:`StreamReport` over every window closed so far."""
+        """A :class:`StreamReport` over every window closed so far, with
+        the engine's stream events."""
         with self._lock:
-            return StreamReport(
-                windows=list(self.engine.windows),
-                window_epochs=self.engine.window_epochs,
-                refit_every=self.engine.refit_every,
-                explainer=self.engine.explainer_method,
-                scenario=self.name,
-                seed=self.engine.random_state,
-            )
+            return self.engine.report(scenario=self.name)
 
     def snapshot(self) -> SessionSnapshot:
         """Detached, picklable snapshot of this session.

@@ -456,6 +456,26 @@ class TestMalformedPolicy:
             engine.ingest(_synthetic_batch(4, [0] * 4, n_features=5))
         assert excinfo.value.check == "schema-changed"
 
+    @pytest.mark.parametrize(
+        "labels", [np.int64(1), np.array([[0], [1], [0], [1]])],
+        ids=["0-d", "column"],
+    )
+    def test_labels_must_be_one_per_row(self, labels):
+        """0-d and column-vector labels fail ``misaligned-shapes`` at
+        ingest, so the skip policy can drop them like any bad batch."""
+        bad = _synthetic_batch(4, [0, 1, 0, 1], start=8, seed=1)
+        bad.sla_violation = labels
+        engine = StreamingDiagnosisEngine(
+            window_epochs=8, explain_per_window=0, on_malformed="skip",
+            random_state=0,
+        )
+        engine.ingest(_synthetic_batch(8, [0, 1] * 4, seed=2))
+        assert engine.ingest(bad) == 8
+        engine.ingest(_synthetic_batch(8, [0, 1] * 4, start=8, seed=3))
+        assert [w.n_epochs for w in engine.process_pending()] == [8, 8]
+        (event,) = engine.events
+        assert event.check == "misaligned-shapes"
+
     def test_malformed_error_is_a_valueerror(self):
         # the pre-ISSUE-10 contract matched ValueError; keep it true
         assert issubclass(MalformedBatchError, ValueError)

@@ -140,6 +140,18 @@ class TestBreaker:
             with pytest.raises(SessionQuarantinedError):
                 session.submit(bad)
 
+    def test_zero_d_labels_trip_the_named_check(self):
+        """A 0-d label batch is sized inside the breaker, so the
+        engine's ``misaligned-shapes`` check counts it as a failure."""
+        with DiagnosisService(random_state=SEED, **FAST) as service:
+            session = service.open_session("t", failure_budget=1)
+            scalar = replace(_first_batch(), sla_violation=np.int64(1))
+            with pytest.raises(SessionQuarantinedError) as excinfo:
+                session.submit(scalar)
+            assert excinfo.value.check == "misaligned-shapes"
+            assert session.health()["failures"] == 1
+            assert session.pending_epochs == 0
+
     def test_reinstate_reopens_but_keeps_the_record(self):
         with DiagnosisService(random_state=SEED, **FAST) as service:
             session = service.open_session("t", failure_budget=1)

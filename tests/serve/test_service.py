@@ -6,6 +6,9 @@ coalition-design memo, and the process with other tenants is
 timing-only.
 """
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from repro.core.executor import SerialExecutor
@@ -192,6 +195,28 @@ class TestTenantIsolation:
             assert report.scenario == "alpha"
             assert report.seed == session.seed
             assert report.window_epochs == FAST["window_epochs"]
+
+    def test_report_carries_stream_events(self):
+        """A batch the engine skips under ``on_malformed="skip"`` shows
+        up in the session report's events, as in a bare engine run."""
+        with DiagnosisService(
+            random_state=SEED, on_malformed="skip", **FAST
+        ) as service:
+            session = service.open_session("alpha")
+            good, bad = list(_stream(session.seed, n_epochs=32,
+                                     batch_epochs=16))
+            service.process("alpha", good)
+            labels = np.array(bad.sla_violation, copy=True)
+            labels[0] = 7
+            service.process("alpha", replace(bad, sla_violation=labels))
+            report = service.report("alpha")
+            (event,) = report.events
+            assert (event.kind, event.check, event.epoch) == (
+                "skipped-batch", "labels-not-binary", 16
+            )
+            assert "skipped-batch[labels-not-binary] @epoch 16" in (
+                report.format_events()
+            )
 
     def test_close_session_returns_flushed_final_report(self):
         with DiagnosisService(random_state=SEED, **FAST) as service:

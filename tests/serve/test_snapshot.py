@@ -152,6 +152,17 @@ class TestRestore:
             # recycle the closed session's index
             assert restored.open_session("c").tenant_index == 2
 
+    def test_restore_refuses_a_mismatched_engine_config(self):
+        """Sessions are rebuilt from the service configuration, so a
+        tenant engine snapshot taken under another configuration fails
+        the engine's config check instead of restoring silently."""
+        with DiagnosisService(random_state=SEED, **FAST) as service:
+            service.open_session("a")
+            snapshot = service.snapshot()
+        snapshot.sessions[0].engine["config"]["refit_every"] = 5
+        with pytest.raises(ValueError, match="refit_every"):
+            DiagnosisService.restore(snapshot, backend="serial")
+
     def test_restore_keeps_backpressure_budget(self, tmp_path):
         with DiagnosisService(
             random_state=SEED, max_pending_epochs=16, **FAST
