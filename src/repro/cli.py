@@ -962,6 +962,7 @@ def _cmd_chaos(args) -> int:
     from repro.chaos import ChaosFault, ChaosPolicy
     from repro.core.stream import MalformedBatchError, StreamingDiagnosisEngine
     from repro.resilience import ResilienceError, ResilientExecutor
+    from repro.utils.events import format_events
 
     if _unknown_one("scenario", args.scenario, *_scenario_names()):
         return 1
@@ -1036,8 +1037,8 @@ def _cmd_chaos(args) -> int:
     if report is not None:
         print(report.format_table(timing=not args.no_timing))
         print()
-        print(report.format_events())
-    print(f"resilience: {executor.event_summary()}")
+        print(format_events(report.events, "stream"))
+    print(format_events(executor.events, "resilience"))
     print(
         _backend_label(executor.backend, executor.workers)
         + ("" if args.no_timing else f"; {elapsed:.2f}s total")

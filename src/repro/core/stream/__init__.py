@@ -15,7 +15,6 @@ from repro.core.stream.drift import PageHinkley
 from repro.core.stream.engine import (
     MALFORMED_CHECKS,
     MalformedBatchError,
-    StreamEvent,
     StreamingDiagnosisEngine,
     StreamReport,
     StreamWindow,
@@ -26,7 +25,6 @@ __all__ = [
     "MALFORMED_CHECKS",
     "MalformedBatchError",
     "PageHinkley",
-    "StreamEvent",
     "StreamingDiagnosisEngine",
     "StreamReport",
     "StreamWindow",

@@ -52,13 +52,13 @@ from repro.core.explainers import resolve_explainer_method
 from repro.core.pipeline import NFVExplainabilityPipeline
 from repro.core.stream.drift import PageHinkley
 from repro.utils.clock import timed
+from repro.utils.events import OperatorEvent
 from repro.utils.rng import child_seed, freeze_seed, spawn_seeds
 from repro.utils.tabular import FeatureMatrix
 
 __all__ = [
     "MALFORMED_CHECKS",
     "MalformedBatchError",
-    "StreamEvent",
     "StreamWindow",
     "StreamReport",
     "StreamingDiagnosisEngine",
@@ -93,25 +93,6 @@ class MalformedBatchError(ValueError):
     def __init__(self, check: str, message: str):
         super().__init__(message)
         self.check = check
-
-
-@dataclass(frozen=True)
-class StreamEvent:
-    """One named non-window occurrence of a streaming run.
-
-    ``kind`` is ``"skipped-batch"`` today; ``check`` names the failed
-    data check (:data:`MALFORMED_CHECKS`), ``epoch`` is the engine's
-    stream offset (:attr:`StreamingDiagnosisEngine.epochs_seen`) when
-    the event was recorded, and ``detail`` carries the check's full
-    message.  All fields are pure functions of the configuration and
-    the consumed stream, so event logs are byte-identical across
-    backends too.
-    """
-
-    kind: str
-    check: str
-    epoch: int
-    detail: str = ""
 
 
 def window_seeds(random_state, n: int) -> list[int]:
@@ -188,12 +169,14 @@ class StreamWindow:
 class StreamReport:
     """All windows of one streaming run plus the engine configuration.
 
-    ``events`` lists the named :class:`StreamEvent` occurrences of the
-    run (batches skipped under the ``on_malformed="skip"`` policy).
-    They are *not* part of :meth:`format_table` — the diagnosis bytes
-    stay identical to a fault-free run, which is the recoverable half
-    of the chaos invariant — and render separately through
-    :meth:`format_events`.
+    ``events`` lists the run's named
+    :class:`~repro.utils.events.OperatorEvent` occurrences, keyed by
+    stream epoch: batches skipped under the ``on_malformed="skip"``
+    policy, and the breaker steps of a serving session.  They are *not*
+    part of :meth:`format_table` — the diagnosis bytes stay identical
+    to a fault-free run, which is the recoverable half of the chaos
+    invariant — and render separately through
+    :func:`repro.utils.events.format_events`.
     """
 
     windows: list[StreamWindow]
@@ -203,7 +186,7 @@ class StreamReport:
     scenario: str | None = None
     seed: int | None = None
     extras: dict = field(default_factory=dict)
-    events: list[StreamEvent] = field(default_factory=list)
+    events: list[OperatorEvent] = field(default_factory=list)
 
     @property
     def n_epochs(self) -> int:
@@ -296,23 +279,6 @@ class StreamReport:
         )
         return "\n".join(lines)
 
-    def format_events(self) -> str:
-        """Deterministic text log of the run's named events.
-
-        Kept out of :meth:`format_table` on purpose: the table answers
-        "what did the diagnosis conclude" (and must match a fault-free
-        run byte for byte), this answers "what did the run survive".
-        """
-        if not self.events:
-            return "no stream events"
-        lines = [f"stream events ({len(self.events)}):"]
-        for event in self.events:
-            lines.append(
-                f"  {event.kind}[{event.check}] @epoch {event.epoch}: "
-                f"{event.detail}"
-            )
-        return "\n".join(lines)
-
 
 class _HistoryDataset:
     """Duck-typed ``NFVDataset`` over the engine's sliding history."""
@@ -368,8 +334,9 @@ class StreamingDiagnosisEngine:
         What :meth:`ingest` does with a batch that fails a named data
         check: ``"raise"`` (default) propagates the
         :class:`MalformedBatchError`; ``"skip"`` drops the batch
-        untouched and records a named :class:`StreamEvent` — the
-        windowed bytes continue as if the batch never arrived.
+        untouched and records a ``skipped-batch``
+        :class:`~repro.utils.events.OperatorEvent` — the windowed bytes
+        continue as if the batch never arrived.
     random_state:
         Integer seed covering every stochastic choice of the run.
         Non-integer seeds (``None``, a live ``Generator``, a
@@ -477,7 +444,7 @@ class StreamingDiagnosisEngine:
             **self._attribution_drift_kwargs
         )
         self.windows: list[StreamWindow] = []
-        self.events: list[StreamEvent] = []
+        self.events: list[OperatorEvent] = []
 
     # -- snapshot / restore --------------------------------------------
     def config_dict(self) -> dict:
@@ -514,13 +481,14 @@ class StreamingDiagnosisEngine:
         Returns ``{"config": config_dict(), "state": {...}}`` where the
         state holds the pending epoch buffer, the sliding history, the
         fitted pipeline, both drift detectors, the window index, the
-        attribution-drift reference profile, and the closed windows —
-        all picklable (the pipeline's packed ensembles are dropped on
-        pickle and rebuilt on unpickle, byte-identically).  The dict
-        shares references with the live engine: pickle it (or deep-copy
-        it) before the engine processes more batches.  The seed cache
-        is *not* included — it regrows from the frozen integer seed
-        with identical prefixes.
+        attribution-drift reference profile, the closed windows, and the
+        operator event log — all picklable (the pipeline's packed
+        ensembles are dropped on pickle and rebuilt on unpickle,
+        byte-identically).  The dict shares references with the live
+        engine: pickle it (or deep-copy it) before the engine processes
+        more batches.  Window seeds are not stored: each is
+        ``child_seed`` of the frozen integer seed (in the configuration)
+        and the window index.
 
         An engine restored via :meth:`load_state_dict` continues the
         stream byte-identically to one that was never interrupted: the
@@ -594,9 +562,7 @@ class StreamingDiagnosisEngine:
         self.violation_detector = state["violation_detector"]
         self.attribution_detector = state["attribution_detector"]
         self.windows = list(state["windows"])
-        # .get: snapshots predating the malformed-batch policy have no
-        # event log; they resume with an empty one
-        self.events = list(state.get("events", []))
+        self.events = list(state["events"])
 
     # ------------------------------------------------------------------
     def _ingest(self, batch) -> None:
@@ -848,8 +814,9 @@ class StreamingDiagnosisEngine:
         :class:`MalformedBatchError` under the default
         ``on_malformed="raise"`` policy; under ``"skip"`` the batch is
         dropped before touching any engine state and the skip recorded
-        as a named :class:`StreamEvent` — the engine's bytes continue
-        exactly as if the batch had never arrived.
+        as a ``skipped-batch`` event at :attr:`epochs_seen` — the
+        engine's bytes continue exactly as if the batch had never
+        arrived.
         """
         try:
             self._ingest(batch)
@@ -857,11 +824,8 @@ class StreamingDiagnosisEngine:
             if self.on_malformed != "skip":
                 raise
             self.events.append(
-                StreamEvent(
-                    kind="skipped-batch",
-                    check=err.check,
-                    epoch=self.epochs_seen,
-                    detail=str(err),
+                OperatorEvent(
+                    "skipped-batch", self.epochs_seen, err.check, str(err)
                 )
             )
         return self._pending_rows

@@ -8,7 +8,10 @@ timeouts, bounded deterministic retries (a retried shard reruns with
 the same arguments and the same child seed, so a recovered run is
 byte-identical to an undisturbed one), and a graceful-degradation
 chain (broken process pool → rebuild once → fall back to threads →
-serial), every step recorded as a named :class:`ResilienceEvent`.
+serial), every step recorded as a named
+:class:`~repro.utils.events.OperatorEvent` in
+:attr:`ResilientExecutor.events` (print the log with
+:func:`repro.utils.events.format_events`).
 
 The invariant the layer guarantees, and :mod:`repro.chaos` proves:
 under any injected fault the final report is either byte-identical to
@@ -21,16 +24,11 @@ from repro.resilience.errors import (
     TaskFailedError,
     TaskTimeoutError,
 )
-from repro.resilience.executor import (
-    EVENT_KINDS,
-    ResilienceEvent,
-    ResilientExecutor,
-)
+from repro.resilience.executor import EVENT_KINDS, ResilientExecutor
 
 __all__ = [
     "EVENT_KINDS",
     "ResilienceError",
-    "ResilienceEvent",
     "ResilientExecutor",
     "TaskFailedError",
     "TaskTimeoutError",

@@ -19,8 +19,10 @@ failure classification:
   :class:`~repro.resilience.errors.TaskFailedError` — the whole map
   fails closed, never partially.
 
-Every recovery step is recorded as a named :class:`ResilienceEvent` in
-:attr:`ResilientExecutor.events`.  Events describe what the run
+Every recovery step is recorded as a named
+:class:`~repro.utils.events.OperatorEvent` in
+:attr:`ResilientExecutor.events`, keyed by the global task ordinal of
+the task whose failure caused it.  Events describe what the run
 *survived*; they never leak into report bytes.
 
 Tasks are addressed by a **global ordinal** (count of tasks dispatched
@@ -37,12 +39,12 @@ from __future__ import annotations
 import threading
 from concurrent.futures import BrokenExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
-from dataclasses import dataclass
 
 from repro.core.executor import Executor, _ImmediateFuture, get_executor
 from repro.resilience.errors import TaskFailedError, TaskTimeoutError
+from repro.utils.events import OperatorEvent
 
-__all__ = ["EVENT_KINDS", "ResilienceEvent", "ResilientExecutor"]
+__all__ = ["EVENT_KINDS", "ResilientExecutor"]
 
 #: Every event kind :class:`ResilientExecutor` can record.
 EVENT_KINDS = (
@@ -58,25 +60,9 @@ EVENT_KINDS = (
 _CHAIN = ("process", "thread", "serial")
 
 
-@dataclass(frozen=True)
-class ResilienceEvent:
-    """One named recovery step.
-
-    ``kind`` is drawn from :data:`EVENT_KINDS`; ``task`` is the global
-    task ordinal (``None`` for pool-level events such as rebuilds) and
-    ``attempt`` the 1-based attempt that just failed.
-    """
-
-    kind: str
-    detail: str = ""
-    task: int | None = None
-    attempt: int | None = None
-
-    def __str__(self) -> str:
-        where = "" if self.task is None else f" task={self.task}"
-        nth = "" if self.attempt is None else f" attempt={self.attempt}"
-        tail = f": {self.detail}" if self.detail else ""
-        return f"{self.kind}{where}{nth}{tail}"
+def _attempt(attempt: int, cause: BaseException) -> str:
+    """An event detail: the 1-based attempt that failed, and why."""
+    return f"attempt {attempt}: {cause}" if str(cause) else f"attempt {attempt}"
 
 
 class _PoolIncident(Exception):
@@ -154,7 +140,7 @@ class ResilientExecutor(Executor):
         self.task_timeout = task_timeout
         self.retries = int(retries)
         self.chaos = chaos
-        self.events: list[ResilienceEvent] = []
+        self.events: list[OperatorEvent] = []
         self._dispatched = 0
         self._rebuilds_at_level = 0
 
@@ -165,19 +151,8 @@ class ResilientExecutor(Executor):
 
     # -- event plumbing -------------------------------------------------
 
-    def _record(self, kind, detail="", task=None, attempt=None) -> None:
-        self.events.append(
-            ResilienceEvent(kind=kind, detail=detail, task=task, attempt=attempt)
-        )
-
-    def event_summary(self) -> str:
-        """Deterministic one-line digest, e.g. ``task-retry x3; degrade x1``."""
-        counts: dict[str, int] = {}
-        for event in self.events:
-            counts[event.kind] = counts.get(event.kind, 0) + 1
-        if not counts:
-            return "no resilience events"
-        return "; ".join(f"{kind} x{counts[kind]}" for kind in sorted(counts))
+    def _record(self, kind, at, check=None, detail="") -> None:
+        self.events.append(OperatorEvent(kind, at, check, detail))
 
     # -- dispatch / collect ---------------------------------------------
 
@@ -207,8 +182,9 @@ class ResilientExecutor(Executor):
         except BrokenExecutor as exc:
             raise _PoolIncident("pool-broken", exc) from exc
 
-    def _recover(self, incident: _PoolIncident) -> None:
-        """Rebuild the pool once per level, then degrade down the chain."""
+    def _recover(self, at: int) -> None:
+        """Rebuild the pool once per level, then degrade down the chain;
+        ``at`` is the ordinal of the task whose incident triggered it."""
         level = self._inner.backend
         if level == "serial":
             return  # nothing pooled to rebuild, nowhere further to fall
@@ -216,16 +192,16 @@ class ResilientExecutor(Executor):
         if self._rebuilds_at_level < 1:
             self._rebuilds_at_level += 1
             self._inner = get_executor(level, self._requested_workers)
-            self._record("pool-rebuild", detail=level)
+            self._record("pool-rebuild", at, detail=level)
         else:
             fallback = _CHAIN[_CHAIN.index(level) + 1]
             self._inner = get_executor(fallback, self._requested_workers)
             self._rebuilds_at_level = 0
-            self._record("degrade", detail=f"{level}->{fallback}")
+            self._record("degrade", at, detail=f"{level}->{fallback}")
 
     def _give_up(self, ordinal, attempts, kind, cause):
         self._record(
-            "task-failed", detail=kind, task=ordinal, attempt=attempts
+            "task-failed", ordinal, check=kind, detail=_attempt(attempts, cause)
         )
         if kind == "task-timeout":
             raise TaskTimeoutError(ordinal, attempts, self.task_timeout) from cause
@@ -262,9 +238,9 @@ class ResilientExecutor(Executor):
                 for i in pending
             ]
             pending = []
-            incident = None
+            incident_at = None  # ordinal of the task that hit an incident
             for i, fut in dispatched:
-                if incident is not None:
+                if incident_at is not None:
                     # a pool incident abandoned this round; requeue
                     # without charging the task an attempt
                     fut.cancel()
@@ -275,15 +251,13 @@ class ResilientExecutor(Executor):
                 except _PoolIncident as inc:
                     attempts[i] += 1
                     self._record(
-                        inc.kind,
-                        detail=str(inc.cause),
-                        task=base + i,
-                        attempt=attempts[i],
+                        inc.kind, base + i,
+                        detail=_attempt(attempts[i], inc.cause),
                     )
                     if attempts[i] > self.retries:
                         self._give_up(base + i, attempts[i], inc.kind, inc.cause)
                     pending.append(i)
-                    incident = inc
+                    incident_at = base + i
                 except Exception as exc:
                     attempts[i] += 1
                     if attempts[i] > self.retries:
@@ -291,14 +265,13 @@ class ResilientExecutor(Executor):
                             base + i, attempts[i], type(exc).__name__, exc
                         )
                     self._record(
-                        "task-retry",
-                        detail=f"{type(exc).__name__}: {exc}",
-                        task=base + i,
-                        attempt=attempts[i],
+                        "task-retry", base + i,
+                        check=type(exc).__name__,
+                        detail=_attempt(attempts[i], exc),
                     )
                     pending.append(i)
-            if incident is not None:
-                self._recover(incident)
+            if incident_at is not None:
+                self._recover(incident_at)
             pending.sort()
         return [results[i] for i in range(len(tasks))]
 

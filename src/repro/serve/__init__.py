@@ -8,7 +8,10 @@ coalition-design memo, with per-tenant seed isolation, bounded ingest queues
 (:class:`SessionQuarantinedError`, :meth:`DiagnosisService.health_report`),
 and whole-service snapshot/restore (:func:`save_snapshot` /
 :func:`load_snapshot`) that resumes every tenant's stream
-byte-identically.
+byte-identically.  Each tenant keeps one operator event log — skipped
+batches and breaker steps as :class:`~repro.utils.events.OperatorEvent`
+records in ``report(name).events`` — printed by
+:func:`repro.utils.events.format_events`.
 
     from repro.serve import DiagnosisService
 

@@ -51,9 +51,9 @@ class ServiceHealth:
 
     ``sessions`` maps session name → the
     :meth:`~repro.serve.session.TenantSession.health` dict, in
-    tenant-index order.  The quarantined sessions (and the named check
-    that tripped each breaker) are what an operator reads off
-    :meth:`format_table` after a fault storm.
+    tenant-index order.  Each step behind it is in that session's
+    ``report().events`` log (print it with
+    :func:`repro.utils.events.format_events`).
     """
 
     sessions: dict[str, dict] = field(default_factory=dict)
@@ -66,25 +66,6 @@ class ServiceHealth:
             for name, health in self.sessions.items()
             if health["status"] == "quarantined"
         ]
-
-    def format_table(self) -> str:
-        """Deterministic aligned text table of every session's health."""
-        header = (
-            f"{'session':<20} {'status':<12} {'failures':>8} "
-            f"{'consec':>6}  check"
-        )
-        lines = [header, "-" * max(len(header), 60)]
-        for name, health in self.sessions.items():
-            lines.append(
-                f"{name:<20} {health['status']:<12} "
-                f"{health['failures']:>8} {health['consecutive']:>6}  "
-                f"{health['check'] or '-'}"
-            )
-        lines.append(
-            f"{len(self.sessions)} session(s), "
-            f"{len(self.quarantined)} quarantined"
-        )
-        return "\n".join(lines)
 
 
 class DiagnosisService:
@@ -203,11 +184,13 @@ class DiagnosisService:
                 raise RuntimeError("service is closed")
             if name in self._sessions:
                 raise ValueError(f"session {name!r} is already open")
-            index = self._next_index
-            self._next_index += 1
+            # built before the index is taken: a refused open (a bad
+            # budget, an unknown engine kwarg) must not shift the seed
+            # of every tenant opened after it
             session = self._new_session(
-                name, index, max_pending_epochs, failure_budget
+                name, self._next_index, max_pending_epochs, failure_budget
             )
+            self._next_index += 1
             self._sessions[name] = session
             return session
 
@@ -351,12 +334,10 @@ class DiagnosisService:
             for snap in snapshot.sessions:
                 session = service._new_session(
                     snap.name, snap.tenant_index, snap.max_pending_epochs,
-                    # getattr: schema-1 snapshots from before the
-                    # circuit breakers lack these fields
-                    getattr(snap, "failure_budget", 3),
+                    snap.failure_budget,
                 )
                 session.engine.load_state_dict(snap.engine)
-                session._load_health(getattr(snap, "health", {}) or {})
+                session._load_breaker(snap)
                 with service._lock:
                     service._sessions[snap.name] = session
             service._next_index = config["next_index"]

@@ -15,14 +15,18 @@ things multi-tenancy needs and a bare engine does not have:
   session, so concurrent callers (the service is driven from many
   threads) cannot interleave half-ingested batches.
 
-Since the resilience layer (PR 10) each session also carries a
-**circuit breaker**: engine or executor failures are counted, and a
-tenant that keeps failing — ``failure_budget`` consecutive failures —
-is *quarantined* with a named :class:`SessionQuarantinedError`.  A
-quarantined session refuses further work (its state and report stay
-readable) until :meth:`TenantSession.reinstate`; the service keeps
-serving every other tenant, whose reports remain byte-identical to a
-run without the bad tenant (``tests/serve/test_quarantine.py``).
+Each session also carries a **circuit breaker**: engine or executor
+failures are counted, and a tenant that keeps failing —
+``failure_budget`` consecutive failures — is *quarantined* with a
+named :class:`SessionQuarantinedError`.  A quarantined session refuses
+further work (its state and report stay readable) until
+:meth:`TenantSession.reinstate`; the service keeps serving every other
+tenant, whose reports remain byte-identical to a run without the bad
+tenant (``tests/serve/test_quarantine.py``).  Every breaker step —
+``session-failure``, ``quarantined``, ``reinstated`` — is an
+:class:`~repro.utils.events.OperatorEvent` in the tenant's one log,
+the engine's ``events``, keyed by the session's ``epochs_seen``; that
+log rides the engine state into snapshots and ``report().events``.
 
 Sessions do not own an executor; the service passes its shared one
 into :meth:`TenantSession.drain`.  Parallelism is timing-only — every
@@ -37,6 +41,7 @@ import threading
 import numpy as np
 
 from repro.core.stream import StreamingDiagnosisEngine, StreamReport
+from repro.utils.events import OperatorEvent
 
 from .snapshot import SessionSnapshot
 
@@ -119,11 +124,8 @@ class TenantSession:
         self.max_pending_epochs = int(max_pending_epochs)
         self.failure_budget = int(failure_budget)
         self._lock = threading.Lock()
-        self._failures_total = 0
         self._consecutive_failures = 0
         self._quarantined = False
-        self._quarantine_check: str | None = None
-        self._last_error: str | None = None
 
     # ------------------------------------------------------------------
     @property
@@ -147,20 +149,37 @@ class TenantSession:
         return self._quarantined
 
     # -- circuit breaker -----------------------------------------------
+    def _log(self, kind: str, check: str | None = None,
+             detail: str = "") -> None:
+        """Append one breaker step to the tenant's event log."""
+        self.engine.events.append(
+            OperatorEvent(kind, self.engine.epochs_seen, check, detail)
+        )
+
+    def _tripped_check(self) -> str:
+        """The check of the newest ``quarantined`` step (breaker open)."""
+        return next(
+            e.check for e in reversed(self.engine.events)
+            if e.kind == "quarantined"
+        )
+
     def _refusal(self) -> SessionQuarantinedError:
         return SessionQuarantinedError(
-            self.name, self._quarantine_check, self._consecutive_failures
+            self.name, self._tripped_check(), self._consecutive_failures
         )
 
     def _note_failure(self, exc: BaseException, *, trip: bool = False) -> None:
-        """Count one failure; open the breaker at the budget (at once
+        """Log one failure; open the breaker at the budget (at once
         with ``trip``).  Call under the lock."""
-        self._failures_total += 1
         self._consecutive_failures += 1
-        self._last_error = f"{type(exc).__name__}: {exc}"
+        check = _failure_check(exc)
+        self._log("session-failure", check, f"{type(exc).__name__}: {exc}")
         if trip or self._consecutive_failures >= self.failure_budget:
             self._quarantined = True
-            self._quarantine_check = _failure_check(exc)
+            self._log(
+                "quarantined", check,
+                f"after {self._consecutive_failures} consecutive failure(s)",
+            )
 
     def _guarded(self, step, *args, needs_windows: bool = False):
         """Run ``step(*args)`` under the lock and the circuit breaker.
@@ -203,12 +222,13 @@ class TenantSession:
     def reinstate(self) -> None:
         """Close the breaker again (an operator decision, never automatic).
 
-        The failure total stays in the health record; the consecutive
-        streak restarts.
+        The failures stay in the event log; the consecutive streak
+        restarts.
         """
         with self._lock:
+            if self._quarantined:
+                self._log("reinstated")
             self._quarantined = False
-            self._quarantine_check = None
             self._consecutive_failures = 0
 
     def health(self) -> dict:
@@ -216,28 +236,27 @@ class TenantSession:
 
         Keys: ``status`` (``"ok"``/``"quarantined"``), ``failures``
         (lifetime total), ``consecutive``, ``check`` (what tripped the
-        breaker, or ``None``), ``last_error``.
+        breaker, or ``None``), ``last_error``.  All but ``status`` and
+        ``consecutive`` are read off the event log.
         """
         with self._lock:
-            return self._health_locked()
+            failures = [
+                e for e in self.engine.events if e.kind == "session-failure"
+            ]
+            return {
+                "status": "quarantined" if self._quarantined else "ok",
+                "failures": len(failures),
+                "consecutive": self._consecutive_failures,
+                "check": self._tripped_check() if self._quarantined else None,
+                "last_error": failures[-1].detail if failures else None,
+            }
 
-    def _health_locked(self) -> dict:
-        return {
-            "status": "quarantined" if self._quarantined else "ok",
-            "failures": self._failures_total,
-            "consecutive": self._consecutive_failures,
-            "check": self._quarantine_check,
-            "last_error": self._last_error,
-        }
-
-    def _load_health(self, health: dict) -> None:
-        """Install breaker state from a snapshot's ``health`` dict."""
+    def _load_breaker(self, snapshot: SessionSnapshot) -> None:
+        """Install a snapshot's breaker state (its log rides the engine
+        state)."""
         with self._lock:
-            self._failures_total = int(health.get("failures", 0))
-            self._consecutive_failures = int(health.get("consecutive", 0))
-            self._quarantined = health.get("status") == "quarantined"
-            self._quarantine_check = health.get("check")
-            self._last_error = health.get("last_error")
+            self._quarantined = snapshot.quarantined
+            self._consecutive_failures = snapshot.consecutive_failures
 
     # ------------------------------------------------------------------
     def submit(self, batch) -> int:
@@ -292,17 +311,16 @@ class TenantSession:
         silently turn out unpicklable later at save time.
         """
         with self._lock:
-            engine_state = pickle.loads(pickle.dumps(self.engine.state_dict()))
-            health = self._health_locked()
-        return SessionSnapshot(
-            name=self.name,
-            tenant_index=self.tenant_index,
-            seed=self.seed,
-            max_pending_epochs=self.max_pending_epochs,
-            engine=engine_state,
-            failure_budget=self.failure_budget,
-            health=health,
-        )
+            return SessionSnapshot(
+                name=self.name,
+                tenant_index=self.tenant_index,
+                seed=self.seed,
+                max_pending_epochs=self.max_pending_epochs,
+                engine=pickle.loads(pickle.dumps(self.engine.state_dict())),
+                failure_budget=self.failure_budget,
+                quarantined=self._quarantined,
+                consecutive_failures=self._consecutive_failures,
+            )
 
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
         return (

@@ -30,18 +30,22 @@ __all__ = [
 ]
 
 #: Bump when the snapshot layout changes incompatibly.
-SNAPSHOT_SCHEMA = 1
+SNAPSHOT_SCHEMA = 2
 
 
 @dataclass
 class SessionSnapshot:
-    """One tenant session: identity plus its engine's resumable state.
+    """One tenant session: identity, its engine's resumable state, and
+    its circuit breaker.
 
     ``engine`` is the session engine's
     :meth:`~repro.core.stream.StreamingDiagnosisEngine.state_dict`,
     detached from the live engine (the session pickle-round-trips it at
     snapshot time, which also proves picklability early instead of at
-    save time).
+    save time); it carries the tenant's operator event log, breaker
+    steps included.  ``quarantined`` and ``consecutive_failures`` are
+    the breaker state the log cannot tell, so a tenant quarantined
+    before the snapshot stays quarantined after the restore.
     """
 
     name: str
@@ -49,12 +53,9 @@ class SessionSnapshot:
     seed: int
     max_pending_epochs: int
     engine: dict
-    # added with the circuit breakers: the session's failure budget and
-    # its breaker state, so a tenant quarantined before the snapshot
-    # stays quarantined after the restore (restore reads them via
-    # getattr, so schema-1 snapshots from before these fields load too)
-    failure_budget: int = 3
-    health: dict = field(default_factory=dict)
+    failure_budget: int
+    quarantined: bool
+    consecutive_failures: int
 
 
 @dataclass
@@ -75,11 +76,19 @@ def save_snapshot(snapshot: ServiceSnapshot, path) -> None:
 def load_snapshot(path) -> ServiceSnapshot:
     """Load a :class:`ServiceSnapshot` written by :func:`save_snapshot`.
 
-    Raises ``ValueError`` for objects that are not service snapshots or
-    whose schema this version cannot read.
+    Raises ``ValueError`` for files that do not unpickle (truncated,
+    empty or foreign bytes; chained from the unpickling error), objects
+    that are not service snapshots, and snapshots whose schema this
+    version cannot read.
     """
     with open(path, "rb") as fh:
-        snapshot = pickle.load(fh)
+        try:
+            snapshot = pickle.load(fh)
+        except (pickle.UnpicklingError, EOFError) as exc:
+            raise ValueError(
+                f"{path!r} does not contain a ServiceSnapshot "
+                f"({type(exc).__name__}: {exc})"
+            ) from exc
     if not isinstance(snapshot, ServiceSnapshot):
         raise ValueError(
             f"{path!r} does not contain a ServiceSnapshot "

@@ -19,6 +19,7 @@ from repro.chaos import ChaosFault, ChaosPolicy
 from repro.core.stream import MalformedBatchError, StreamingDiagnosisEngine
 from repro.datasets import stream_scenario_telemetry
 from repro.resilience import ResilientExecutor, TaskFailedError
+from repro.utils.events import format_events
 
 GOLDEN_PATH = os.path.join(
     os.path.dirname(__file__), "data", "chaos_golden.txt"
@@ -106,7 +107,9 @@ class TestRecoverableFaults:
         for event in report.events:
             assert event.kind == "skipped-batch"
             assert event.check == "labels-not-binary"
-        assert "skipped-batch[labels-not-binary]" in report.format_events()
+        assert "skipped-batch[labels-not-binary]" in format_events(
+            report.events, "stream"
+        )
 
     def test_hangs_time_out_and_recover(self, golden):
         policy = ChaosPolicy(

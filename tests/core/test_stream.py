@@ -10,7 +10,6 @@ from repro.core.stream import (
     MALFORMED_CHECKS,
     MalformedBatchError,
     PageHinkley,
-    StreamEvent,
     StreamingDiagnosisEngine,
     StreamReport,
     StreamWindow,
@@ -18,6 +17,7 @@ from repro.core.stream import (
 )
 from repro.datasets import stream_scenario_telemetry
 from repro.nfv.simulator import EpochBatch
+from repro.utils.events import OperatorEvent, format_events
 from repro.utils.rng import spawn_seeds
 from repro.utils.tabular import FeatureMatrix
 
@@ -414,7 +414,8 @@ class TestMalformedPolicy:
     ``on_malformed="raise"`` (the default) fails fast with a
     :class:`MalformedBatchError` naming its check;
     ``on_malformed="skip"`` drops the batch before any state mutation
-    and records a named :class:`StreamEvent` — diagnosis bytes stay
+    and records a named ``skipped-batch`` :class:`OperatorEvent` at its
+    stream epoch — diagnosis bytes stay
     identical to a run that never saw the bad batch."""
 
     @staticmethod
@@ -498,7 +499,7 @@ class TestMalformedPolicy:
         (event,) = engine.events
         assert event.kind == "skipped-batch"
         assert event.check == "labels-not-binary"
-        assert event.epoch == 4
+        assert event.at == 4
         assert "binary 0/1" in event.detail
 
     def test_skips_never_change_diagnosis_bytes(self):
@@ -537,9 +538,9 @@ class TestMalformedPolicy:
         )
         assert len(chaotic.events) == 4
         assert clean.events == []
-        assert clean.format_events() == "no stream events"
-        assert "skipped-batch[labels-not-binary]" in (
-            chaotic.format_events()
+        assert format_events(clean.events, "stream") == "no stream events"
+        assert "skipped-batch[labels-not-binary] @0:" in (
+            format_events(chaotic.events, "stream")
         )
 
     def test_events_survive_state_dict_round_trip(self):
@@ -553,15 +554,18 @@ class TestMalformedPolicy:
         )
         clone.load_state_dict(state)
         assert clone.events == engine.events
-        assert isinstance(clone.events[0], StreamEvent)
+        assert isinstance(clone.events[0], OperatorEvent)
 
     def test_old_state_dicts_without_events_still_load(self):
+        """They no longer do: every state dict carries its event log
+        (serve snapshots of that layout are schema 2), so one without
+        it is refused instead of resuming with a silently empty log."""
         engine = StreamingDiagnosisEngine(window_epochs=8, random_state=0)
         state = engine.state_dict()
         state["state"].pop("events", None)
         clone = StreamingDiagnosisEngine(window_epochs=8, random_state=0)
-        clone.load_state_dict(state)
-        assert clone.events == []
+        with pytest.raises(KeyError, match="events"):
+            clone.load_state_dict(state)
 
     def test_run_report_scopes_events_to_the_run(self):
         engine = StreamingDiagnosisEngine(

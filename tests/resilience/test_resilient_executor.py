@@ -15,6 +15,7 @@ from repro.resilience import (
     TaskFailedError,
     TaskTimeoutError,
 )
+from repro.utils.events import format_events
 
 
 def _square(x):
@@ -49,7 +50,9 @@ class TestCleanPath:
                 x * x for x in range(8)
             ]
             assert executor.events == []
-            assert executor.event_summary() == "no resilience events"
+            assert format_events(executor.events, "resilience") == (
+                "no resilience events"
+            )
 
     def test_multi_iterable_map(self):
         with ResilientExecutor("serial") as executor:
@@ -116,10 +119,12 @@ class TestRetries:
             executor.map(_square, [5])
             (event,) = executor.events
             assert event.kind in EVENT_KINDS
-            assert event.task == 0
-            assert event.attempt == 1
-            assert "InjectedTransientError" in event.detail
-            assert "task=0" in str(event)
+            assert event.at == 0
+            assert event.detail.startswith("attempt 1: ")
+            assert event.check == "InjectedTransientError"
+            assert str(event).startswith(
+                "task-retry[InjectedTransientError] @0: attempt 1: "
+            )
 
     def test_ordinals_advance_across_maps(self):
         # Task coordinates are global over the executor's lifetime, so
@@ -128,7 +133,7 @@ class TestRetries:
         with ResilientExecutor("serial", retries=2, chaos=chaos) as executor:
             executor.map(_square, range(3))
             executor.map(_square, range(2))
-            assert [e.task for e in executor.events] == [0, 1, 2, 3, 4]
+            assert [e.at for e in executor.events] == [0, 1, 2, 3, 4]
 
     def test_budget_exhaustion_fails_closed(self):
         chaos = _policy("crash", attempts=99)
@@ -148,7 +153,17 @@ class TestRetries:
                 executor.map(_fail_always, [3])
         assert excinfo.value.attempts == 3
         assert isinstance(excinfo.value.__cause__, RuntimeError)
-        assert executor.event_summary() == "task-failed x1; task-retry x2"
+        assert [(e.kind, e.check) for e in executor.events] == [
+            ("task-retry", "RuntimeError"),
+            ("task-retry", "RuntimeError"),
+            ("task-failed", "RuntimeError"),
+        ]
+        assert format_events(executor.events, "resilience").splitlines() == [
+            "resilience events (3):",
+            "  task-retry[RuntimeError] @0: attempt 1: boom 3",
+            "  task-retry[RuntimeError] @0: attempt 2: boom 3",
+            "  task-failed[RuntimeError] @0: attempt 3: boom 3",
+        ]
 
     def test_zero_retries_means_single_attempt(self):
         with ResilientExecutor("serial", retries=0) as executor:
@@ -198,6 +213,12 @@ class TestDegradation:
             kinds = [e.kind for e in executor.events]
             assert "pool-broken" in kinds
             assert "pool-rebuild" in kinds
+            # a pool-level step is keyed by the task whose incident
+            # triggered it, logged just before it
+            events = executor.events
+            for before, event in zip(events, events[1:]):
+                if event.kind in ("pool-rebuild", "degrade"):
+                    assert event.at == before.at
 
     def test_degrade_lands_on_serial_and_still_answers(self):
         # Permanent pool poison on every attempt of task 0 only: the
@@ -211,6 +232,7 @@ class TestDegradation:
             assert executor.map(_square, range(3)) == [0, 1, 4]
             degrades = [e for e in executor.events if e.kind == "degrade"]
             assert [e.detail for e in degrades] == ["thread->serial"]
+            assert [e.at for e in degrades] == [0]
             assert executor.backend == "serial"
 
     def test_serial_backend_never_degrades(self):

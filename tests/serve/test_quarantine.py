@@ -20,6 +20,7 @@ from repro.serve import (
     SessionQuarantinedError,
     interleave,
 )
+from repro.utils.events import format_events
 
 FAST = dict(
     window_epochs=32,
@@ -171,6 +172,10 @@ class TestBreaker:
             session.record_stream_failure(RuntimeError("source died"))
             assert session.quarantined
             assert session.health()["check"] == "RuntimeError"
+            assert [
+                (e.kind, e.check) for e in session.report().events
+            ] == [("session-failure", "RuntimeError"),
+                  ("quarantined", "RuntimeError")]
 
     def test_failure_budget_validation(self):
         with DiagnosisService(random_state=SEED, **FAST) as service:
@@ -188,10 +193,18 @@ class TestHealthReport:
             report = service.health_report()
             assert report.quarantined == ["bad"]
             assert report.sessions["good"]["status"] == "ok"
-            table = report.format_table()
-            assert "bad" in table
-            assert "labels-not-binary" in table
-            assert "2 session(s), 1 quarantined" in table
+            assert report.sessions["bad"]["check"] == "labels-not-binary"
+            assert list(report.sessions) == ["good", "bad"]
+            assert format_events(bad.report().events, "bad").splitlines() == [
+                "bad events (2):",
+                "  session-failure[labels-not-binary] @0: "
+                + report.sessions["bad"]["last_error"],
+                "  quarantined[labels-not-binary] @0: "
+                "after 1 consecutive failure(s)",
+            ]
+            assert format_events(service.report("good").events, "good") == (
+                "no good events"
+            )
 
 
 class TestInterleaveNamedErrors:

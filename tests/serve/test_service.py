@@ -15,6 +15,7 @@ from repro.core.executor import SerialExecutor
 from repro.core.stream import StreamingDiagnosisEngine
 from repro.datasets import stream_scenario_telemetry
 from repro.serve import BackpressureError, DiagnosisService, interleave
+from repro.utils.events import format_events
 from repro.utils.rng import spawn_seeds
 
 #: Small-budget engine configuration shared by the serve tests.
@@ -86,6 +87,19 @@ class TestSessionLifecycle:
             assert second.seed != first.seed
             assert second.seed == service.tenant_seed(second.tenant_index)
 
+    @pytest.mark.parametrize(
+        "budgets", [{"failure_budget": 0}, {"max_pending_epochs": 0}]
+    )
+    def test_refused_open_takes_no_tenant_index(self, budgets):
+        """A refused open leaves the next index, and so the seed of
+        every tenant opened after it, where it was."""
+        with DiagnosisService(random_state=SEED, **FAST) as service:
+            with pytest.raises(ValueError, match=next(iter(budgets))):
+                service.open_session("t", **budgets)
+            session = service.open_session("u")
+            assert session.tenant_index == 0
+            assert session.seed == service.tenant_seed(0)
+
     def test_closed_service_rejects_new_sessions(self):
         service = DiagnosisService(random_state=SEED, **FAST)
         service.close()
@@ -107,6 +121,13 @@ class TestServiceValidation:
         with pytest.raises(TypeError, match="window_sized"):
             service.open_session("t")
         service.close()
+
+    def test_unknown_engine_kwarg_takes_no_tenant_index(self):
+        with DiagnosisService(random_state=SEED, window_sized=32) as service:
+            for _ in range(2):
+                with pytest.raises(TypeError, match="window_sized"):
+                    service.open_session("t")
+            assert service.snapshot().service_config["next_index"] == 0
 
     def test_bad_max_pending_rejected(self):
         with pytest.raises(ValueError, match="max_pending_epochs"):
@@ -211,11 +232,11 @@ class TestTenantIsolation:
             service.process("alpha", replace(bad, sla_violation=labels))
             report = service.report("alpha")
             (event,) = report.events
-            assert (event.kind, event.check, event.epoch) == (
+            assert (event.kind, event.check, event.at) == (
                 "skipped-batch", "labels-not-binary", 16
             )
-            assert "skipped-batch[labels-not-binary] @epoch 16" in (
-                report.format_events()
+            assert "skipped-batch[labels-not-binary] @16" in (
+                format_events(report.events, "stream")
             )
 
     def test_close_session_returns_flushed_final_report(self):

@@ -80,6 +80,36 @@ class TestSnapshotRoundTrip:
         with pytest.raises(ValueError, match="schema 99"):
             load_snapshot(path)
 
+    def test_load_refuses_schema_1(self, tmp_path):
+        """Schema 1 kept breaker state in a ``health`` dict beside an
+        engine log of another record type; it is refused by name."""
+        path = tmp_path / "old.pkl"
+        save_snapshot(ServiceSnapshot(service_config={}, schema=1), path)
+        with pytest.raises(ValueError, match="schema 1 is not supported"):
+            load_snapshot(path)
+
+    @pytest.mark.parametrize("damage", ["truncated", "garbage", "empty"])
+    def test_load_names_unreadable_files(self, tmp_path, damage):
+        """Bytes that do not unpickle raise the named ``ValueError``,
+        chained from the unpickling error, not a raw pickle error."""
+        path = tmp_path / "svc.pkl"
+        with DiagnosisService(random_state=SEED, **FAST) as service:
+            service.open_session("a")
+            save_snapshot(service.snapshot(), path)
+        data = path.read_bytes()
+        path.write_bytes({
+            "truncated": data[: len(data) // 2],
+            "garbage": b"this is not a pickle",
+            "empty": b"",
+        }[damage])
+        with pytest.raises(
+            ValueError, match="does not contain a ServiceSnapshot"
+        ) as excinfo:
+            load_snapshot(path)
+        assert isinstance(
+            excinfo.value.__cause__, (pickle.UnpicklingError, EOFError)
+        )
+
     def test_session_snapshot_is_detached(self):
         """Mutating the live engine after snapshot() must not reach
         into the snapshot (it is pickle-round-tripped, not aliased)."""
