@@ -155,23 +155,21 @@ class ChaosPolicy:
         return None
 
     def before_task(self, ordinal: int, attempt: int) -> None:
-        """Executor-side injection hook (runs inside the worker)."""
+        """Executor-side injection hook (runs inside the worker).
+
+        ``attempt`` counts the task's earlier failures (0 on the first
+        try); messages name the 1-based attempt, as executor events do.
+        """
         kind = self.draw("task", ordinal, attempt)
         if kind is None:
             return
+        where = f"task {ordinal} attempt {attempt + 1}"
         if kind == "crash":
-            raise InjectedWorkerCrash(
-                f"injected worker crash at task {ordinal} attempt {attempt}"
-            )
+            raise InjectedWorkerCrash(f"injected worker crash at {where}")
         if kind == "transient":
-            raise InjectedTransientError(
-                f"injected transient fault at task {ordinal} "
-                f"attempt {attempt}"
-            )
+            raise InjectedTransientError(f"injected transient fault at {where}")
         if kind == "pool-break":
-            raise InjectedPoolBreak(
-                f"injected pool collapse at task {ordinal} attempt {attempt}"
-            )
+            raise InjectedPoolBreak(f"injected pool collapse at {where}")
         if kind == "hang":
             time.sleep(self.hang_seconds)
 

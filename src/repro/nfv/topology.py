@@ -1,4 +1,4 @@
-"""NFVI topology: servers, switches, and links (networkx-backed).
+"""NFVI topology: servers, switches, and links.
 
 The topology supplies two things to the simulator: (1) server resources
 (cores, memory, relative CPU speed) on which VNF instances are placed,
@@ -8,9 +8,9 @@ path over per-link delays.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
-
-import networkx as nx
+from itertools import count
 
 __all__ = ["Server", "NfviTopology"]
 
@@ -22,7 +22,7 @@ class Server:
     Attributes
     ----------
     server_id:
-        Unique node name (also the networkx node key).
+        Unique node name (also its key in the topology's adjacency).
     cpu_cores:
         Physical cores available to VNFs.
     mem_mb:
@@ -83,34 +83,37 @@ class Server:
 
 
 class NfviTopology:
-    """Servers and switches connected by latency-annotated links."""
+    """Servers and switches connected by latency-annotated links.
+
+    The fabric is one insertion-ordered adjacency dict, ``node ->
+    {neighbour: latency_us}``; links are undirected.
+    """
 
     def __init__(self):
-        self.graph = nx.Graph()
+        self._adj: dict[str, dict[str, float]] = {}
         self.servers: dict[str, Server] = {}
 
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
     def add_server(self, server: Server) -> Server:
-        if server.server_id in self.graph:
-            raise ValueError(f"duplicate node {server.server_id!r}")
-        self.graph.add_node(server.server_id, kind="server")
+        self._add_node(server.server_id)
         self.servers[server.server_id] = server
         return server
 
     def add_switch(self, switch_id: str) -> None:
-        if switch_id in self.graph:
-            raise ValueError(f"duplicate node {switch_id!r}")
-        self.graph.add_node(switch_id, kind="switch")
+        self._add_node(switch_id)
+
+    def _add_node(self, node: str) -> None:
+        if node in self._adj:
+            raise ValueError(f"duplicate node {node!r}")
+        self._adj[node] = {}
 
     def add_link(self, a: str, b: str, latency_us: float = 50.0) -> None:
-        for node in (a, b):
-            if node not in self.graph:
-                raise ValueError(f"unknown node {node!r}")
+        self._check_nodes(a, b)
         if latency_us < 0:
             raise ValueError(f"latency must be >= 0, got {latency_us}")
-        self.graph.add_edge(a, b, latency_us=float(latency_us))
+        self._adj[a][b] = self._adj[b][a] = float(latency_us)
 
     # ------------------------------------------------------------------
     # queries
@@ -123,18 +126,47 @@ class NfviTopology:
                 f"unknown server {server_id!r}; known: {sorted(self.servers)}"
             ) from None
 
+    def _check_nodes(self, *nodes: str) -> None:
+        for node in nodes:
+            if node not in self._adj:
+                raise ValueError(f"unknown node {node!r}")
+
     def path_latency_us(self, a: str, b: str) -> float:
-        """Propagation latency of the cheapest path between two nodes."""
+        """Propagation latency of the cheapest path between two nodes.
+
+        Dijkstra from ``a``, relaxing neighbours in link-insertion order
+        and breaking heap ties by push order, so tied path sums add up
+        in the same order on every run.
+        """
+        self._check_nodes(a, b)
         if a == b:
             return 0.0
-        try:
-            return nx.shortest_path_length(self.graph, a, b, weight="latency_us")
-        except nx.NetworkXNoPath:
-            raise ValueError(f"no path between {a!r} and {b!r}") from None
+        done: set[str] = set()
+        seen = {a: 0.0}
+        push = count()
+        fringe = [(0.0, next(push), a)]
+        while fringe:
+            dist, _, node = heapq.heappop(fringe)
+            if node in done:
+                continue
+            if node == b:
+                return dist
+            done.add(node)
+            for nbr, latency in self._adj[node].items():
+                via = dist + latency
+                if nbr not in done and (nbr not in seen or via < seen[nbr]):
+                    seen[nbr] = via
+                    heapq.heappush(fringe, (via, next(push), nbr))
+        raise ValueError(f"no path between {a!r} and {b!r}")
 
     @property
     def n_servers(self) -> int:
         return len(self.servers)
+
+    @property
+    def n_nodes(self) -> int:
+        """Servers plus switches."""
+        return len(self._adj)
 
     def colocated(self, instance) -> list:
         """Other instances sharing the instance's server."""

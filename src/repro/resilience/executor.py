@@ -156,7 +156,7 @@ class ResilientExecutor(Executor):
 
     # -- dispatch / collect ---------------------------------------------
 
-    def _collect(self, fut, ordinal, attempt):
+    def _collect(self, fut):
         """Resolve one future, classifying failures.
 
         Raises :class:`_PoolIncident` for failures that indict the
@@ -247,7 +247,7 @@ class ResilientExecutor(Executor):
                     pending.append(i)
                     continue
                 try:
-                    results[i] = self._collect(fut, base + i, attempts[i])
+                    results[i] = self._collect(fut)
                 except _PoolIncident as inc:
                     attempts[i] += 1
                     self._record(

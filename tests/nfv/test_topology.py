@@ -101,6 +101,12 @@ class TestPathLatency:
         with pytest.raises(ValueError, match="no path"):
             topo.path_latency_us("a", "b")
 
+    def test_unknown_node_raises(self):
+        topo = NfviTopology.linear(2)
+        for a, b in (("nope", "server0"), ("server0", "nope"), ("nope", "nope")):
+            with pytest.raises(ValueError, match="unknown node 'nope'"):
+                topo.path_latency_us(a, b)
+
 
 class TestBuilders:
     def test_linear_counts(self):
@@ -111,7 +117,7 @@ class TestBuilders:
         topo = NfviTopology.leaf_spine(n_spine=2, n_leaf=3, servers_per_leaf=4)
         assert topo.n_servers == 12
         # 2 spines + 3 leaves + 12 servers
-        assert topo.graph.number_of_nodes() == 17
+        assert topo.n_nodes == 17
 
     def test_leaf_spine_all_reachable(self):
         topo = NfviTopology.leaf_spine(n_spine=2, n_leaf=2, servers_per_leaf=2)

@@ -126,6 +126,17 @@ class TestRetries:
                 "task-retry[InjectedTransientError] @0: attempt 1: "
             )
 
+    def test_event_and_chaos_message_name_the_same_attempt(self):
+        # both count from 1: "attempt k: ... at task 0 attempt k"
+        chaos = _policy("transient", attempts=2)
+        with ResilientExecutor("serial", retries=2, chaos=chaos) as executor:
+            executor.map(_square, [5])
+        assert [str(e) for e in executor.events] == [
+            f"task-retry[InjectedTransientError] @0: attempt {k}: "
+            f"injected transient fault at task 0 attempt {k}"
+            for k in (1, 2)
+        ]
+
     def test_ordinals_advance_across_maps(self):
         # Task coordinates are global over the executor's lifetime, so
         # chaos draws for a second map are independent of the first.
