@@ -693,14 +693,7 @@ def _cmd_explain_batch(args) -> int:
 
 def _cmd_scenarios(args) -> int:
     if args.scenarios_command == "list":
-        if args.generated:
-            return _cmd_scenarios_list_generated(args)
-        from repro.nfv.scenarios import scenario_descriptions, scenario_knobs
-
-        return _print_catalog([
-            (name, description, scenario_knobs(name))
-            for name, description in scenario_descriptions().items()
-        ])
+        return _cmd_scenarios_list(args)
     if args.scenarios_command == "search":
         return _cmd_scenarios_search(args)
 
@@ -748,30 +741,29 @@ def _cmd_scenarios(args) -> int:
     return 0
 
 
-def _cmd_scenarios_list_generated(args) -> int:
-    from repro.nfv.grammar import DEFAULT_GENERATED_STORE, load_generated
+def _cmd_scenarios_list(args) -> int:
+    """One ``name  description  [knobs: ...]`` line per registered
+    scenario, or per recipe in the ``--generated`` store, names
+    aligned."""
+    if args.generated:
+        from repro.nfv.grammar import DEFAULT_GENERATED_STORE, load_generated
 
-    store = args.store or DEFAULT_GENERATED_STORE
-    recipes = load_generated(store)
-    if not recipes:
-        print(
-            f"no generated scenarios in {store}; create some with: "
-            f"repro scenarios search --store {store}"
-        )
-        return 0
-    return _print_catalog([
-        (name, recipes[name].description, recipes[name].knob_defaults())
-        for name in sorted(recipes)
-    ])
+        store = args.store or DEFAULT_GENERATED_STORE
+        recipes = load_generated(store)
+        if not recipes:
+            print(
+                f"no generated scenarios in {store}; create some with: "
+                f"repro scenarios search --store {store}"
+            )
+            return 0
+    else:
+        from repro.nfv.scenarios import list_scenarios, scenario_recipe
 
-
-def _print_catalog(rows) -> int:
-    """Print one ``name  description  [knobs: ...]`` line per
-    ``(name, description, knob names)`` row, names aligned."""
-    width = max(len(name) for name, _, _ in rows)
-    for name, description, knobs in rows:
-        knobs = ", ".join(sorted(knobs))
-        print(f"{name:<{width}}  {description}  [knobs: {knobs}]")
+        recipes = {name: scenario_recipe(name) for name in list_scenarios()}
+    width = max(map(len, recipes))
+    for name in sorted(recipes):
+        knobs = ", ".join(sorted(recipes[name].knob_defaults()))
+        print(f"{name:<{width}}  {recipes[name].description}  [knobs: {knobs}]")
     return 0
 
 

@@ -27,9 +27,10 @@ from dataclasses import dataclass, field, replace
 
 from repro.core.executor import get_executor
 from repro.core.matrix import default_model_factories, run_scenario_matrix
-from repro.nfv.grammar import accept_recipe, catalog_recipes
+from repro.nfv.grammar import CATALOG_RECIPES, accept_recipe
 from repro.nfv.grammar.errors import RecipeValidationError
 from repro.nfv.grammar.recipe import ScenarioRecipe
+from repro.nfv.scenarios import scenario_recipe
 from repro.utils.rng import check_random_state, spawn_seeds
 
 __all__ = [
@@ -201,7 +202,9 @@ def search_scenarios(
         Max winners to emit.
     parents:
         Starting recipes: ``None`` (the full catalog), or an iterable
-        of catalog names and/or :class:`ScenarioRecipe` objects.
+        of registered scenario names and/or :class:`ScenarioRecipe`
+        objects, each resolved by
+        :func:`~repro.nfv.scenarios.scenario_recipe`.
     explainers, models, n_epochs, n_explain:
         Evaluation matrix configuration, passed to
         :func:`~repro.core.matrix.run_scenario_matrix`.  At least two
@@ -230,22 +233,10 @@ def search_scenarios(
     if top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
 
-    catalog = catalog_recipes()
     if parents is None:
-        parent_recipes = list(catalog.values())
+        parent_recipes = list(CATALOG_RECIPES.values())
     else:
-        parent_recipes = []
-        for parent in parents:
-            if isinstance(parent, ScenarioRecipe):
-                parent_recipes.append(parent)
-            else:
-                try:
-                    parent_recipes.append(catalog[parent])
-                except KeyError:
-                    raise KeyError(
-                        f"unknown catalog recipe {parent!r}; "
-                        f"available: {sorted(catalog)}"
-                    ) from None
+        parent_recipes = [scenario_recipe(parent) for parent in parents]
     if not parent_recipes:
         raise ValueError("parents must not be empty")
 

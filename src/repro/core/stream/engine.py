@@ -9,7 +9,7 @@ streaming path as the predictions (EXPLORA, CoNEXT '23).
 
 :class:`StreamingDiagnosisEngine` is that path.  It consumes epoch
 batches (from :meth:`repro.nfv.simulator.Simulator.stream`,
-:meth:`repro.nfv.scenarios.ScenarioSpec.stream`, or
+:meth:`repro.nfv.grammar.recipe.ScenarioSpec.stream`, or
 :func:`repro.datasets.stream_scenario_telemetry` — any iterable of
 objects with ``features``/``sla_violation``), slices them into fixed
 windows of ``window_epochs`` epochs, and per window:

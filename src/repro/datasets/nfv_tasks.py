@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.nfv.faults import NO_FAULT, FaultInjector
 from repro.nfv.grammar.recipe import ScenarioRecipe
-from repro.nfv.scenarios import build_scenario
+from repro.nfv.scenarios import scenario_recipe
 from repro.nfv.simulator import SimulationResult, Simulator, Testbed, build_testbed
 from repro.utils.rng import check_random_state, spawn_rngs
 from repro.utils.tabular import FeatureMatrix
@@ -223,22 +223,6 @@ def make_root_cause_dataset(
     )
 
 
-def _scenario_spec(scenario, random_state, scenario_kwargs):
-    """Lower a scenario reference — registry name or grammar recipe —
-    to a built :class:`~repro.nfv.scenarios.ScenarioSpec`.
-
-    Both paths consume the same rng stream, so a recipe and the
-    registry entry it backs produce byte-identical specs at a seed.
-    """
-    if isinstance(scenario, ScenarioRecipe):
-        return scenario.with_knobs(**(scenario_kwargs or {})).build(
-            random_state
-        )
-    return build_scenario(
-        scenario, random_state=random_state, **(scenario_kwargs or {})
-    )
-
-
 def make_scenario_dataset(
     name: str | ScenarioRecipe,
     n_epochs: int | None = None,
@@ -251,13 +235,14 @@ def make_scenario_dataset(
 ) -> NFVDataset:
     """Build a learning task under a workload scenario.
 
-    ``name`` is either a registry name (looked up in
-    :mod:`repro.nfv.scenarios`) or a grammar
-    :class:`~repro.nfv.grammar.recipe.ScenarioRecipe` — search-generated
-    recipes need no registration to be materialized.  Either way the
-    scenario's testbed + fault injector + simulator configuration is
-    built, the requested task builder runs on it, and the scenario
-    provenance is stamped into ``dataset.metadata``.
+    ``name`` is a registry name or a grammar
+    :class:`~repro.nfv.grammar.recipe.ScenarioRecipe`, resolved by
+    :func:`repro.nfv.scenarios.scenario_recipe` — search-generated
+    recipes need no registration to be materialized.  The recipe is
+    lowered by :meth:`~repro.nfv.grammar.recipe.ScenarioRecipe.lower`,
+    the requested task builder runs on the spec with the lowering's
+    data generator, and the scenario provenance is stamped into
+    ``dataset.metadata``.
 
     Deterministic: the same scenario and integer ``random_state``
     produce a byte-identical dataset (features, labels, culprits, fault
@@ -276,37 +261,31 @@ def make_scenario_dataset(
     horizon:
         Forecasting horizon for the first two tasks.
     scenario_kwargs:
-        Knob overrides forwarded to
-        :func:`~repro.nfv.scenarios.build_scenario` (or, for recipes,
-        :meth:`~repro.nfv.grammar.recipe.ScenarioRecipe.with_knobs`).
+        Knob overrides, applied by
+        :meth:`~repro.nfv.grammar.recipe.ScenarioRecipe.with_knobs`.
     task_kwargs:
         Extra arguments for the underlying task builder (e.g.
         ``log_target=True`` for latency).
     """
-    rng = check_random_state(random_state)
-    scenario_rng, data_rng = spawn_rngs(rng, 2)
-    spec = _scenario_spec(name, scenario_rng, scenario_kwargs)
+    spec, data_rng = scenario_recipe(name).with_knobs(
+        **(scenario_kwargs or {})
+    ).lower(random_state)
     if n_epochs is None:
         n_epochs = spec.default_epochs
     common = dict(
         testbed=spec.testbed,
+        fault_injector=spec.injector,
         random_state=data_rng,
         simulator_kwargs=spec.simulator_kwargs,
     )
-    if task == "sla_violation":
-        dataset = make_sla_violation_dataset(
+    forecast_builders = {
+        "sla_violation": make_sla_violation_dataset,
+        "latency": make_latency_dataset,
+    }
+    if task in forecast_builders:
+        dataset = forecast_builders[task](
             n_epochs,
             with_faults=spec.injector is not None,
-            fault_injector=spec.injector,
-            horizon=horizon,
-            **common,
-            **task_kwargs,
-        )
-    elif task == "latency":
-        dataset = make_latency_dataset(
-            n_epochs,
-            with_faults=spec.injector is not None,
-            fault_injector=spec.injector,
             horizon=horizon,
             **common,
             **task_kwargs,
@@ -318,12 +297,7 @@ def make_scenario_dataset(
             )
         if horizon != 0:
             raise ValueError("root_cause does not support a horizon")
-        dataset = make_root_cause_dataset(
-            n_epochs,
-            fault_injector=spec.injector,
-            **common,
-            **task_kwargs,
-        )
+        dataset = make_root_cause_dataset(n_epochs, **common, **task_kwargs)
     else:
         raise ValueError(
             f"unknown task {task!r}; choose sla_violation, latency or "
@@ -360,19 +334,20 @@ def stream_scenario_telemetry(
     epochs — what the streaming diagnosis engine
     (:class:`repro.core.stream.StreamingDiagnosisEngine`) consumes.
 
-    Determinism contract: the RNG plumbing is identical to
-    :func:`make_scenario_dataset`, so streaming the full horizon and
-    calling :meth:`~repro.nfv.simulator.SimulationStream.collect`
-    reproduces the materialized dataset's features and labels byte for
-    byte under the same integer ``random_state``
+    Determinism contract: both lower the scenario through
+    :meth:`~repro.nfv.grammar.recipe.ScenarioRecipe.lower`, so
+    streaming the full horizon and calling
+    :meth:`~repro.nfv.simulator.SimulationStream.collect` reproduces
+    the materialized dataset's features and labels byte for byte under
+    the same integer ``random_state``
     (``tests/core/test_properties_stream.py`` enforces this).
 
     The returned stream additionally carries the built
-    :class:`~repro.nfv.scenarios.ScenarioSpec` as ``stream.spec``.
+    :class:`~repro.nfv.grammar.recipe.ScenarioSpec` as ``stream.spec``.
     """
-    rng = check_random_state(random_state)
-    scenario_rng, data_rng = spawn_rngs(rng, 2)
-    spec = _scenario_spec(name, scenario_rng, scenario_kwargs)
+    spec, data_rng = scenario_recipe(name).with_knobs(
+        **(scenario_kwargs or {})
+    ).lower(random_state)
     stream = spec.stream(
         n_epochs, batch_epochs=batch_epochs, random_state=data_rng
     )

@@ -40,8 +40,6 @@ from repro.nfv.scenarios import (
     build_scenario,
     list_scenarios,
     register_recipe,
-    scenario_descriptions,
-    scenario_knobs,
     scenario_recipe,
 )
 from repro.nfv.sfc import SLA, ServiceFunctionChain
@@ -68,8 +66,6 @@ __all__ = [
     "PlacementError",
     "RandomPlacement",
     "register_recipe",
-    "scenario_descriptions",
-    "scenario_knobs",
     "scenario_recipe",
     "ScenarioSpec",
     "Server",

@@ -1,14 +1,15 @@
 """Compositional scenario grammar for the NFV testbed.
 
-The fixed 8-regime catalog's successor as source of truth: a
-:class:`ScenarioRecipe` composes five orthogonal axes (topology,
-traffic shape, fault mix, telemetry noise, server heterogeneity) into
-one declarative, seedable, mutable description of a workload regime.
-``recipe.build(seed)`` lowers to the existing
-:class:`~repro.nfv.scenarios.ScenarioSpec`; the 8 legacy regimes live
-on as :data:`CATALOG_RECIPES` (byte-identical datasets, golden-pinned),
-and every recipe — catalog or search-generated — passes the
-:func:`accept_recipe` harness before entering a registry.
+The only representation of a scenario: a :class:`ScenarioRecipe`
+composes five orthogonal axes (topology, traffic shape, fault mix,
+telemetry noise, server heterogeneity) into one declarative, seedable,
+mutable description of a workload regime.  ``recipe.build(seed)``
+lowers to a :class:`~repro.nfv.grammar.recipe.ScenarioSpec`, and
+``recipe.lower(seed)`` is the seeded lowering every run path shares.
+The 8 legacy regimes live on as :data:`CATALOG_RECIPES`
+(byte-identical datasets, golden-pinned), which
+:mod:`repro.nfv.scenarios` registers.  The catalog regimes and every
+search winner pass the :func:`accept_recipe` harness.
 """
 
 from repro.nfv.grammar.accept import (
@@ -27,8 +28,6 @@ from repro.nfv.grammar.axes import (
 from repro.nfv.grammar.catalog import (
     CATALOG_RECIPES,
     DEFAULT_GENERATED_STORE,
-    catalog_recipes,
-    get_recipe,
     load_generated,
     save_generated,
 )
@@ -50,8 +49,6 @@ __all__ = [
     "TopologyAxis",
     "TrafficAxis",
     "accept_recipe",
-    "catalog_recipes",
-    "get_recipe",
     "load_generated",
     "save_generated",
     "validate_recipe",

@@ -10,8 +10,11 @@ named :class:`RecipeValidationError` vocabulary (``fault-feasibility``,
 ``placement``, ``horizon``, ``violation-rate``), so the adversarial
 search loop can reject-and-record mutants by check name.
 
-Every recipe that enters a registry — the 8 catalog regimes and every
-search winner — passes this harness first.
+The 8 catalog regimes pass this harness, and the
+search adopts a mutant only after it passes.  Registration
+(:func:`repro.nfv.scenarios.register_recipe`) runs only the structural
+checks of :meth:`ScenarioRecipe.validate`; run :func:`accept_recipe`
+on a custom recipe before registering it.
 """
 
 from __future__ import annotations
@@ -20,8 +23,7 @@ from dataclasses import dataclass
 
 from repro.nfv.grammar.errors import RecipeValidationError
 from repro.nfv.grammar.recipe import ScenarioRecipe
-from repro.nfv.simulator import Simulator
-from repro.utils.rng import check_random_state, spawn_rngs
+from repro.utils.rng import check_random_state
 
 __all__ = ["AcceptanceReport", "accept_recipe", "validate_recipe"]
 
@@ -96,10 +98,11 @@ def accept_recipe(
        ``default_epochs`` (capped at :data:`_MAX_PROBE_EPOCHS`) before
        the recipe is rejected.
 
-    The first probe mirrors :func:`repro.datasets.make_scenario_dataset`'s
-    rng plumbing exactly, so its violation counts describe the dataset a
-    caller would build from this recipe at the same seed; the escalation
-    pass continues the same deterministic stream.
+    The probe lowers the recipe through :meth:`ScenarioRecipe.lower`,
+    as :func:`repro.datasets.make_scenario_dataset` does, so the first
+    probe's violation counts describe the dataset a caller would build
+    from this recipe at the same seed; the escalation pass continues the
+    same deterministic stream.
     """
     validate_recipe(recipe)
 
@@ -130,9 +133,8 @@ def accept_recipe(
         )
 
     rng = check_random_state(random_state)
-    scenario_rng, data_rng = spawn_rngs(rng, 2)
     try:
-        spec = recipe.build(scenario_rng)
+        spec, data_rng = recipe.lower(rng)
     except RecipeValidationError:
         raise
     except Exception as exc:
@@ -150,11 +152,9 @@ def accept_recipe(
 
     n_violations = n_healthy = n_labelled = n_events = 0
     for attempt_n in probe_lengths:
-        _tb_rng, sim_rng = spawn_rngs(data_rng, 2)
-        sim = Simulator(
-            spec.testbed, random_state=sim_rng, **spec.simulator_kwargs
-        )
-        result = sim.run(attempt_n, fault_injector=spec.injector)
+        result = spec.stream(
+            attempt_n, batch_epochs=attempt_n, random_state=data_rng
+        ).collect()
         y = (
             result.sla_violation[horizon:]
             if horizon > 0

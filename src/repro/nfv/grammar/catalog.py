@@ -9,10 +9,16 @@ generator did, so :func:`repro.datasets.make_scenario_dataset` output
 is unchanged — ``tests/nfv/test_grammar_goldens.py`` pins this against
 dataset hashes captured before the grammar existed.
 
+:mod:`repro.nfv.scenarios` registers these recipes at import; its
+registry is the one name -> recipe table.
+
 Also home to the *generated-recipe store*: adversarial-search winners
 (:mod:`repro.core.search`) are serialized to a JSON sidecar via
-:func:`save_generated` and resurface in the registry through
-:func:`load_generated` (``repro scenarios list --generated``).
+:func:`save_generated` and read back by :func:`load_generated`
+(``repro scenarios list --generated``).  They are never registered:
+pass a loaded recipe itself wherever a scenario is taken (datasets,
+streams, the matrix, the search); ``repro scenarios run`` takes
+registered names only.
 """
 
 from __future__ import annotations
@@ -31,8 +37,6 @@ from repro.nfv.grammar.recipe import ScenarioRecipe
 
 __all__ = [
     "CATALOG_RECIPES",
-    "catalog_recipes",
-    "get_recipe",
     "DEFAULT_GENERATED_STORE",
     "save_generated",
     "load_generated",
@@ -177,22 +181,6 @@ CATALOG_RECIPES = {
         ),
     )
 }
-
-
-def catalog_recipes() -> dict:
-    """Fresh name → recipe mapping of the 8 catalog regimes."""
-    return dict(CATALOG_RECIPES)
-
-
-def get_recipe(name: str) -> ScenarioRecipe:
-    """One catalog recipe by name; ``KeyError`` lists what exists."""
-    try:
-        return CATALOG_RECIPES[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown catalog recipe {name!r}; "
-            f"available: {sorted(CATALOG_RECIPES)}"
-        ) from None
 
 
 # ----------------------------------------------------------------------

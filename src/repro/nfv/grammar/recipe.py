@@ -1,11 +1,14 @@
-"""Compositional scenario recipes.
+"""Compositional scenario recipes and the specs they lower to.
 
 A :class:`ScenarioRecipe` composes the five orthogonal axes of
 :mod:`repro.nfv.grammar.axes` into one declarative, hashable,
 picklable description of a workload regime.  ``recipe.build(seed)``
-lowers it to the existing :class:`~repro.nfv.scenarios.ScenarioSpec`,
-so everything downstream — dataset builders, the matrix runner,
-streaming, serving — rides unchanged.
+lowers it to a :class:`ScenarioSpec` (placed testbed, fault injector,
+simulator parameters), so everything downstream — dataset builders,
+the matrix runner, streaming, serving — rides unchanged.
+``recipe.lower(seed)`` is the seeded lowering every run path shares:
+it splits the run seed into the spec and the generator that drives the
+spec's simulation.
 
 The lowering consumes rng in a fixed order (server-speed draws, then
 ``build_testbed``'s background-phase draws) that reproduces the legacy
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
 
+from repro.nfv.faults import FaultInjector
 from repro.nfv.grammar.axes import (
     FaultAxis,
     NoiseAxis,
@@ -32,10 +36,10 @@ from repro.nfv.grammar.axes import (
     TrafficAxis,
 )
 from repro.nfv.grammar.errors import RecipeValidationError
-from repro.nfv.simulator import build_testbed
-from repro.utils.rng import Generator, check_random_state
+from repro.nfv.simulator import SimulationStream, Simulator, Testbed, build_testbed
+from repro.utils.rng import Generator, check_random_state, spawn_rngs
 
-__all__ = ["ScenarioRecipe", "AXIS_NAMES"]
+__all__ = ["ScenarioRecipe", "ScenarioSpec", "AXIS_NAMES"]
 
 #: Fixed axis order for mutation draws and serialization.
 AXIS_NAMES = ("topology", "traffic", "faults", "noise", "servers")
@@ -47,6 +51,68 @@ _AXIS_TYPES = {
     "noise": NoiseAxis,
     "servers": ServerAxis,
 }
+
+
+@dataclass
+class ScenarioSpec:
+    """One fully-configured workload scenario, ready to simulate.
+
+    Attributes
+    ----------
+    name:
+        Name of the recipe the spec was built from.
+    description:
+        One-line operator-facing summary of the regime.
+    testbed:
+        Placed deployment (topology + monitored chain + background).
+    injector:
+        Fault injector to draw schedules from (``None`` = fault-free).
+    simulator_kwargs:
+        Extra keyword arguments for :class:`~repro.nfv.simulator.Simulator`
+        (e.g. ``measurement_noise``).
+    default_epochs:
+        Suggested run length for a representative dataset.
+    knobs:
+        The recipe's knob values (for reports).
+    """
+
+    name: str
+    description: str
+    testbed: Testbed
+    injector: FaultInjector | None
+    simulator_kwargs: dict = field(default_factory=dict)
+    default_epochs: int = 2000
+    knobs: dict = field(default_factory=dict)
+
+    def stream(
+        self,
+        n_epochs: int | None = None,
+        *,
+        batch_epochs: int = 64,
+        random_state=None,
+    ) -> SimulationStream:
+        """Simulate this scenario lazily, yielding epoch batches.
+
+        Builds the scenario's simulator and returns a
+        :class:`~repro.nfv.simulator.SimulationStream` over
+        :class:`~repro.nfv.simulator.EpochBatch` slices.  Pass the data
+        generator of :meth:`ScenarioRecipe.lower` as ``random_state``:
+        the stream then spawns the same two children as the dataset
+        builders (the first, their testbed seed, is unused because the
+        testbed is already built), so collecting the full horizon
+        reproduces :func:`repro.datasets.make_scenario_dataset` byte for
+        byte under the same seed.
+        """
+        if n_epochs is None:
+            n_epochs = self.default_epochs
+        rng = check_random_state(random_state)
+        _tb_rng, sim_rng = spawn_rngs(rng, 2)
+        sim = Simulator(
+            self.testbed, random_state=sim_rng, **self.simulator_kwargs
+        )
+        return sim.stream(
+            n_epochs, batch_epochs=batch_epochs, fault_injector=self.injector
+        )
 
 
 @dataclass(frozen=True)
@@ -211,8 +277,8 @@ class ScenarioRecipe:
         return replace(self, **updates)
 
     # -- lowering ------------------------------------------------------
-    def build(self, random_state=None):
-        """Lower to a :class:`~repro.nfv.scenarios.ScenarioSpec`.
+    def build(self, random_state=None) -> ScenarioSpec:
+        """Lower to a :class:`ScenarioSpec`.
 
         Byte contract: under the same generator state this reproduces
         the legacy hand-written generator of the equivalent catalog
@@ -222,8 +288,6 @@ class ScenarioRecipe:
         and the monitored chain's traffic model is replaced after the
         testbed is built (construction consumes no rng).
         """
-        from repro.nfv.scenarios import ScenarioSpec
-
         self.validate()
         rng = check_random_state(random_state)
         topology = self.topology.build()
@@ -247,6 +311,18 @@ class ScenarioRecipe:
             default_epochs=self.default_epochs,
             knobs=self.knob_defaults(),
         )
+
+    def lower(self, random_state=None) -> tuple[ScenarioSpec, Generator]:
+        """The seeded lowering of one run: ``(spec, data_rng)``.
+
+        Spawns two children of ``random_state``; the first builds the
+        spec, the second drives its simulation (the dataset builders,
+        :meth:`ScenarioSpec.stream` and the acceptance probe all take
+        it).  Every run path lowers through here, so a dataset, a stream
+        and a probe at the same seed see the same testbed and telemetry.
+        """
+        scenario_rng, data_rng = spawn_rngs(random_state, 2)
+        return self.build(scenario_rng), data_rng
 
     # -- serialization -------------------------------------------------
     def to_dict(self) -> dict:

@@ -210,7 +210,7 @@ class SimulationStream:
     """Single-pass iterator over :class:`EpochBatch` objects.
 
     Produced by :meth:`Simulator.stream` (and, one level up,
-    :meth:`repro.nfv.scenarios.ScenarioSpec.stream`).  The fault
+    :meth:`repro.nfv.grammar.recipe.ScenarioSpec.stream`).  The fault
     schedule, traffic traces, and chain metadata are resolved eagerly —
     ``events``, ``chain``, and ``feature_names`` are available before
     the first batch — while telemetry is simulated lazily, one block of

@@ -314,7 +314,6 @@ class TenantSession:
             return SessionSnapshot(
                 name=self.name,
                 tenant_index=self.tenant_index,
-                seed=self.seed,
                 max_pending_epochs=self.max_pending_epochs,
                 engine=pickle.loads(pickle.dumps(self.engine.state_dict())),
                 failure_budget=self.failure_budget,

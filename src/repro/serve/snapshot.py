@@ -5,8 +5,9 @@ restored from its snapshot continues every tenant's stream
 byte-identically to a service that was never interrupted — the
 determinism contract makes each window a pure function of
 ``(engine configuration, history, window index)``, and the snapshot
-captures exactly those plus the service-level wiring (tenant names,
-indices, seeds, and the backpressure budget).
+captures exactly those plus the service-level wiring (the service
+seed, tenant names and indices — each tenant's seed derives from the
+two — and the backpressure budget).
 
 Snapshots are plain dataclasses serialized with stdlib :mod:`pickle`.
 Deliberately *not* captured: the model factory (callables are not
@@ -50,7 +51,6 @@ class SessionSnapshot:
 
     name: str
     tenant_index: int
-    seed: int
     max_pending_epochs: int
     engine: dict
     failure_budget: int

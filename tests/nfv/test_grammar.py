@@ -20,8 +20,6 @@ from repro.nfv.grammar import (
     TopologyAxis,
     TrafficAxis,
     accept_recipe,
-    catalog_recipes,
-    get_recipe,
     load_generated,
     save_generated,
     validate_recipe,
@@ -30,10 +28,9 @@ from repro.nfv.scenarios import (
     build_scenario,
     list_scenarios,
     register_recipe,
-    scenario_knobs,
     scenario_recipe,
 )
-from repro.utils.rng import check_random_state
+from repro.utils.rng import check_random_state, spawn_rngs
 
 
 class TestErrors:
@@ -131,6 +128,18 @@ class TestAxisMutation:
 
 
 class TestScenarioRecipe:
+    def test_lower_splits_the_seed_into_spec_and_data_rng(self):
+        recipe = CATALOG_RECIPES["fault-storm"]
+        spec, data_rng = recipe.lower(4)
+        scenario_rng, expected_data = spawn_rngs(4, 2)
+        again = recipe.build(scenario_rng)
+        a = spec.stream(96, random_state=1).collect()
+        b = again.stream(96, random_state=1).collect()
+        assert a.features.values.tobytes() == b.features.values.tobytes()
+        assert data_rng.bit_generator.state == (
+            expected_data.bit_generator.state
+        )
+
     def test_default_recipe_is_the_baseline_testbed(self):
         recipe = ScenarioRecipe(name="x")
         recipe.validate()
@@ -266,16 +275,6 @@ class TestCatalog:
             assert report.n_violations >= 2
             assert recipe.name in report.summary()
 
-    def test_catalog_recipes_returns_a_copy(self):
-        copy = catalog_recipes()
-        copy.clear()
-        assert CATALOG_RECIPES
-
-    def test_get_recipe_lists_available_on_miss(self):
-        assert get_recipe("baseline").name == "baseline"
-        with pytest.raises(KeyError, match="available"):
-            get_recipe("nope")
-
     def test_axis_names_cover_the_recipe_fields(self):
         assert AXIS_NAMES == ("topology", "traffic", "faults", "noise",
                               "servers")
@@ -410,7 +409,7 @@ class TestRegistryIntegration:
         try:
             assert "test-grammar-reg" in list_scenarios()
             assert scenario_recipe("test-grammar-reg") == recipe
-            assert scenario_knobs("test-grammar-reg") == {
+            assert scenario_recipe("test-grammar-reg").knob_defaults() == {
                 "base_kpps": 400.0, "fault_rate": 0.01
             }
             spec = build_scenario(
@@ -427,6 +426,38 @@ class TestRegistryIntegration:
     def test_register_non_recipe_rejected(self):
         with pytest.raises(TypeError, match="ScenarioRecipe"):
             register_recipe("baseline")
+
+    @pytest.mark.parametrize("name, epochs, check", [
+        ("bad", 5, "horizon"),
+        ("", 2000, "recipe"),
+    ])
+    def test_register_refuses_a_recipe_that_cannot_build(
+        self, name, epochs, check
+    ):
+        before = list_scenarios()
+        with pytest.raises(RecipeValidationError) as excinfo:
+            register_recipe(replace(
+                CATALOG_RECIPES["baseline"], name=name, default_epochs=epochs
+            ))
+        assert excinfo.value.check == check
+        assert list_scenarios() == before
+
+    def test_build_scenario_takes_a_recipe(self):
+        recipe = CATALOG_RECIPES["fault-storm"]
+        assert scenario_recipe(recipe) is recipe
+        by_name = build_scenario("fault-storm", random_state=3, fault_rate=0.1)
+        by_recipe = build_scenario(recipe, random_state=3, fault_rate=0.1)
+        assert by_recipe.knobs == by_name.knobs
+        a = by_name.stream(96, random_state=5).collect()
+        b = by_recipe.stream(96, random_state=5).collect()
+        assert a.features.values.tobytes() == b.features.values.tobytes()
+
+    def test_list_knob_reads_back_as_the_stored_tuple(self):
+        spec = build_scenario(
+            "fault-storm", random_state=0, severity_range=[0.6, 0.9]
+        )
+        assert spec.knobs["severity_range"] == (0.6, 0.9)
+        assert spec.injector.severity_range == (0.6, 0.9)
 
     def test_scenario_recipe_on_non_recipe_scenario(self):
         with pytest.raises(KeyError, match="[Uu]nknown scenario"):

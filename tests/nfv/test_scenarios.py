@@ -9,8 +9,7 @@ from repro.nfv.scenarios import (
     ScenarioSpec,
     build_scenario,
     list_scenarios,
-    scenario_descriptions,
-    scenario_knobs,
+    scenario_recipe,
 )
 from repro.nfv.simulator import Simulator
 from repro.nfv.simulator import Testbed as _Testbed
@@ -36,12 +35,11 @@ class TestRegistry:
         assert list_scenarios() == sorted(list_scenarios())
 
     def test_descriptions_cover_catalog(self):
-        descriptions = scenario_descriptions()
         for name in list_scenarios():
-            assert descriptions[name]
+            assert scenario_recipe(name).description
 
     def test_knobs_are_exposed(self):
-        assert "fault_rate" in scenario_knobs("baseline")
+        assert "fault_rate" in scenario_recipe("baseline").knob_defaults()
 
     def test_unknown_scenario(self):
         with pytest.raises(KeyError, match="unknown scenario"):

@@ -32,6 +32,7 @@ CASES = {
         "explain-batch", "--epochs", "300", "--limit", "4", "--seed", "0",
         "--method", "kernel_shap", "--no-timing",
     ],
+    "scenarios_list": ["scenarios", "list"],
     "scenarios_run": [
         "scenarios", "run", "--scenarios", "baseline,fault-storm",
         "--models", "random_forest,logistic_regression",
@@ -84,6 +85,31 @@ def test_serve_restore_matches_uninterrupted_golden(capsys, tmp_path):
     assert main([*SERVE, "--restore", snap, "--no-timing"]) == 0
     with open(os.path.join(DATA_DIR, "serve_run.txt"), encoding="utf-8") as fh:
         assert capsys.readouterr().out == fh.read()
+
+
+def test_generated_store_listing_matches_golden(capsys, tmp_path):
+    """``scenarios list --generated`` over a store written by
+    ``save_generated``, and the hint it prints for an empty store."""
+    from dataclasses import replace
+
+    from repro.nfv.grammar import CATALOG_RECIPES, save_generated
+
+    store = str(tmp_path / "generated.json")
+    save_generated([
+        replace(CATALOG_RECIPES["fault-storm"].mutate(4), name="adv-storm",
+                description="search winner from fault-storm"),
+        replace(CATALOG_RECIPES["baseline"].mutate(3), name="adv-base",
+                description="search winner from baseline"),
+    ], store)
+    assert main(["scenarios", "list", "--generated", "--store", store]) == 0
+    _check("scenarios_list_generated", capsys.readouterr().out)
+
+    empty = str(tmp_path / "absent.json")
+    assert main(["scenarios", "list", "--generated", "--store", empty]) == 0
+    assert capsys.readouterr().out == (
+        f"no generated scenarios in {empty}; create some with: "
+        f"repro scenarios search --store {empty}\n"
+    )
 
 
 def _flags(parser, prefix=()):
