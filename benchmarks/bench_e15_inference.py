@@ -21,6 +21,11 @@ This bench asserts the two halves of the contract separately, per the
   ``timing_enabled`` because a disabled-timing smoke container
   measures nothing meaningful.
 
+A fit row rides along: the shipped forest fit (trees grown on each
+bootstrap's distinct rows, sorted by integer ranks) against the
+per-tree reference loop in ``tests/oracles/forest_loop.py`` on the
+stream forest's shape, every tree array equal byte for byte.
+
 ``PANEL`` rows are what ``tools/bench_trajectory.py`` records.
 """
 
@@ -29,6 +34,7 @@ import types
 
 import numpy as np
 import pytest
+from oracles import forest_loop
 
 from benchmarks._util import ab_compare, ab_line, assert_speedup
 from benchmarks.conftest import (
@@ -39,6 +45,7 @@ from benchmarks.conftest import (
 )
 from repro.core.cache import clear_cache
 from repro.core.explainers import KernelShapExplainer, model_output_fn
+from repro.ml import RandomForestClassifier
 from repro.utils.clock import timed
 from repro.utils.validation import check_array
 
@@ -51,6 +58,13 @@ KERNEL_SAMPLES = 256
 
 #: best-of-N timings per row
 REPEATS = 3
+
+#: the stream forest's refit windows (60 trees, depth 10, 31 features)
+FIT_ROWS = (288, 376)
+TREE_FIELDS = (
+    "children_left", "children_right", "feature", "threshold",
+    "value", "n_node_samples", "impurity",
+)
 
 _table: list[str] = []
 
@@ -169,11 +183,47 @@ def kernel_shap_batch_forest() -> dict:
     )
 
 
+def _stream_forest():
+    return RandomForestClassifier(n_estimators=60, max_depth=10, random_state=0)
+
+
+def _forest_bytes(forests) -> list[bytes]:
+    """Every tree's seven node arrays, importances and ``classes_``."""
+    return [
+        b"".join(getattr(tree.tree_, f).tobytes() for f in TREE_FIELDS)
+        + tree.feature_importances_.tobytes()
+        + tree.classes_.tobytes()
+        for forest in forests
+        for tree in forest.estimators_
+    ]
+
+
+def forest_fit() -> dict:
+    """BENCH row: the shipped forest fit vs the per-tree oracle loop,
+    one fit per stream window size."""
+    _, X_train, _, y_train, _ = sla_split()
+    windows = [(X_train[:rows], y_train[:rows]) for rows in FIT_ROWS]
+    params = _stream_forest().get_params()
+    return ab_compare(
+        "forest_fit",
+        lambda: [_stream_forest().fit(X, y) for X, y in windows],
+        lambda: [
+            forest_loop.fit_forest(params, X, y, is_classifier=True)
+            for X, y in windows
+        ],
+        repeats=REPEATS,
+        equal=lambda a, b: _forest_bytes(a) == _forest_bytes(b),
+        rows=list(FIT_ROWS),
+        n_trees=params["n_estimators"],
+    )
+
+
 PANEL = (
     packed_build,
     forest_predict_proba,
     boosting_margin,
     kernel_shap_batch_forest,
+    forest_fit,
 )
 
 
@@ -204,6 +254,12 @@ def test_e15_kernel_shap_end_to_end(benchmark):
     assert_speedup(benchmark, row, 1.2)
 
 
+def test_e15_forest_fit(benchmark):
+    row = benchmark.pedantic(forest_fit, rounds=1, iterations=1)
+    _table.append(ab_line(row))
+    assert_speedup(benchmark, row, 2.0)
+
+
 def test_e15_emit_table():
     if not _table:
         pytest.skip("no comparisons collected")
@@ -212,6 +268,7 @@ def test_e15_emit_table():
         "-" * 66,
         *_table,
         "",
-        "equality: packed == legacy exactly (np.array_equal) in all rows",
+        "equality: packed == legacy exactly (np.array_equal) in all rows;",
+        "forest_fit: every tree's node arrays, importances and classes_",
     ]
     save_result("E15 (PR 5): packed ensemble inference", "\n".join(lines))

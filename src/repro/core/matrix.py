@@ -49,6 +49,8 @@ from repro.core.evaluation import (
 from repro.core.executor import get_executor
 from repro.core.pipeline import NFVExplainabilityPipeline
 from repro.datasets import make_scenario_dataset
+from repro.nfv.grammar.recipe import ScenarioRecipe
+from repro.nfv.scenarios import scenario_recipe
 from repro.utils.clock import timed
 
 __all__ = [
@@ -234,7 +236,7 @@ class _ShardTask:
     pure function of this task alone.
     """
 
-    scenario: object  # registry name (str) or a grammar ScenarioRecipe
+    scenario: ScenarioRecipe  # resolved once by run_scenario_matrix
     model_name: str
     factory: object
     explainers: tuple
@@ -247,11 +249,6 @@ class _ShardTask:
     random_state: int
 
 
-def _scenario_name(scenario) -> str:
-    """Display name of a scenario reference (name or grammar recipe)."""
-    return scenario if isinstance(scenario, str) else scenario.name
-
-
 @lru_cache(maxsize=8)
 def _scenario_dataset(scenario, n_epochs: int, horizon: int, seed: int):
     """Per-process memo of seeded scenario datasets.
@@ -261,8 +258,8 @@ def _scenario_dataset(scenario, n_epochs: int, horizon: int, seed: int):
     scenario cost of the unsharded runner; each process-backend worker
     pays at most one generation per scenario).  Safe because scenario
     datasets are byte-identical under a fixed integer seed and shards
-    only read them.  ``scenario`` may be a registry name or a (frozen,
-    hashable) grammar recipe — both are valid memo keys.
+    only read them.  ``scenario`` is a (frozen, hashable) recipe, a
+    valid memo key.
     """
     return make_scenario_dataset(
         scenario, n_epochs, horizon=horizon, random_state=seed
@@ -335,7 +332,7 @@ def _run_matrix_shard(task: _ShardTask) -> list[MatrixCell]:
             )["mean_cosine"]
 
         cells.append(MatrixCell(
-            scenario=_scenario_name(task.scenario),
+            scenario=task.scenario.name,
             model=task.model_name,
             explainer=method,
             train_accuracy=float(pipeline.train_score_),
@@ -385,8 +382,9 @@ def run_scenario_matrix(
         Scenario names from :func:`repro.nfv.scenarios.list_scenarios`,
         grammar :class:`~repro.nfv.grammar.recipe.ScenarioRecipe`
         objects (e.g. adversarial-search candidates that were never
-        registered), or a mix of both.  Cells and the report always
-        carry the scenario *name*.
+        registered), or a mix of both.  Every reference is resolved
+        before any shard runs, so an unknown name raises ``KeyError``
+        first.  Cells and the report always carry the scenario *name*.
     models:
         Mapping of name -> zero-argument model factory; ``None`` uses
         ``random_forest`` and ``logistic_regression`` from
@@ -430,8 +428,10 @@ def run_scenario_matrix(
         Optional ``callable(str)`` receiving one line per finished cell
         (emitted shard by shard, in deterministic task order).
     """
-    scenarios = list(scenarios)
-    if not scenarios:
+    # an unknown name raises its KeyError here, before any shard runs
+    # or a pool starts
+    recipes = [scenario_recipe(s) for s in scenarios]
+    if not recipes:
         raise ValueError("scenarios must not be empty")
     if models is None:
         factories = default_model_factories()
@@ -461,7 +461,7 @@ def run_scenario_matrix(
     }
     tasks = [
         _ShardTask(
-            scenario=scenario,
+            scenario=recipe,
             model_name=model_name,
             factory=factory,
             explainers=tuple(explainers),
@@ -473,7 +473,7 @@ def run_scenario_matrix(
             stability_repeats=stability_repeats,
             random_state=random_state,
         )
-        for scenario in scenarios
+        for recipe in recipes
         for model_name, factory in models.items()
     ]
 
@@ -506,7 +506,7 @@ def run_scenario_matrix(
 
     return MatrixReport(
         cells=cells,
-        scenarios=[_scenario_name(s) for s in scenarios],
+        scenarios=[recipe.name for recipe in recipes],
         models=list(models),
         explainers=explainers,
         n_epochs=n_epochs,

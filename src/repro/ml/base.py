@@ -67,8 +67,9 @@ class ClassifierMixin:
     def _encode_labels(self, y: np.ndarray, *, allow_single_class: bool = False) -> np.ndarray:
         """Store ``classes_`` and return ``y`` as integer codes.
 
-        ``allow_single_class`` is used by trees inside ensembles, whose
-        bootstrap sample may legitimately contain one class only.
+        ``allow_single_class`` is used by single trees, which may fit
+        one class only (as a forest member whose bootstrap missed a
+        class does).
         """
         self.classes_, codes = np.unique(y, return_inverse=True)
         if len(self.classes_) < 2 and not allow_single_class:

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.ml.base import BaseEstimator, ClassifierMixin, RegressorMixin
 from repro.ml.packed import PackedModelMixin
-from repro.ml.tree import DecisionTreeRegressor
+from repro.ml.tree import DecisionTreeRegressor, training_columns
 from repro.utils.rng import check_random_state, spawn_rngs
 from repro.utils.validation import check_array, check_fitted, check_X_y
 
@@ -101,13 +101,13 @@ class GradientBoostingRegressor(_BaseGradientBoosting, RegressorMixin):
         stage_rngs = spawn_rngs(rng, self.n_estimators)
         self.init_prediction_ = float(np.mean(y))
         current = np.full(len(y), self.init_prediction_)
+        XT, ranks = training_columns(X)
         self.estimators_ = []
         self.train_score_ = []
         for stage_rng in stage_rngs:
             rows = self._stage_rows(stage_rng, len(y))
             residual = y - current
-            tree = self._make_tree(stage_rng)
-            tree.fit(X[rows], residual[rows])
+            tree = self._make_tree(stage_rng)._fit_rows(XT, ranks, residual, rows)
             # read the tree directly: X was validated at fit entry, and
             # tree.predict would build a throwaway per-stage packed form
             current += self.learning_rate * tree.tree_.predict_value(X)[:, 0]
@@ -146,14 +146,14 @@ class GradientBoostingClassifier(_BaseGradientBoosting, ClassifierMixin):
         p0 = np.clip(target.mean(), 1e-6, 1 - 1e-6)
         self.init_prediction_ = float(np.log(p0 / (1 - p0)))
         margin = np.full(len(target), self.init_prediction_)
+        XT, ranks = training_columns(X)
         self.estimators_ = []
         self.train_score_ = []
         for stage_rng in stage_rngs:
             rows = self._stage_rows(stage_rng, len(target))
             p = _sigmoid(margin)
             residual = target - p
-            tree = self._make_tree(stage_rng)
-            tree.fit(X[rows], residual[rows])
+            tree = self._make_tree(stage_rng)._fit_rows(XT, ranks, residual, rows)
             self._newton_leaf_update(tree, X[rows], residual[rows], p[rows])
             margin += self.learning_rate * tree.tree_.predict_value(X)[:, 0]
             self.estimators_.append(tree)

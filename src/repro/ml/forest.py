@@ -11,7 +11,11 @@ import numpy as np
 
 from repro.ml.base import BaseEstimator, ClassifierMixin, RegressorMixin
 from repro.ml.packed import PackedModelMixin
-from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor
+from repro.ml.tree import (
+    DecisionTreeClassifier,
+    DecisionTreeRegressor,
+    training_columns,
+)
 from repro.utils.rng import check_random_state, spawn_rngs
 from repro.utils.validation import check_array, check_fitted, check_X_y
 
@@ -47,11 +51,15 @@ class _BaseForest(PackedModelMixin, BaseEstimator):
     def _make_tree(self, rng):
         raise NotImplementedError
 
+    def _fit_member(self, tree, XT, ranks, y, sample, counts) -> None:
+        raise NotImplementedError
+
     def _fit_forest(self, X: np.ndarray, y: np.ndarray):
         self._invalidate_packed()
         rng = check_random_state(self.random_state)
         tree_rngs = spawn_rngs(rng, self.n_estimators)
         n = len(X)
+        XT, ranks = training_columns(X)
         self.estimators_ = []
         self._oob_masks = []
         for tree_rng in tree_rngs:
@@ -59,13 +67,12 @@ class _BaseForest(PackedModelMixin, BaseEstimator):
                 sample = tree_rng.integers(0, n, size=n)
             else:
                 sample = np.arange(n)
+            counts = np.bincount(sample, minlength=n)
             tree = self._make_tree(tree_rng)
-            tree.fit(X[sample], y[sample])
+            self._fit_member(tree, XT, ranks, y, sample, counts)
             self.estimators_.append(tree)
             if self.oob_score:
-                mask = np.ones(n, dtype=bool)
-                mask[np.unique(sample)] = False
-                self._oob_masks.append(mask)
+                self._oob_masks.append(counts == 0)
         self.n_features_in_ = X.shape[1]
         importances = np.mean(
             [t.feature_importances_ for t in self.estimators_], axis=0
@@ -88,6 +95,12 @@ class RandomForestClassifier(_BaseForest, ClassifierMixin):
         if self.oob_score:
             self.oob_score_ = self._compute_oob(X, codes)
         return self
+
+    def _fit_member(self, tree, XT, ranks, codes, sample, counts) -> None:
+        # gini rests on integer class counts, which do not depend on the
+        # order of the rows: grow on the distinct drawn rows, weighted
+        rows = np.flatnonzero(counts)
+        tree._fit_rows(XT, ranks, codes, rows, counts[rows])
 
     def _make_tree(self, rng):
         return DecisionTreeClassifier(
@@ -161,6 +174,10 @@ class RandomForestRegressor(_BaseForest, RegressorMixin):
         if self.oob_score:
             self.oob_score_ = self._compute_oob(X, y)
         return self
+
+    def _fit_member(self, tree, XT, ranks, y, sample, counts) -> None:
+        # running sums of float y round by row order: keep the draws
+        tree._fit_rows(XT, ranks, y, sample)
 
     def _make_tree(self, rng):
         return DecisionTreeRegressor(

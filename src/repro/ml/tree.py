@@ -140,23 +140,64 @@ def _resolve_max_features(max_features, n_features: int) -> int:
     raise ValueError(f"unsupported max_features: {max_features!r}")
 
 
+def training_columns(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The builder's view of a validated training matrix: its
+    feature-major copy (a node's drawn columns gather as contiguous
+    rows) and that copy's :func:`_rank_table`.  Ensembles build it once
+    per ``fit`` and grow every member on it."""
+    XT = np.ascontiguousarray(X.T)
+    return XT, _rank_table(XT)
+
+
+def _rank_table(XT: np.ndarray) -> np.ndarray:
+    """Dense integer ranks of each row of the feature-major ``XT``.
+
+    Equal values (``-0.0`` and ``0.0`` too) share a rank and ranks keep
+    the values' order, so sorting a column's ranks stably orders its
+    rows exactly as a stable float sort does.  The dtype is the smallest
+    unsigned one that holds ``n - 1``: numpy sorts 8- and 16-bit
+    integers with a radix sort, several times faster than the float
+    timsort at node sizes.
+    """
+    n = XT.shape[1]
+    order = np.argsort(XT, axis=1)
+    xs = np.take_along_axis(XT, order, axis=1)
+    dense = np.zeros(XT.shape, dtype=np.min_scalar_type(max(n - 1, 0)))
+    np.cumsum(xs[:, 1:] != xs[:, :-1], axis=1, out=dense[:, 1:])
+    ranks = np.empty_like(dense)
+    np.put_along_axis(ranks, order, dense, axis=1)
+    return ranks
+
+
 class _TreeBuilder:
     """Depth-first CART builder shared by classifier and regressor.
 
+    The builder grows a tree on ``rows`` of a training set, each with an
+    integer multiplicity (``weights``).  A forest classifier hands it a
+    bootstrap's distinct rows and their draw counts; every other tree
+    hands it positional rows, repeats included, with unit weights.
+
     Each split-attempting node draws its features with one
     ``rng.choice`` (in preorder, so a node's draw is the i-th draw of
-    the tree's stream) and scans all k drawn features of its n rows as
-    one array program: one stable sort per column, cumulative class
-    counts (or sums of y and y**2), one impurity evaluation per side,
-    and one first-minimum ``argmin`` in feature-major order, so ties go
-    to the earliest drawn feature, then the earliest position.
+    the tree's stream) and scans all k drawn features of its rows as
+    one array program: one stable sort of their integer ranks per
+    column, running sums of the multiplicities per class (or sums of y
+    and y**2), one impurity evaluation per side, and one first-minimum
+    ``argmin`` in feature-major order, so ties go to the earliest drawn
+    feature, then the earliest position.  ``n_left``,
+    ``min_samples_leaf``, ``min_samples_split`` and ``n_node_samples``
+    count multiplicities.
 
     Every float is the same IEEE expression, element by element, as the
-    per-feature loop in ``tests/oracles/cart_builder.py``: class counts
-    are integers, so their running sums are exact; a stable sort orders
-    each column the same way alone or beside others; and the class axis
-    is summed first to last, which is what ``np.sum`` does over a last
-    axis shorter than 8 (so trees are bit-identical up to 7 classes).
+    per-feature loop over the expanded rows in
+    ``tests/oracles/cart_builder.py``: a cut is admissible only where
+    the sorted value changes, and there the class counts are exact
+    integers that do not depend on the order of tied rows; a stable sort
+    orders each column the same way alone or beside others, so a
+    regressor's float running sums add its positional rows in the same
+    order; and the class axis is summed first to last, which is what
+    ``np.sum`` does over a last axis shorter than 8 (so trees are
+    bit-identical up to 7 classes).
     """
 
     def __init__(
@@ -179,13 +220,25 @@ class _TreeBuilder:
         self.rng = rng
 
     # ------------------------------------------------------------------
-    def build(self, X: np.ndarray, y: np.ndarray) -> TreeStructure:
-        self._n_features = X.shape[1]
+    def build(self, XT, ranks, y, rows, weights=None) -> TreeStructure:
+        """Grow the tree on ``rows`` of the feature-major ``XT`` (its
+        :func:`_rank_table` is ``ranks``; ``y`` is indexed like ``XT``'s
+        columns).  ``weights`` are the rows' multiplicities, unit when
+        ``None``; regressors take unit weights only, because their float
+        running sums depend on the order of repeated rows."""
+        self._XT = XT
+        self._ranks = ranks
+        self._n_features = XT.shape[0]
         self._k = _resolve_max_features(self.max_features, self._n_features)
         self._all_features = np.arange(self._n_features)
+        self._draw_rows = np.arange(self._k)[:, None]
         if self.is_classifier:
-            y = y.astype(np.intp)
-            self._classes = np.arange(self.n_classes)[:, None, None]
+            self._y = np.asarray(y, dtype=np.intp)
+            self._classes = np.arange(self.n_classes)[:, None]
+        else:
+            self._y = y
+        if weights is None:
+            weights = np.ones(len(rows), dtype=np.intp)
         self._left: list[int] = []
         self._right: list[int] = []
         self._feature: list[int] = []
@@ -193,8 +246,7 @@ class _TreeBuilder:
         self._value: list = []
         self._n: list[int] = []
         self._impurity: list[float] = []
-        # feature-major, so a node's drawn columns gather as contiguous rows
-        self._grow(np.ascontiguousarray(X.T), y, np.arange(len(X)), depth=0)
+        self._grow(rows, weights, depth=0)
         n_nodes = len(self._left)
         return TreeStructure(
             children_left=np.array(self._left, dtype=np.int64),
@@ -206,13 +258,16 @@ class _TreeBuilder:
             impurity=np.array(self._impurity, dtype=float),
         )
 
-    def _grow(self, XT, y, idx, depth) -> int:
-        y_node = y[idx]
-        n = len(idx)
+    def _grow(self, idx, w, depth) -> int:
+        y_node = self._y[idx]
         if self.is_classifier:
-            value = np.bincount(y_node, minlength=self.n_classes) / n
-            impurity = float(1.0 - np.sum(value * value))
+            counts = np.bincount(y_node, weights=w, minlength=self.n_classes)
+            n = int(w.sum())
+            value = counts / n
+            impurity = float(1.0 - np.add.reduce(value * value))
         else:
+            counts = None
+            n = len(idx)
             value = y_node.mean()
             impurity = float(np.var(y_node))
         node_id = len(self._left)
@@ -229,45 +284,42 @@ class _TreeBuilder:
             or impurity <= _MIN_GAIN
         ):
             return node_id
-        split = self._best_split(XT, idx, y_node, impurity)
+        split = self._best_split(idx, w, n, y_node, counts, impurity)
         if split is None:
             return node_id
         feature, threshold, go_left = split
         self._feature[node_id] = feature
         self._threshold[node_id] = threshold
-        self._left[node_id] = self._grow(XT, y, idx[go_left], depth + 1)
-        self._right[node_id] = self._grow(XT, y, idx[~go_left], depth + 1)
+        self._left[node_id] = self._grow(idx[go_left], w[go_left], depth + 1)
+        go_right = ~go_left
+        self._right[node_id] = self._grow(idx[go_right], w[go_right], depth + 1)
         return node_id
 
     # ------------------------------------------------------------------
-    def _best_split(self, XT, idx, y_node, parent_impurity):
+    def _best_split(self, idx, w, n, y_node, counts, parent_impurity):
         """Return ``(feature, threshold, go_left)`` of the
         impurity-minimizing split, or ``None`` when no admissible split
         improves impurity.  ``go_left`` masks the node's rows.
 
-        Arrays are ``(k, ...)``, one row per drawn feature in draw order.
+        Arrays are ``(k, ...)``, one row per drawn feature in draw order;
+        a cut after sorted position j leaves ``n_left[:, j]`` on the left.
         """
-        n = len(idx)
-        # a split after sorted position i leaves i + 1 rows on the left;
-        # only lo <= i < hi keeps min_samples_leaf rows on both sides
-        lo = self.min_samples_leaf - 1
-        hi = n - self.min_samples_leaf
         if self._k < self._n_features:
             features = self.rng.choice(self._n_features, size=self._k, replace=False)
         else:
             features = self._all_features
-        if lo >= hi:
+        if n < 2 * self.min_samples_leaf:
             return None
-        Xn = XT[features[:, None], idx]
-        order = np.argsort(Xn, axis=1, kind="stable")
-        xs = np.take_along_axis(Xn, order, axis=1)
-        n_left = np.arange(lo + 1, hi + 1)
+        Rn = self._ranks.take(features, axis=0).take(idx, axis=1)
+        order = np.argsort(Rn, axis=1, kind="stable")
+        rs = Rn[self._draw_rows, order]
+        cut = order[:, :-1]
+        n_left = w.take(cut).cumsum(axis=1)
         n_right = n - n_left
         if self.is_classifier:
-            # (n_classes, k, n) running class counts; integers, so exact
-            cum = np.cumsum(y_node[order] == self._classes, axis=2)
-            left = cum[:, :, lo:hi]
-            right = cum[:, :, -1:] - left
+            # (n_classes, k, m - 1) running class counts; integers, so exact
+            left = ((y_node == self._classes) * w).take(cut, axis=1).cumsum(axis=2)
+            right = counts[:, None, None] - left
             p_l = left / n_left
             p_r = right / n_right
             score = (
@@ -278,26 +330,35 @@ class _TreeBuilder:
             ys = y_node[order]
             cum_y = np.cumsum(ys, axis=1)
             cum_y2 = np.cumsum(ys * ys, axis=1)
-            sum_l = cum_y[:, lo:hi]
-            sum2_l = cum_y2[:, lo:hi]
+            sum_l = cum_y[:, :-1]
+            sum2_l = cum_y2[:, :-1]
             sum_r = cum_y[:, -1:] - sum_l
             sum2_r = cum_y2[:, -1:] - sum2_l
             var_l = sum2_l / n_left - (sum_l / n_left) ** 2
             var_r = sum2_r / n_right - (sum_r / n_right) ** 2
             score = (n_left * np.maximum(var_l, 0.0)
                      + n_right * np.maximum(var_r, 0.0)) / n
-        # admissible only where the sorted value changes
-        score[xs[:, lo + 1:hi + 1] == xs[:, lo:hi]] = np.inf
-        f, pos = divmod(int(np.argmin(score)), hi - lo)
-        best_score = score[f, pos]
+        # admissible only where the sorted value changes and both sides
+        # keep min_samples_leaf
+        blocked = rs[:, 1:] == rs[:, :-1]
+        if self.min_samples_leaf > 1:
+            blocked |= (n_left < self.min_samples_leaf) | (
+                n_right < self.min_samples_leaf
+            )
+        score[blocked] = np.inf
+        f, j = divmod(int(np.argmin(score)), score.shape[1])
+        best_score = score[f, j]
         if parent_impurity - best_score <= _MIN_GAIN:
             return None
-        i = lo + pos
-        threshold = (xs[f, i] + xs[f, i + 1]) / 2.0
+        column = self._XT[features[f]]
+        lo, hi = column[idx[order[f, j]]], column[idx[order[f, j + 1]]]
+        threshold = (lo + hi) / 2.0
         # guard against midpoint rounding onto the right value
-        if threshold >= xs[f, i + 1]:
-            threshold = xs[f, i]
-        return int(features[f]), float(threshold), Xn[f] <= threshold
+        if threshold >= hi:
+            threshold = lo
+        # lo <= threshold < hi and no row's value lies strictly between
+        # them, so a row goes left exactly when its rank is at most lo's
+        return int(features[f]), float(threshold), Rn[f] <= rs[f, j]
 
 
 def _compute_feature_importances(tree: TreeStructure, n_features: int) -> np.ndarray:
@@ -341,7 +402,9 @@ class _BaseDecisionTree(PackedModelMixin, BaseEstimator):
         self.random_state = random_state
         self.tree_: TreeStructure | None = None
 
-    def _fit_tree(self, X, y, *, is_classifier: bool, n_classes: int):
+    def _fit_tree(
+        self, XT, ranks, y, rows, weights=None, *, is_classifier: bool, n_classes: int
+    ):
         self._invalidate_packed()
         builder = _TreeBuilder(
             is_classifier=is_classifier,
@@ -352,10 +415,10 @@ class _BaseDecisionTree(PackedModelMixin, BaseEstimator):
             max_features=self.max_features,
             rng=check_random_state(self.random_state),
         )
-        self.tree_ = builder.build(X, y)
-        self.n_features_in_ = X.shape[1]
+        self.tree_ = builder.build(XT, ranks, y, rows, weights)
+        self.n_features_in_ = XT.shape[0]
         self.feature_importances_ = _compute_feature_importances(
-            self.tree_, X.shape[1]
+            self.tree_, XT.shape[0]
         )
 
     def apply(self, X) -> np.ndarray:
@@ -380,10 +443,28 @@ class DecisionTreeClassifier(_BaseDecisionTree, ClassifierMixin):
 
     def fit(self, X, y) -> "DecisionTreeClassifier":
         X, y = check_X_y(X, y)
-        # single-class fits are allowed: ensemble bootstraps may miss a
-        # rare class, and the resulting stump predicts it with p=1
+        # single-class fits are allowed, as for a forest member whose
+        # bootstrap missed a rare class: the stump predicts it with p=1
         codes = self._encode_labels(y, allow_single_class=True)
-        self._fit_tree(X, codes, is_classifier=True, n_classes=len(self.classes_))
+        XT, ranks = training_columns(X)
+        self._fit_tree(
+            XT, ranks, codes, np.arange(len(X)),
+            is_classifier=True, n_classes=len(self.classes_),
+        )
+        return self
+
+    def _fit_rows(self, XT, ranks, codes, rows, weights) -> "DecisionTreeClassifier":
+        """Fit on ``rows`` of an ensemble's training set, each counted
+        ``weights`` times (``XT, ranks`` from :func:`training_columns`,
+        labels as the ensemble's integer ``codes``).  ``classes_`` are
+        the codes those rows hold: a bootstrap may miss a rare class."""
+        self.classes_ = np.unique(codes[rows])
+        # rows outside ``rows`` may map anywhere; the builder never reads them
+        local = np.searchsorted(self.classes_, codes)
+        self._fit_tree(
+            XT, ranks, local, rows, weights,
+            is_classifier=True, n_classes=len(self.classes_),
+        )
         return self
 
     def predict_proba(self, X) -> np.ndarray:
@@ -407,7 +488,13 @@ class DecisionTreeRegressor(_BaseDecisionTree, RegressorMixin):
 
     def fit(self, X, y) -> "DecisionTreeRegressor":
         X, y = check_X_y(X, y, y_numeric=True)
-        self._fit_tree(X, y, is_classifier=False, n_classes=0)
+        return self._fit_rows(*training_columns(X), y, np.arange(len(X)))
+
+    def _fit_rows(self, XT, ranks, y, rows) -> "DecisionTreeRegressor":
+        """Fit on positional ``rows`` of an ensemble's training set,
+        repeats included, in their order (``XT, ranks`` from
+        :func:`training_columns`)."""
+        self._fit_tree(XT, ranks, y, rows, is_classifier=False, n_classes=0)
         return self
 
     def predict(self, X) -> np.ndarray:

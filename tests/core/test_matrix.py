@@ -256,6 +256,25 @@ class TestValidation:
         with pytest.raises(KeyError, match="unknown scenario"):
             run_scenario_matrix(["nope"], n_epochs=50)
 
+    def test_unknown_scenario_fails_before_any_shard(self, monkeypatch):
+        """Every reference resolves before the first shard runs and
+        before a pool is created."""
+        from repro.core import matrix
+
+        calls = []
+        monkeypatch.setattr(
+            matrix, "_run_matrix_shard", lambda task: calls.append(task) or []
+        )
+        monkeypatch.setattr(
+            matrix, "get_executor", lambda *a, **kw: calls.append("pool")
+        )
+        with pytest.raises(KeyError, match="unknown scenario 'nope'"):
+            run_scenario_matrix(
+                ["baseline", "fault-storm", "nope"],
+                n_epochs=50, backend="process", workers=2,
+            )
+        assert calls == []
+
 
 class TestDefaults:
     def test_model_factories_return_fresh_instances(self):

@@ -1,16 +1,22 @@
 """The CART builder against the reference per-feature loop, bit for bit.
 
 The builder scans each node's drawn features as one ``(n, k)`` array
-program.  Every tree it grows must still equal the one grown by the
-per-feature loop kept in ``tests/oracles/cart_builder.py``: all seven
-``TreeStructure`` arrays and ``feature_importances_`` are compared on
-their raw bytes, so a signed zero or a last-bit difference fails.
+program over integer ranks, and forest classifier trees grow on a
+bootstrap's distinct rows weighted by their draw counts.  Every tree it
+grows must still equal the one grown by the per-feature loop kept in
+``tests/oracles/cart_builder.py`` on the expanded, positional rows: all
+seven ``TreeStructure`` arrays and ``feature_importances_`` are
+compared on their raw bytes, so a signed zero or a last-bit difference
+fails.
 
-Each model is fitted twice from the same integer seed, once as shipped
+Single trees and gradient boosting (residual targets, Newton leaf
+updates) are fitted twice from the same integer seed, once as shipped
 and once with the oracle builder and importance loop patched into
-:mod:`repro.ml.tree`, so forests (bootstrap samples, spawned per-tree
-streams) and gradient boosting (residual targets, Newton leaf updates)
-are compared through their real fit paths.
+:mod:`repro.ml.tree`, so they are compared through their real fit
+paths.  Forests are compared with the per-tree loop kept in
+``tests/oracles/forest_loop.py`` (bootstrap, ``X[sample]``, one oracle
+fit per tree), which also pins ``classes_`` per tree and
+``oob_score_``.
 """
 
 import ast
@@ -18,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import cart_builder
+from oracles import cart_builder, forest_loop
 
 from repro.ml import (
     DecisionTreeClassifier,
@@ -43,10 +49,14 @@ FIELDS = (
 
 
 class _OracleBuilder(cart_builder._TreeBuilder):
-    """The reference builder, returning the library's tree type."""
+    """The reference builder on the rows the shipped builder was handed,
+    returning the library's tree type.  Single trees and boosting stages
+    hand it positional rows with unit weights, which is exactly
+    ``X[rows], y[rows]``."""
 
-    def build(self, X, y):
-        ref = super().build(X, y)
+    def build(self, XT, ranks, y, rows, weights=None):
+        assert weights is None or np.all(weights == 1), "weighted rows"
+        ref = super().build(XT.T[rows], y[rows])
         return tree_module.TreeStructure(**{f: getattr(ref, f) for f in FIELDS})
 
 
@@ -202,23 +212,120 @@ def test_tie_order_rounds_regression_sums(monkeypatch, seed):
     )
 
 
+def _forest_type(n_classes):
+    return RandomForestRegressor if n_classes is None else RandomForestClassifier
+
+
+def _assert_forest_matches_oracle(make, X, y):
+    """Fit ``make()`` as shipped and through the reference per-tree
+    loop; return the shipped forest after comparing every tree."""
+    fast = make().fit(X, y)
+    is_classifier = isinstance(fast, RandomForestClassifier)
+    ref = forest_loop.fit_forest(
+        fast.get_params(), X, y, is_classifier=is_classifier
+    )
+    assert len(fast.estimators_) == len(ref.estimators_)
+    for t, (a, b) in enumerate(zip(fast.estimators_, ref.estimators_)):
+        for name in FIELDS:
+            _assert_same_bytes(
+                getattr(a.tree_, name), getattr(b.tree_, name), f"tree {t} {name}"
+            )
+        _assert_same_bytes(
+            a.feature_importances_, b.feature_importances_, f"tree {t} importances"
+        )
+        if is_classifier:
+            _assert_same_bytes(a.classes_, b.classes_, f"tree {t} classes_")
+        else:
+            assert not hasattr(a, "classes_")
+    _assert_same_bytes(
+        fast.feature_importances_, ref.feature_importances_, "importances"
+    )
+    if fast.oob_score:
+        assert repr(fast.oob_score_) == repr(ref.oob_score_)
+    return fast
+
+
 @pytest.mark.parametrize("n_classes", [2, 4])
-def test_forest_classifier_bootstrap(monkeypatch, n_classes):
+def test_forest_classifier_bootstrap(n_classes):
     X, y = _data(40 + n_classes, 160, 9, n_classes, levels=2)
-    _assert_matches_oracle(
-        monkeypatch,
-        lambda: RandomForestClassifier(n_estimators=12, max_depth=6, random_state=5),
+    _assert_forest_matches_oracle(
+        lambda: RandomForestClassifier(
+            n_estimators=12, max_depth=6, oob_score=True, random_state=5
+        ),
         X,
         y,
     )
 
 
-def test_forest_regressor_bootstrap(monkeypatch):
+def test_forest_regressor_bootstrap():
     X, y = _data(50, 160, 9)
-    _assert_matches_oracle(
-        monkeypatch,
+    _assert_forest_matches_oracle(
         lambda: RandomForestRegressor(
-            n_estimators=10, min_samples_leaf=2, random_state=6
+            n_estimators=10, min_samples_leaf=2, oob_score=True, random_state=6
+        ),
+        X,
+        y,
+    )
+
+
+@pytest.mark.parametrize("n_classes", [3, 5])
+def test_forest_bootstraps_that_drop_a_class(n_classes):
+    """A class held by two rows of 40 is missing from some bootstraps;
+    those trees carry fewer ``classes_`` and narrower ``value``."""
+    X, y = _data(70 + n_classes, 40, 5, n_classes - 1, levels=2)
+    y[[3, 17]] = n_classes - 1
+    forest = _assert_forest_matches_oracle(
+        lambda: RandomForestClassifier(
+            n_estimators=16, oob_score=True, random_state=9
+        ),
+        X,
+        y,
+    )
+    widths = {len(t.classes_) for t in forest.estimators_}
+    assert min(widths) < n_classes == max(widths), widths
+
+
+@pytest.mark.parametrize("max_features", [None, 0.5, 3])
+@pytest.mark.parametrize("min_samples_split", [2, 5, 20])
+@pytest.mark.parametrize("min_samples_leaf", [1, 2, 3, 7])
+@pytest.mark.parametrize("n_classes", [None, 2, 3])
+def test_forest_leaf_split_and_feature_limits(
+    n_classes, min_samples_leaf, min_samples_split, max_features
+):
+    """Leaf and split minimums count a repeated row once per draw, so
+    they must bind at the same nodes as on the expanded rows."""
+    X, y = _data(80 + min_samples_leaf, 90, 6, n_classes, levels=3)
+    _assert_forest_matches_oracle(
+        lambda: _forest_type(n_classes)(
+            n_estimators=4,
+            min_samples_leaf=min_samples_leaf,
+            min_samples_split=min_samples_split,
+            max_features=max_features,
+            random_state=min_samples_split,
+        ),
+        X,
+        y,
+    )
+
+
+@pytest.mark.parametrize("n_classes", [None, 2, 3])
+def test_forest_on_23_rows(n_classes):
+    X, y = _data(90, 23, 5, n_classes, levels=2)
+    _assert_forest_matches_oracle(
+        lambda: _forest_type(n_classes)(
+            n_estimators=20, oob_score=True, random_state=4
+        ),
+        X,
+        y,
+    )
+
+
+@pytest.mark.parametrize("n_classes", [None, 2])
+def test_forest_without_bootstrap(n_classes):
+    X, y = _data(95, 80, 6, n_classes, levels=2)
+    _assert_forest_matches_oracle(
+        lambda: _forest_type(n_classes)(
+            n_estimators=3, max_features="sqrt", bootstrap=False, random_state=2
         ),
         X,
         y,
@@ -250,11 +357,10 @@ def test_gradient_boosting(monkeypatch, telemetry, subsample):
 
 
 @pytest.mark.parametrize("start, rows", [(0, 72), (200, 192), (500, 376)])
-def test_sla_telemetry_stream_forest(monkeypatch, telemetry, start, rows):
+def test_sla_telemetry_stream_forest(telemetry, start, rows):
     """The streaming engine's forest shape on SLA telemetry windows."""
     X, y = telemetry
-    model, _ = _assert_matches_oracle(
-        monkeypatch,
+    model = _assert_forest_matches_oracle(
         lambda: RandomForestClassifier(n_estimators=20, max_depth=10, random_state=0),
         X[start:start + rows],
         y[start:start + rows],
@@ -262,14 +368,21 @@ def test_sla_telemetry_stream_forest(monkeypatch, telemetry, start, rows):
     assert model.estimators_[0].tree_.n_nodes > 1
 
 
-def test_oracle_does_not_import_the_fast_builder():
-    source = Path(cart_builder.__file__).read_text()
+def _repro_ml_imports(module) -> list[str]:
     imported = []
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
         if isinstance(node, ast.Import):
             imported.extend(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
             imported.append(node.module or "")
-    assert not any(
-        name == "repro.ml" or name.startswith("repro.ml.") for name in imported
-    ), imported
+    return [
+        name for name in imported if name == "repro.ml" or name.startswith("repro.ml.")
+    ]
+
+
+def test_oracle_does_not_import_the_fast_builder():
+    assert _repro_ml_imports(cart_builder) == []
+
+
+def test_forest_oracle_does_not_import_the_fast_forest():
+    assert _repro_ml_imports(forest_loop) == []
