@@ -742,9 +742,8 @@ def _cmd_scenarios(args) -> int:
 
 
 def _cmd_scenarios_list(args) -> int:
-    """One ``name  description  [knobs: ...]`` line per registered
-    scenario, or per recipe in the ``--generated`` store, names
-    aligned."""
+    """One ``name  description`` line per registered scenario, or per
+    recipe in the ``--generated`` store, names aligned."""
     if args.generated:
         from repro.nfv.grammar import DEFAULT_GENERATED_STORE, load_generated
 
@@ -762,8 +761,7 @@ def _cmd_scenarios_list(args) -> int:
         recipes = {name: scenario_recipe(name) for name in list_scenarios()}
     width = max(map(len, recipes))
     for name in sorted(recipes):
-        knobs = ", ".join(sorted(recipes[name].knob_defaults()))
-        print(f"{name:<{width}}  {recipes[name].description}  [knobs: {knobs}]")
+        print(f"{name:<{width}}  {recipes[name].description}")
     return 0
 
 

@@ -47,7 +47,7 @@ class NFVDataset:
         Indices into the simulation epochs each sample corresponds to
         (identity for the first two tasks, a subset for root-cause).
     metadata:
-        Free-form provenance (e.g. the scenario name and knobs the
+        Free-form provenance (e.g. the scenario name and the recipe the
         dataset was generated under).
     """
 
@@ -230,7 +230,6 @@ def make_scenario_dataset(
     task: str = "sla_violation",
     horizon: int = 0,
     random_state=None,
-    scenario_kwargs: dict | None = None,
     **task_kwargs,
 ) -> NFVDataset:
     """Build a learning task under a workload scenario.
@@ -241,8 +240,10 @@ def make_scenario_dataset(
     recipes need no registration to be materialized.  The recipe is
     lowered by :meth:`~repro.nfv.grammar.recipe.ScenarioRecipe.lower`,
     the requested task builder runs on the spec with the lowering's
-    data generator, and the scenario provenance is stamped into
-    ``dataset.metadata``.
+    data generator, and the scenario provenance (name, description, the
+    resolved recipe and the simulator parameters) is stamped into
+    ``dataset.metadata``.  Override a scenario parameter by passing a
+    variant recipe, e.g. ``replace(r, faults=replace(r.faults, rate=0.0))``.
 
     Deterministic: the same scenario and integer ``random_state``
     produce a byte-identical dataset (features, labels, culprits, fault
@@ -260,16 +261,12 @@ def make_scenario_dataset(
         ``"sla_violation"`` (default), ``"latency"`` or ``"root_cause"``.
     horizon:
         Forecasting horizon for the first two tasks.
-    scenario_kwargs:
-        Knob overrides, applied by
-        :meth:`~repro.nfv.grammar.recipe.ScenarioRecipe.with_knobs`.
     task_kwargs:
         Extra arguments for the underlying task builder (e.g.
         ``log_target=True`` for latency).
     """
-    spec, data_rng = scenario_recipe(name).with_knobs(
-        **(scenario_kwargs or {})
-    ).lower(random_state)
+    recipe = scenario_recipe(name)
+    spec, data_rng = recipe.lower(random_state)
     if n_epochs is None:
         n_epochs = spec.default_epochs
     common = dict(
@@ -306,7 +303,7 @@ def make_scenario_dataset(
     dataset.metadata.update(
         scenario=spec.name,
         description=spec.description,
-        knobs=dict(spec.knobs),
+        recipe=recipe,
         simulator_kwargs=dict(spec.simulator_kwargs),
     )
     return dataset
@@ -318,7 +315,6 @@ def stream_scenario_telemetry(
     *,
     batch_epochs: int = 64,
     random_state=None,
-    scenario_kwargs: dict | None = None,
 ):
     """Stream a scenario's telemetry as epoch batches.
 
@@ -345,9 +341,7 @@ def stream_scenario_telemetry(
     The returned stream additionally carries the built
     :class:`~repro.nfv.grammar.recipe.ScenarioSpec` as ``stream.spec``.
     """
-    spec, data_rng = scenario_recipe(name).with_knobs(
-        **(scenario_kwargs or {})
-    ).lower(random_state)
+    spec, data_rng = scenario_recipe(name).lower(random_state)
     stream = spec.stream(
         n_epochs, batch_epochs=batch_epochs, random_state=data_rng
     )

@@ -57,10 +57,6 @@ CATALOG_RECIPES = {
         ScenarioRecipe(
             name="baseline",
             description="the paper's canonical testbed: mixed faults at a low rate",
-            knob_paths=(
-                ("base_kpps", "traffic.base_kpps"),
-                ("fault_rate", "faults.rate"),
-            ),
         ),
         ScenarioRecipe(
             name="bursty-traffic",
@@ -80,12 +76,6 @@ CATALOG_RECIPES = {
                 rate=0.012,
                 duration_range=(8, 30),
             ),
-            knob_paths=(
-                ("base_kpps", "traffic.base_kpps"),
-                ("flash_crowd_rate", "traffic.flash_crowd_rate"),
-                ("flash_magnitude", "traffic.flash_magnitude"),
-                ("fault_rate", "faults.rate"),
-            ),
         ),
         ScenarioRecipe(
             name="diurnal",
@@ -100,12 +90,6 @@ CATALOG_RECIPES = {
                 flash_crowd_rate=0.001,
             ),
             faults=FaultAxis(rate=0.008),
-            knob_paths=(
-                ("base_kpps", "traffic.base_kpps"),
-                ("diurnal_amplitude", "traffic.diurnal_amplitude"),
-                ("period_epochs", "traffic.period_epochs"),
-                ("fault_rate", "faults.rate"),
-            ),
         ),
         ScenarioRecipe(
             name="fault-storm",
@@ -116,10 +100,6 @@ CATALOG_RECIPES = {
                 rate=0.06,
                 duration_range=(5, 20),
                 severity_range=(0.5, 1.0),
-            ),
-            knob_paths=(
-                ("fault_rate", "faults.rate"),
-                ("severity_range", "faults.severity_range"),
             ),
         ),
         ScenarioRecipe(
@@ -135,11 +115,6 @@ CATALOG_RECIPES = {
                 duration_range=(10, 30),
                 severity_range=(0.5, 0.9),
             ),
-            knob_paths=(
-                ("base_kpps", "traffic.base_kpps"),
-                ("n_background", "topology.n_background"),
-                ("fault_rate", "faults.rate"),
-            ),
         ),
         ScenarioRecipe(
             name="noisy-telemetry",
@@ -147,10 +122,6 @@ CATALOG_RECIPES = {
                 "degraded monitoring plane: 12% relative measurement noise"
             ),
             noise=NoiseAxis(measurement_noise=0.12),
-            knob_paths=(
-                ("measurement_noise", "noise.measurement_noise"),
-                ("fault_rate", "faults.rate"),
-            ),
         ),
         ScenarioRecipe(
             name="long-chain",
@@ -163,10 +134,6 @@ CATALOG_RECIPES = {
                 sla_latency_ms=5.0,
             ),
             traffic=TrafficAxis(base_kpps=320.0),
-            knob_paths=(
-                ("base_kpps", "traffic.base_kpps"),
-                ("fault_rate", "faults.rate"),
-            ),
         ),
         ScenarioRecipe(
             name="heterogeneous-servers",
@@ -174,10 +141,6 @@ CATALOG_RECIPES = {
                 "mixed-generation fleet: per-server CPU speeds in [0.6, 1.4]"
             ),
             servers=ServerAxis(speed_range=(0.6, 1.4)),
-            knob_paths=(
-                ("speed_range", "servers.speed_range"),
-                ("fault_rate", "faults.rate"),
-            ),
         ),
     )
 }

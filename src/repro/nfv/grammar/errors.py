@@ -23,7 +23,6 @@ CHECKS = (
     "telemetry-noise",
     "servers",
     "recipe",
-    "knobs",
     "fault-feasibility",
     "placement",
     "horizon",

@@ -17,10 +17,10 @@ pins that equivalence against pre-grammar dataset hashes.
 
 ``mutate(rng)`` perturbs one or two axes with one seeded draw chain —
 the unit step of the adversarial search loop
-(:mod:`repro.core.search`).  Legacy scenario *knobs* (``fault_rate``,
-``base_kpps``, ...) are declared as dotted paths into the axes
-(``knob_paths``), which keeps :func:`repro.nfv.scenarios.build_scenario`'s
-override surface working on top of recipes.
+(:mod:`repro.core.search`).  Every scenario parameter has one name, its
+axis field; override one with :func:`dataclasses.replace`, e.g.
+``replace(r, faults=replace(r.faults, rate=0.05))``, or drop the fault
+axis with ``replace(r, faults=None)``.
 """
 
 from __future__ import annotations
@@ -72,8 +72,6 @@ class ScenarioSpec:
         (e.g. ``measurement_noise``).
     default_epochs:
         Suggested run length for a representative dataset.
-    knobs:
-        The recipe's knob values (for reports).
     """
 
     name: str
@@ -82,7 +80,6 @@ class ScenarioSpec:
     injector: FaultInjector | None
     simulator_kwargs: dict = field(default_factory=dict)
     default_epochs: int = 2000
-    knobs: dict = field(default_factory=dict)
 
     def stream(
         self,
@@ -128,10 +125,6 @@ class ScenarioRecipe:
         The five axes.  ``faults=None`` lowers to a fault-free spec.
     default_epochs:
         Suggested run length, forwarded to the spec.
-    knob_paths:
-        ``((knob_name, "axis.field"), ...)`` — the legacy tunable
-        parameters this recipe exposes through
-        :func:`repro.nfv.scenarios.build_scenario`.
 
     Frozen with tuple-valued fields throughout: recipes hash (they key
     the matrix runner's per-process dataset memo) and pickle (they ride
@@ -146,7 +139,6 @@ class ScenarioRecipe:
     noise: NoiseAxis = field(default_factory=NoiseAxis)
     servers: ServerAxis = field(default_factory=ServerAxis)
     default_epochs: int = 2000
-    knob_paths: tuple = ()
 
     # -- validation ----------------------------------------------------
     def validate(self) -> None:
@@ -181,75 +173,6 @@ class ScenarioRecipe:
                     f"{self.default_epochs}-epoch horizon: no feasible "
                     "fault window exists",
                 )
-        for knob, path in self.knob_paths:
-            self._resolve_path(path)  # raises "knobs" on a bad path
-            if not isinstance(knob, str) or not knob:
-                raise RecipeValidationError(
-                    "knobs", f"knob names must be non-empty strings, got {knob!r}"
-                )
-
-    # -- legacy knob surface -------------------------------------------
-    def _resolve_path(self, path: str) -> tuple[str, str]:
-        try:
-            axis_name, field_name = path.split(".", 1)
-        except ValueError:
-            raise RecipeValidationError(
-                "knobs", f"knob path {path!r} is not of the form 'axis.field'"
-            ) from None
-        if axis_name not in AXIS_NAMES:
-            raise RecipeValidationError(
-                "knobs", f"knob path {path!r} names unknown axis {axis_name!r}"
-            )
-        axis_type = _AXIS_TYPES[axis_name]
-        if field_name not in {f.name for f in fields(axis_type)}:
-            raise RecipeValidationError(
-                "knobs",
-                f"knob path {path!r} names unknown field {field_name!r} "
-                f"of {axis_type.__name__}",
-            )
-        return axis_name, field_name
-
-    def knob_defaults(self) -> dict:
-        """Current values at every knob path (the registry defaults)."""
-        out = {}
-        for knob, path in self.knob_paths:
-            axis_name, field_name = self._resolve_path(path)
-            axis = getattr(self, axis_name)
-            if axis is None:
-                raise RecipeValidationError(
-                    "knobs", f"knob {knob!r} targets absent axis {axis_name!r}"
-                )
-            out[knob] = getattr(axis, field_name)
-        return out
-
-    def with_knobs(self, **overrides) -> "ScenarioRecipe":
-        """Apply legacy knob overrides through their dotted paths."""
-        if not overrides:
-            return self
-        paths = dict(self.knob_paths)
-        unknown = set(overrides) - set(paths)
-        if unknown:
-            raise TypeError(
-                f"scenario {self.name!r} got unknown knobs {sorted(unknown)}; "
-                f"accepted: {sorted(paths)}"
-            )
-        per_axis: dict[str, dict] = {}
-        for knob, value in overrides.items():
-            axis_name, field_name = self._resolve_path(paths[knob])
-            if isinstance(value, list):
-                value = tuple(value)
-            per_axis.setdefault(axis_name, {})[field_name] = value
-        updates = {}
-        for axis_name, axis_overrides in per_axis.items():
-            axis = getattr(self, axis_name)
-            if axis is None:
-                raise RecipeValidationError(
-                    "knobs",
-                    f"cannot override {sorted(axis_overrides)} on absent "
-                    f"axis {axis_name!r}",
-                )
-            updates[axis_name] = replace(axis, **axis_overrides)
-        return replace(self, **updates)
 
     # -- mutation ------------------------------------------------------
     def mutate(self, random_state=None) -> "ScenarioRecipe":
@@ -309,7 +232,6 @@ class ScenarioRecipe:
             injector=injector,
             simulator_kwargs=self.noise.simulator_kwargs(),
             default_epochs=self.default_epochs,
-            knobs=self.knob_defaults(),
         )
 
     def lower(self, random_state=None) -> tuple[ScenarioSpec, Generator]:
@@ -342,7 +264,6 @@ class ScenarioRecipe:
             "name": self.name,
             "description": self.description,
             "default_epochs": self.default_epochs,
-            "knob_paths": [list(pair) for pair in self.knob_paths],
             "axes": {
                 axis_name: axis_dict(getattr(self, axis_name))
                 for axis_name in AXIS_NAMES
@@ -351,7 +272,10 @@ class ScenarioRecipe:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioRecipe":
-        """Inverse of :meth:`to_dict`; round-trips exactly."""
+        """Inverse of :meth:`to_dict`; round-trips exactly.
+
+        Keys it does not read are ignored, so older ``version: 1``
+        stores still load."""
         def load_axis(axis_name, axis_data):
             if axis_data is None:
                 return None
@@ -371,9 +295,6 @@ class ScenarioRecipe:
             name=data["name"],
             description=data.get("description", ""),
             default_epochs=int(data.get("default_epochs", 2000)),
-            knob_paths=tuple(
-                (knob, path) for knob, path in data.get("knob_paths", ())
-            ),
             **{
                 axis_name: load_axis(axis_name, axes.get(axis_name))
                 for axis_name in AXIS_NAMES

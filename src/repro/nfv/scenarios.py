@@ -10,13 +10,17 @@ stress-tested across a *catalog* of conditions.
 This module is that catalog: the one ``name -> ScenarioRecipe``
 registry.  A scenario *is* a grammar
 :class:`~repro.nfv.grammar.recipe.ScenarioRecipe`, lowered with a
-random generator (plus scenario-specific knobs) to a fully-configured
-:class:`ScenarioSpec` — a placed testbed, a fault injector, and
-simulator parameters.  Everything downstream (dataset builders, the
-matrix experiment runner, the CLI, benches) refers to scenarios by
-name or by recipe, and :func:`scenario_recipe` resolves either::
+random generator to a fully-configured :class:`ScenarioSpec` — a placed
+testbed, a fault injector, and simulator parameters.  Everything
+downstream (dataset builders, the matrix experiment runner, the CLI,
+benches) refers to scenarios by name or by recipe, and
+:func:`scenario_recipe` resolves either.  A variant is a recipe too:
+override an axis field with :func:`dataclasses.replace` and pass the
+result wherever a name is taken::
 
-    from repro.nfv.scenarios import build_scenario, list_scenarios
+    from dataclasses import replace
+
+    from repro.nfv.scenarios import build_scenario, list_scenarios, scenario_recipe
 
     list_scenarios()
     # ['baseline', 'bursty-traffic', 'cascading-overload', ...]
@@ -24,6 +28,10 @@ name or by recipe, and :func:`scenario_recipe` resolves either::
     spec = build_scenario("fault-storm", random_state=7)
     sim = Simulator(spec.testbed, random_state=7, **spec.simulator_kwargs)
     result = sim.run(2000, fault_injector=spec.injector)
+
+    storm = scenario_recipe("fault-storm")
+    calmer = replace(storm, faults=replace(storm.faults, rate=0.02))
+    spec = build_scenario(calmer, random_state=7)
 
 The 8 catalog regimes (``repro.nfv.grammar.catalog``) are registered at
 import; :func:`register_recipe` registers custom recipes after
@@ -60,9 +68,7 @@ def register_recipe(recipe: ScenarioRecipe) -> None:
 
     The recipe is validated first, so a recipe that could never build
     raises its named :class:`~repro.nfv.grammar.errors.RecipeValidationError`
-    here and is not registered.  Its ``knob_paths`` become the
-    scenario's tunable knobs (``build_scenario(name, knob=value)``
-    routes overrides through :meth:`ScenarioRecipe.with_knobs`).
+    here and is not registered.
     """
     if not isinstance(recipe, ScenarioRecipe):
         raise TypeError(
@@ -96,7 +102,7 @@ def list_scenarios() -> list[str]:
     return sorted(_RECIPES)
 
 
-def build_scenario(ref, *, random_state=None, **knobs) -> ScenarioSpec:
+def build_scenario(ref, *, random_state=None) -> ScenarioSpec:
     """Build one scenario's :class:`ScenarioSpec`.
 
     Parameters
@@ -107,11 +113,8 @@ def build_scenario(ref, *, random_state=None, **knobs) -> ScenarioSpec:
         Seed/generator for the stochastic parts of testbed construction
         (background-traffic phases, server speeds, ...).  The same seed
         reproduces the same spec exactly.
-    knobs:
-        Scenario-specific overrides; unknown knobs raise ``TypeError``
-        so typos fail loudly.
     """
-    return scenario_recipe(ref).with_knobs(**knobs).build(random_state)
+    return scenario_recipe(ref).build(random_state)
 
 
 for _recipe in CATALOG_RECIPES.values():

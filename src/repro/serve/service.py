@@ -241,23 +241,16 @@ class DiagnosisService:
         """``submit`` + ``drain`` for tenant ``name`` in one call."""
         return self.session(name).process(batch, self._executor)
 
-    def drain_all(self) -> dict[str, list]:
-        """Drain every healthy session; windows keyed by session name."""
-        return self._sweep(TenantSession.drain)
-
     def flush_all(self) -> dict[str, list]:
-        """Flush every healthy session's trailing partial window."""
-        return self._sweep(TenantSession.flush)
-
-    def _sweep(self, step) -> dict[str, list]:
-        """``step(session, executor)`` for every session, keyed by name.
+        """Flush every healthy session's trailing partial window;
+        windows keyed by session name.
 
         Quarantined sessions are skipped (an empty list), not raised:
-        one bad tenant must never block a fleet-wide sweep.  Read
+        one bad tenant must never block a fleet-wide flush.  Read
         :meth:`health_report` to see who was sidelined.
         """
         return {
-            s.name: [] if s.quarantined else step(s, self._executor)
+            s.name: [] if s.quarantined else s.flush(self._executor)
             for s in self._ordered_sessions()
         }
 

@@ -222,35 +222,28 @@ class TestScenarioRecipe:
         assert "long-chain" in payload
 
 
-class TestKnobs:
-    def test_knob_defaults_read_the_axes(self):
-        recipe = CATALOG_RECIPES["baseline"]
-        defaults = recipe.knob_defaults()
-        assert defaults == {"base_kpps": 400.0, "fault_rate": 0.01}
-
-    def test_with_knobs_rewrites_the_axis(self):
-        recipe = CATALOG_RECIPES["baseline"].with_knobs(fault_rate=0.2)
+class TestOverrides:
+    def test_replace_rewrites_the_axis(self):
+        base = CATALOG_RECIPES["baseline"]
+        recipe = replace(base, faults=replace(base.faults, rate=0.2))
         assert recipe.faults.rate == 0.2
+        assert recipe.build(0).injector.rate == 0.2
         assert CATALOG_RECIPES["baseline"].faults.rate == 0.01
 
-    def test_with_knobs_unknown_name_lists_accepted(self):
-        with pytest.raises(TypeError, match="unknown knobs"):
-            CATALOG_RECIPES["baseline"].with_knobs(warp_factor=9)
+    @pytest.mark.parametrize("name", sorted(CATALOG_RECIPES))
+    def test_faultless_catalog_variant_lowers_fault_free(self, name):
+        from repro.datasets import make_scenario_dataset
 
-    def test_with_knobs_converts_lists_to_tuples(self):
-        recipe = CATALOG_RECIPES["heterogeneous-servers"].with_knobs(
-            speed_range=[0.5, 1.5]
+        quiet = replace(
+            CATALOG_RECIPES[name], name=f"{name}-quiet", faults=None
         )
-        assert recipe.servers.speed_range == (0.5, 1.5)
-        assert hash(recipe)  # still hashable after the override
-
-    def test_bad_knob_path_named_error(self):
-        recipe = ScenarioRecipe(
-            name="x", knob_paths=(("k", "traffic.warp_factor"),)
-        )
-        with pytest.raises(RecipeValidationError) as excinfo:
-            recipe.validate()
-        assert excinfo.value.check == "knobs"
+        spec, _ = quiet.lower(0)
+        assert spec.injector is None
+        ds = make_scenario_dataset(quiet, 200, random_state=0)
+        assert ds.result.events == []
+        assert ds.metadata["recipe"] == quiet
+        with pytest.raises(ValueError, match="fault-free; root_cause needs"):
+            make_scenario_dataset(quiet, 200, task="root_cause", random_state=0)
 
 
 class TestCatalog:
@@ -409,13 +402,9 @@ class TestRegistryIntegration:
         try:
             assert "test-grammar-reg" in list_scenarios()
             assert scenario_recipe("test-grammar-reg") == recipe
-            assert scenario_recipe("test-grammar-reg").knob_defaults() == {
-                "base_kpps": 400.0, "fault_rate": 0.01
-            }
-            spec = build_scenario(
-                "test-grammar-reg", random_state=0, fault_rate=0.05
-            )
-            assert spec.knobs["fault_rate"] == 0.05
+            spec = build_scenario("test-grammar-reg", random_state=0)
+            assert spec.name == "test-grammar-reg"
+            assert spec.injector.rate == 0.01
         finally:
             _RECIPES.pop("test-grammar-reg", None)
 
@@ -445,18 +434,20 @@ class TestRegistryIntegration:
     def test_build_scenario_takes_a_recipe(self):
         recipe = CATALOG_RECIPES["fault-storm"]
         assert scenario_recipe(recipe) is recipe
-        by_name = build_scenario("fault-storm", random_state=3, fault_rate=0.1)
-        by_recipe = build_scenario(recipe, random_state=3, fault_rate=0.1)
-        assert by_recipe.knobs == by_name.knobs
+        by_name = build_scenario("fault-storm", random_state=3)
+        by_recipe = build_scenario(recipe, random_state=3)
+        assert by_recipe.injector.rate == by_name.injector.rate == 0.06
         a = by_name.stream(96, random_state=5).collect()
         b = by_recipe.stream(96, random_state=5).collect()
         assert a.features.values.tobytes() == b.features.values.tobytes()
 
-    def test_list_knob_reads_back_as_the_stored_tuple(self):
-        spec = build_scenario(
-            "fault-storm", random_state=0, severity_range=[0.6, 0.9]
+    def test_tuple_field_reads_back_as_the_stored_tuple(self):
+        storm = CATALOG_RECIPES["fault-storm"]
+        recipe = replace(
+            storm, faults=replace(storm.faults, severity_range=(0.6, 0.9))
         )
-        assert spec.knobs["severity_range"] == (0.6, 0.9)
+        assert hash(recipe)  # still hashable after the override
+        spec = build_scenario(recipe, random_state=0)
         assert spec.injector.severity_range == (0.6, 0.9)
 
     def test_scenario_recipe_on_non_recipe_scenario(self):

@@ -98,7 +98,7 @@ class TestMutationReproducibility:
         recipe = CATALOG_RECIPES[name]
         assert mutant.name == recipe.name
         assert mutant.description == recipe.description
-        assert mutant.knob_paths == recipe.knob_paths
+        assert mutant.default_epochs == recipe.default_epochs
 
 
 class TestMutantsNeverCrash:

@@ -1,5 +1,7 @@
 """Tests for the workload scenario catalog (repro.nfv.scenarios)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -38,20 +40,16 @@ class TestRegistry:
         for name in list_scenarios():
             assert scenario_recipe(name).description
 
-    def test_knobs_are_exposed(self):
-        assert "fault_rate" in scenario_recipe("baseline").knob_defaults()
-
     def test_unknown_scenario(self):
         with pytest.raises(KeyError, match="unknown scenario"):
             build_scenario("does-not-exist")
 
-    def test_unknown_knob_fails_loudly(self):
-        with pytest.raises(TypeError, match="unknown knobs"):
-            build_scenario("baseline", random_state=0, no_such_knob=1)
-
     def test_knob_override_applies(self):
-        spec = build_scenario("baseline", random_state=0, fault_rate=0.05)
-        assert spec.knobs["fault_rate"] == 0.05
+        base = scenario_recipe("baseline")
+        spec = build_scenario(
+            replace(base, faults=replace(base.faults, rate=0.05)),
+            random_state=0,
+        )
         assert spec.injector.rate == 0.05
 
 
@@ -123,7 +121,8 @@ class TestScenarioDatasets:
     def test_metadata_records_provenance(self):
         ds = make_scenario_dataset("fault-storm", N_EPOCHS, random_state=0)
         assert ds.metadata["scenario"] == "fault-storm"
-        assert ds.metadata["knobs"]["fault_rate"] == 0.06
+        assert ds.metadata["recipe"] == scenario_recipe("fault-storm")
+        assert ds.metadata["recipe"].faults.rate == 0.06
         assert ds.task == "sla_violation"
 
     def test_default_epochs_used_when_omitted(self):
@@ -150,8 +149,11 @@ class TestScenarioDatasets:
             make_scenario_dataset("baseline", 50, task="nope")
 
     def test_scenario_knob_override(self):
-        ds = make_scenario_dataset(
-            "baseline", N_EPOCHS, random_state=0,
-            scenario_kwargs={"fault_rate": 0.0},
+        base = scenario_recipe("baseline")
+        variant = replace(
+            base, name="baseline-calm", faults=replace(base.faults, rate=0.0)
         )
+        ds = make_scenario_dataset(variant, N_EPOCHS, random_state=0)
         assert ds.result.events == []
+        assert ds.metadata["scenario"] == "baseline-calm"
+        assert ds.metadata["recipe"] == variant

@@ -7,12 +7,14 @@ exactly, and the scenario-level entry points must thread the RNG
 discipline through unchanged.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.datasets import make_scenario_dataset, stream_scenario_telemetry
 from repro.nfv.faults import FaultInjector
-from repro.nfv.scenarios import build_scenario
+from repro.nfv.scenarios import build_scenario, scenario_recipe
 from repro.nfv.simulator import (
     EpochBatch,
     SimulationStream,
@@ -152,14 +154,15 @@ class TestStreamScenarioTelemetry:
     def test_carries_the_scenario_spec(self):
         stream = stream_scenario_telemetry("baseline", 60, random_state=0)
         assert stream.spec.name == "baseline"
-        assert stream.spec.knobs  # resolved knob values travel along
+        assert stream.spec.injector is not None
 
-    def test_scenario_kwargs_forwarded(self):
+    def test_recipe_override_reaches_the_spec(self):
+        storm = scenario_recipe("fault-storm")
         stream = stream_scenario_telemetry(
-            "fault-storm", 60, random_state=0,
-            scenario_kwargs={"fault_rate": 0.2},
+            replace(storm, faults=replace(storm.faults, rate=0.2)), 60,
+            random_state=0,
         )
-        assert stream.spec.knobs["fault_rate"] == 0.2
+        assert stream.spec.injector.rate == 0.2
 
     def test_unknown_scenario_raises(self):
         with pytest.raises(KeyError, match="unknown scenario"):

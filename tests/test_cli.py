@@ -186,12 +186,16 @@ class TestExplainBatch:
 
 class TestScenarios:
     def test_list_prints_catalog(self, capsys):
+        from repro.nfv.scenarios import list_scenarios, scenario_recipe
+
         code = main(["scenarios", "list"])
         out = capsys.readouterr().out
         assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == len(list_scenarios())
         for name in ("baseline", "fault-storm", "long-chain"):
-            assert name in out
-        assert "knobs" in out
+            line = next(line for line in lines if line.startswith(name + " "))
+            assert scenario_recipe(name).description in line
 
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):

@@ -112,6 +112,35 @@ def test_generated_store_listing_matches_golden(capsys, tmp_path):
     )
 
 
+def test_store_written_with_knob_paths_still_loads(capsys, tmp_path):
+    """A ``version: 1`` store from before the knob layer was removed
+    (each recipe carries a ``knob_paths`` list) loads into the recipes
+    that wrote it and lists as the golden; saving them again writes
+    the same store minus ``knob_paths``."""
+    import json
+    from dataclasses import replace
+
+    from repro.nfv.grammar import CATALOG_RECIPES, load_generated, save_generated
+
+    store = os.path.join(DATA_DIR, "generated_store_v1.json")
+    recipes = [
+        replace(CATALOG_RECIPES["fault-storm"].mutate(4), name="adv-storm",
+                description="search winner from fault-storm"),
+        replace(CATALOG_RECIPES["baseline"].mutate(3), name="adv-base",
+                description="search winner from baseline"),
+    ]
+    assert load_generated(store) == {r.name: r for r in recipes}
+    assert main(["scenarios", "list", "--generated", "--store", store]) == 0
+    _check("scenarios_list_generated", capsys.readouterr().out)
+
+    with open(store, encoding="utf-8") as fh:
+        old = json.load(fh)
+    for entry in old["recipes"]:
+        assert entry.pop("knob_paths")
+    resaved = save_generated(recipes, tmp_path / "resaved.json")
+    assert json.loads(resaved.read_text(encoding="utf-8")) == old
+
+
 def _flags(parser, prefix=()):
     """One ``sub command --flag default type choices action`` line per
     flag of every subcommand of ``parser``."""
