@@ -22,6 +22,14 @@ against itself: one call on a batch returns exactly the stacked
 one-row results, and is no slower than one call per row from 4 rows
 up.
 
+The path table keeps every (leaf, follow-pattern) pair it has swept
+(the pair store), so a repeat on the same model would read its pairs
+back instead of sweeping them.  Every timed repeat of a path-dependent
+row therefore starts from an empty store; the one row that times the
+store itself, ``tree_shap_stream_windows``, runs a sequence of stream
+windows on a store kept warm across the windows against the same
+windows each explained cold, and asserts the same bytes.
+
 ``PANEL`` rows are what ``tools/bench_trajectory.py`` records.
 """
 
@@ -56,6 +64,13 @@ from repro.ml.packed_shap import packed_tree_shap
 #: batch sizes of the batch-vs-per-row panel
 SWEEP_ROWS = (1, 4, 16, 64, 256, 1024)
 
+#: the stream-window row: consecutive telemetry epochs cut into windows
+STREAM_WINDOW_ROWS = 16
+STREAM_WINDOWS = 24
+
+#: speedup gate of the stream-window row (warm store over cold)
+GATE_STREAM_WINDOWS = 1.2
+
 ATOL = 1e-10
 
 _table: list[str] = []
@@ -67,6 +82,22 @@ def _shap_close(a, b):
     return np.allclose(
         a.values, b.values, rtol=0, atol=ATOL
     ) and np.allclose(a.predictions, b.predictions, rtol=0, atol=ATOL)
+
+
+def _cold(fn, model):
+    """``fn`` preceded by emptying ``model``'s TreeSHAP pair store, so
+    every timed repeat sweeps every pair it explains."""
+    table = model.packed_ensemble().path_table()
+
+    def run():
+        table.clear_pair_store()
+        return fn()
+
+    return run
+
+
+def _same_bytes(a, b) -> bool:
+    return a.tobytes() == b.tobytes()
 
 
 def _tree_explainer():
@@ -81,10 +112,11 @@ def _tree_explainer():
 
 def _vs_recursion(name, explainer, fleet, **fields) -> dict:
     """A/B of ``explainer``'s vectorized batch against its per-tree
-    recursion, which must agree to ``ATOL``."""
+    recursion, which must agree to ``ATOL``; each timed repeat starts
+    from an empty pair store."""
     return ab_compare(
         name,
-        lambda: explainer.explain_batch(fleet),
+        _cold(lambda: explainer.explain_batch(fleet), explainer.model),
         lambda: reference_batch(explainer, fleet),
         repeats=REPEATS,
         legacy_repeats=1,  # the recursion loop is slow and stable
@@ -125,7 +157,7 @@ def tree_shap_vs_kernel_shap() -> dict:
     fleet = sla_split()[2][:KERNEL_ROWS]
     return ab_compare(
         "tree_shap_vs_kernel_shap",
-        lambda: explainer.explain_batch(fleet),
+        _cold(lambda: explainer.explain_batch(fleet), explainer.model),
         lambda: kernel_batch(reference_forest()),
         repeats=5,
         legacy_repeats=1,
@@ -135,10 +167,44 @@ def tree_shap_vs_kernel_shap() -> dict:
     )
 
 
+def tree_shap_stream_windows() -> dict:
+    """BENCH row: consecutive 16-row windows of telemetry epochs (what
+    the stream engine explains), explained in turn on one pair store
+    kept warm across the windows, against each window on an empty
+    store — every pair swept, as before the store.  The arms must
+    return the same bytes."""
+    forest = reference_forest()
+    packed = forest.packed_ensemble()
+    table = packed.path_table()
+    rows = STREAM_WINDOW_ROWS * STREAM_WINDOWS
+    windows = np.split(sla_split()[0].X.values[:rows], STREAM_WINDOWS)
+
+    def explain(window):
+        return packed_tree_shap(packed, window, column=1)
+
+    def cold_windows():
+        out = []
+        for window in windows:
+            table.clear_pair_store()
+            out.append(explain(window))
+        return np.vstack(out)
+
+    return ab_compare(
+        "tree_shap_stream_windows",
+        _cold(lambda: np.vstack([explain(w) for w in windows]), forest),
+        cold_windows,
+        repeats=REPEATS,
+        equal=_same_bytes,
+        rows=rows,
+        windows=STREAM_WINDOWS,
+    )
+
+
 PANEL = (
     tree_shap_batch_forest,
     interventional_tree_shap,
     tree_shap_vs_kernel_shap,
+    tree_shap_stream_windows,
 )
 
 
@@ -182,7 +248,7 @@ def test_e16_boosting_margin_attribution(benchmark, sla_data):
     explainer = TreeShapExplainer(model, sla_data[0].feature_names)
     fleet = sla_data[2][:KERNEL_ROWS]
     model.packed_ensemble().path_table()
-    result = benchmark(explainer.explain_batch, fleet)
+    result = benchmark(_cold(lambda: explainer.explain_batch(fleet), model))
     row = _vs_recursion(
         f"boosting tree_shap ({KERNEL_ROWS} rows)", explainer, fleet
     )
@@ -202,27 +268,40 @@ def test_e16_batch_vs_per_row_sweep(benchmark, sla_data, sla_forest):
     saving comes from such rows following the same path features.  The
     batch must equal the stacked one-row results exactly (every row's
     terms reach the final ``bincount`` in the same order), and from 4
-    rows up it must be no slower than the per-row calls."""
+    rows up it must be no slower than the per-row calls.  Every call
+    starts from an empty pair store, so each arm sweeps what one cold
+    call sweeps."""
     dataset = sla_data[0]
     window = dataset.X.values[: max(SWEEP_ROWS)]
     packed = sla_forest.packed_ensemble()
-    packed.path_table()
-    benchmark(packed_tree_shap, packed, window[:KERNEL_ROWS], column=1)
+    table = packed.path_table()
+
+    def cold_call(rows):
+        table.clear_pair_store()
+        return packed_tree_shap(packed, rows, column=1)
+
+    benchmark(cold_call, window[:KERNEL_ROWS])
     repeats = 3 if timing_enabled(benchmark) else 1
     for size in SWEEP_ROWS:
         rows = window[:size]
         panel = ab_compare(  # asserts batch == stacked one-row results
             f"batch vs per-row calls ({size} rows)",
-            lambda: packed_tree_shap(packed, rows, column=1),
-            lambda: np.vstack([
-                packed_tree_shap(packed, row[None], column=1)
-                for row in rows
-            ]),
+            lambda: cold_call(rows),
+            lambda: np.vstack([cold_call(row[None]) for row in rows]),
             repeats=repeats,
         )
         _table.append(ab_line(panel))
         if size >= 4:
             assert_speedup(benchmark, panel, 1.0)
+
+
+def test_e16_stream_windows_warm_vs_cold(benchmark):
+    """A stream's windows on a warm pair store against the same windows
+    each on an empty store: the same bytes, and faster once pairs
+    repeat across windows."""
+    row = benchmark.pedantic(tree_shap_stream_windows, rounds=1, iterations=1)
+    _table.append(ab_line(row))
+    assert_speedup(benchmark, row, GATE_STREAM_WINDOWS)
 
 
 def test_e16_emit_table():
@@ -237,6 +316,7 @@ def test_e16_emit_table():
         "(the kernel_shap row compares exact TreeSHAP against sampled",
         " KernelSHAP wall-clock at the BENCH_5 config, not outputs;",
         " the batch rows compare one call against one call per row,",
-        " whose results are asserted byte-identical)",
+        " and the stream-window row a warm pair store against a cold",
+        " one; both are asserted byte-identical)",
     ]
     save_result("E16 (PR 6): vectorized TreeSHAP", "\n".join(lines))

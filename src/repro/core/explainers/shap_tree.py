@@ -101,8 +101,9 @@ class TreeShapExplainer(Explainer):
 
         Runs :func:`repro.ml.packed_shap.packed_tree_shap` on the
         model's packed node block — a polynomial sweep over every
-        distinct (leaf, follow-pattern) pair of the batch instead of a
-        Python recursion per (row, tree).  Results match the per-tree
+        distinct (leaf, follow-pattern) pair of the batch that the
+        path table's pair store does not hold yet, instead of a Python
+        recursion per (row, tree).  Results match the per-tree
         recursion to <= 1e-10, and equal one-row calls on each row
         exactly.
         """

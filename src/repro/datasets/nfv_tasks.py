@@ -211,8 +211,12 @@ def make_root_cause_dataset(
     else:
         rows = fault_rows
     if len(rows) == 0:
+        rate = (
+            "fault_rate" if fault_injector is None
+            else "the injector's rate (a scenario recipe's faults.rate)"
+        )
         raise RuntimeError(
-            "simulation produced no fault epochs; increase n_epochs or fault_rate"
+            f"simulation produced no fault epochs; increase n_epochs or {rate}"
         )
     return NFVDataset(
         X=result.features.take(rows),
@@ -263,8 +267,15 @@ def make_scenario_dataset(
         Forecasting horizon for the first two tasks.
     task_kwargs:
         Extra arguments for the underlying task builder (e.g.
-        ``log_target=True`` for latency).
+        ``log_target=True`` for latency).  ``fault_rate`` is refused
+        with a ``TypeError``: the recipe's ``faults.rate`` sets it.
     """
+    if "fault_rate" in task_kwargs:
+        raise TypeError(
+            "make_scenario_dataset() takes no fault_rate; override the "
+            "recipe's faults.rate instead, e.g. "
+            "replace(r, faults=replace(r.faults, rate=...))"
+        )
     recipe = scenario_recipe(name)
     spec, data_rng = recipe.lower(random_state)
     if n_epochs is None:

@@ -185,33 +185,57 @@ class LogisticRegression(BaseEstimator, ClassifierMixin):
         W, b = Wb[:d], Wb[d]
         G = np.zeros((d + 1, k))
         grad_W, grad_b = G[:d], G[d]
+        # every per-iteration temporary has a buffer.  A row max is a fold
+        # over P's column views; so is a row sum below 8 columns, where
+        # numpy's row reduction adds left to right (from 8 it sums
+        # pairwise, so that reduction stays)
+        P = np.empty((n, k))
+        first, second, *rest = [P[:, j] for j in range(k)]
+        row = np.empty(n)
+        row_column = row[:, None]
+        W2, lam_W, G2 = np.empty((d, k)), np.empty((d, k)), np.empty((d + 1, k))
+        G2_W, G2_b = G2[:d], G2[d]
         lam = 1.0 / (self.c * n)
         half_lam = 0.5 * lam
         lr = self.learning_rate
         tol = self.tol
         fit_intercept = self.fit_intercept
-        add_reduce, max_reduce = np.add.reduce, np.maximum.reduce
+        add_reduce = np.add.reduce
+        pairwise = k >= 8
         prev_loss = np.inf
         for it in range(self.max_iter):
-            P = X @ W
+            np.matmul(X, W, out=P)
             P += b
-            P -= max_reduce(P, axis=1, keepdims=True)
+            np.maximum(first, second, out=row)
+            for column in rest:
+                np.maximum(row, column, out=row)
+            P -= row_column
             np.exp(P, out=P)
-            P /= add_reduce(P, axis=1, keepdims=True)
+            if pairwise:
+                add_reduce(P, axis=1, out=row)
+            else:
+                np.add(first, second, out=row)
+                for column in rest:
+                    np.add(row, column, out=row)
+            P /= row_column
             # Y is one-hot, so a row of Y * log(clip(P)) sums to the true
-            # class's log-probability plus signed zeros: read it directly
+            # class's log-probability plus signed zeros: read it directly.
+            # A softmax entry never exceeds 1, so the clip's upper bound
+            # is a no-op.
             p = P.take(true_idx)
-            np.log(np.minimum(np.maximum(p, 1e-12, out=p), 1.0, out=p), out=p)
-            loss = -(add_reduce(p) / n) + half_lam * add_reduce(W * W, axis=None)
+            np.log(np.maximum(p, 1e-12, out=p), out=p)
+            np.multiply(W, W, out=W2)
+            loss = -(add_reduce(p) / n) + half_lam * add_reduce(W2, axis=None)
             P -= Y
             np.matmul(XT, P, out=grad_W)
             if fit_intercept:
                 add_reduce(P, axis=0, out=grad_b)
             G /= n
-            grad_W += lam * W
-            sq_norm = add_reduce(grad_W * grad_W, axis=None)
+            grad_W += np.multiply(W, lam, out=lam_W)
+            np.multiply(G, G, out=G2)
+            sq_norm = add_reduce(G2_W, axis=None)
             if fit_intercept:
-                sq_norm += add_reduce(grad_b * grad_b)
+                sq_norm += add_reduce(G2_b)
             if math.sqrt(sq_norm) < tol:
                 break
             # backtrack if the step increased the loss

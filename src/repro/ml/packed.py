@@ -735,7 +735,8 @@ class PackedEnsemble:
         of this ensemble — the flat root-to-leaf path index the
         vectorized TreeSHAP kernels gather against.  Built on first
         use; like the ensemble itself it is a snapshot of the fitted
-        trees."""
+        trees, so the TreeSHAP pair store it keeps is dropped with it
+        at refit."""
         table = getattr(self, "_path_table", None)
         if table is None:
             from repro.ml.packed_shap import PackedPathTable

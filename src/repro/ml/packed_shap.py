@@ -35,7 +35,11 @@ Python loop:
   (leaf, follow-pattern) pair of a row block (the idea of Fast
   TreeSHAP v2, Yang 2021, without its pattern tables) and the result
   is gathered back onto every (row, leaf) pair.  Rows of one window
-  are alike, so most pairs repeat.
+  are alike, so most pairs repeat.  Windows of one stream are alike
+  too, so the path table keeps each swept pair's contribution per
+  output column (the *pair store*, capped at ``_PAIR_STORE_BUDGET``
+  floats) and later calls on the same fitted model sweep only the
+  pairs it does not hold yet.
 
 * :func:`packed_interventional_shap` — interventional TreeSHAP
   (Lundberg et al. 2020, "Independent TreeSHAP").  A leaf's
@@ -63,6 +67,7 @@ never touch Python big-int factorials.
 
 from __future__ import annotations
 
+import threading
 from math import exp, lgamma
 
 import numpy as np
@@ -81,6 +86,11 @@ __all__ = [
 #: leaf, path position) entries one row block of the path-dependent
 #: kernel holds.  Pairs are deduplicated within a row block.
 _PAIR_STATE_BUDGET = 1 << 22
+
+#: Cap on the contribution floats one path table's pair store holds
+#: across its output columns (8 MiB).  Pairs swept once it is full are
+#: used but not stored.
+_PAIR_STORE_BUDGET = 1 << 20
 
 #: Soft cap on ``rows * backgrounds * leaf_chunk`` floats held by the
 #: interventional game matrices.
@@ -154,6 +164,16 @@ class PackedPathTable:
     factor:
         The ensemble aggregation weight shared by every tree
         (``1 / n_trees`` for mean mode, ``scale`` for boosting).
+
+    The table also keeps the pair store of :func:`packed_tree_shap`:
+    per output column, the swept contribution of every (leaf,
+    follow-pattern) pair, keyed by its stable pair id, up to
+    ``_PAIR_STORE_BUDGET`` floats.  A pair's floats depend only on the
+    leaf, the pattern and the column, so a stored pair reads back the
+    bytes a fresh sweep would produce.  A lock guards the store: the
+    thread backend explains chunks of one model concurrently.  The
+    store lives and dies with the table (a refit packs a new ensemble),
+    and a pickled table starts with an empty one.
     """
 
     def __init__(self, packed):
@@ -238,6 +258,26 @@ class PackedPathTable:
         self.valid_pos = self.elem_index < n_elems
         weights = path_weight_table(self.max_path)
         self.leaf_weights = weights[:, self.leaf_m].T.copy()
+        self._store_lock = threading.Lock()
+        self.clear_pair_store()
+
+    def clear_pair_store(self) -> None:
+        """Drop every stored pair contribution, so the next
+        :func:`packed_tree_shap` calls sweep from cold."""
+        with self._store_lock:
+            self._stores: dict[int, _PairStore] = {}
+            self._stored_floats = 0
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        for key in ("_stores", "_stored_floats", "_store_lock"):
+            del state[key]
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._store_lock = threading.Lock()
+        self.clear_pair_store()
 
     @property
     def n_leaves(self) -> int:
@@ -249,6 +289,64 @@ class PackedPathTable:
         the trailing sentinel column is always ``False``."""
         gathered = X[:, self._gather_feature]
         return (gathered > self._gather_lo) & (gathered <= self._gather_hi)
+
+    def _recall(self, column: int, ids: np.ndarray, contrib: np.ndarray):
+        """Copy the stored contributions of the sorted pair ``ids`` into
+        the matching rows of ``contrib``; return the mask of the pairs
+        the store does not hold."""
+        with self._store_lock:
+            store = self._stores.get(column)
+            if store is None:
+                return np.ones(len(ids), dtype=bool)
+            pos = np.searchsorted(store.keys, ids)
+            hit = store.keys.take(pos, mode="clip") == ids
+            contrib[hit] = store.values[store.slots[pos[hit]]]
+        return ~hit
+
+    def _remember(self, column: int, ids: np.ndarray, contrib: np.ndarray):
+        """Store the swept ``contrib`` of the sorted pair ``ids`` while
+        the budget lasts; pairs another thread stored first are
+        skipped.  A column's store exists only once it holds a pair."""
+        m = self.max_path
+        with self._store_lock:
+            store = self._stores.get(column)
+            if store is None:
+                store = _PairStore(m)
+            else:
+                pos = np.searchsorted(store.keys, ids)
+                new = store.keys.take(pos, mode="clip") != ids
+                ids, contrib = ids[new], contrib[new]
+            size, capacity = len(store.keys), len(store.values)
+            if size + len(ids) > capacity:
+                room = (_PAIR_STORE_BUDGET - self._stored_floats) // m
+                grown = min(max(size + len(ids), 2 * capacity), capacity + room)
+                if grown > capacity:
+                    store.values = np.concatenate(
+                        (store.values[:size], np.empty((grown - size, m)))
+                    )
+                    self._stored_floats += (grown - capacity) * m
+            count = min(len(ids), len(store.values) - size)
+            if count == 0:
+                return
+            ids = ids[:count]
+            store.values[size:size + count] = contrib[:count]
+            pos = np.searchsorted(store.keys, ids)
+            store.keys = np.insert(store.keys, pos, ids)
+            store.slots = np.insert(
+                store.slots, pos, np.arange(size, size + count)
+            )
+            self._stores[column] = store
+
+
+class _PairStore:
+    """Swept pair contributions of one output column: ``keys`` holds
+    the sorted pair ids, ``values[slots[i]]`` the contribution row of
+    ``keys[i]``.  Rows are appended, never rewritten."""
+
+    def __init__(self, m: int):
+        self.keys = np.empty(0, dtype=np.int64)
+        self.slots = np.empty(0, dtype=np.int64)
+        self.values = np.empty((0, m))
 
 
 def _pair_ids(one_pos: np.ndarray) -> np.ndarray:
@@ -282,13 +380,16 @@ def packed_tree_shap(packed, X, *, column: int = 0) -> np.ndarray:
     infinite entries in ``X``.
 
     A (row, leaf) pair's contribution at every path position depends
-    only on the leaf and on which of its path features the row follows,
-    so each row block runs the vectorized sweep over its *distinct*
-    (leaf, follow-pattern) pairs only and gathers the result back onto
-    every (row, leaf) pair.  Every pair's floats are computed by the same
-    operations in the same order as a sweep over all pairs would, so
-    the output does not depend on how many pairs repeat, and a batch
-    equals its rows explained one at a time."""
+    only on the leaf, on which of its path features the row follows
+    and on the column, so each row block runs the vectorized sweep over
+    its *distinct* (leaf, follow-pattern) pairs only and gathers the
+    result back onto every (row, leaf) pair.  Pairs an earlier call on
+    the same path table already swept for this column are read from the
+    table's pair store instead of swept again (see
+    :class:`PackedPathTable`).  Every pair's floats are computed by the
+    same operations in the same order as a sweep over all pairs would,
+    so the output does not depend on how many pairs repeat or were
+    stored, and a batch equals its rows explained one at a time."""
     X = _check_finite(packed._check_X(X), "X")
     table = packed.path_table()
     n = len(X)
@@ -301,26 +402,36 @@ def packed_tree_shap(packed, X, *, column: int = 0) -> np.ndarray:
     n_leaves = table.n_leaves
     leaf_value = table.value[table.leaves, column] * table.factor
     block = max(1, _PAIR_STATE_BUDGET // max(1, n_leaves * (m + 1)))
+    # folded pair ids are ranks within one row block, not stable keys
+    stable = m + (n_leaves - 1).bit_length() <= 62
 
     for start in range(0, n, block):
         Xb = X[start:start + block]
         r = len(Xb)
         follows = table.follows(Xb)                    # (r, E + 1)
         one_pos = follows[:, table.elem_index]         # (r, L, m) bool
-        _, first, inverse = np.unique(
+        ids, first, inverse = np.unique(
             _pair_ids(one_pos), return_index=True, return_inverse=True
         )
-        one_u = one_pos.reshape(r * n_leaves, m)[first]
-        leaf = first % n_leaves
-        # sweep the distinct pairs n_leaves at a time: no sweep holds
+        contrib = np.empty((len(ids), m))
+        if stable:
+            todo = np.flatnonzero(table._recall(column, ids, contrib))
+        else:
+            todo = np.arange(len(ids))
+        one_u = one_pos.reshape(r * n_leaves, m)[first[todo]]
+        leaf = first[todo] % n_leaves
+        # sweep the missing pairs n_leaves at a time: no sweep holds
         # more state than a one-row call does, so batching removes
         # work without pushing the sweep state out of cache
-        contrib = np.empty((len(first), m))
-        for lo in range(0, len(first), n_leaves):
+        swept = np.empty((len(todo), m))
+        for lo in range(0, len(todo), n_leaves):
             hi = lo + n_leaves
-            contrib[lo:hi] = _pattern_contrib(
+            swept[lo:hi] = _pattern_contrib(
                 table, one_u[lo:hi], leaf[lo:hi], leaf_value
             )
+        contrib[todo] = swept
+        if stable and len(todo):
+            table._remember(column, ids[todo], swept)
         flat = (
             np.arange(r, dtype=np.int64)[:, None, None] * d
             + table.feature_pos[None]

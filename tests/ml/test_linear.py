@@ -158,3 +158,18 @@ class TestLogisticRegression:
         y = (X[:, 0] > 0).astype(int)
         model = LogisticRegression(max_iter=1, tol=0.0).fit(X, y)
         assert model.n_iter_ == 1
+
+    @pytest.mark.parametrize("k", [4, 7, 8, 9])
+    def test_many_classes_match_reference_loop(self, rng, k):
+        """The fit's row sums are folds over column views below 8
+        classes and numpy's pairwise row reduction from 8: both must
+        give the reference loop's bytes."""
+        from oracles.logistic_gd import logistic_gd
+
+        X = rng.normal(size=(120, 5)) * 3.0
+        y = np.arange(120) % k
+        model = LogisticRegression(max_iter=150).fit(X, y)
+        coef, intercept, n_iter = logistic_gd(X, y, k, max_iter=150)
+        assert model.n_iter_ == n_iter
+        assert model.coef_.tobytes() == coef.tobytes()
+        assert model.intercept_.tobytes() == intercept.tobytes()

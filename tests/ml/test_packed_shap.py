@@ -12,11 +12,14 @@ single-row and single-background batches, and pickle round-trips.
 """
 
 import pickle
+import sys
+from functools import partial
 
 import numpy as np
 import pytest
 from oracles.tree_shap_recursion import reference_batch, tree_shap_values
 
+from repro.core.executor import ThreadExecutor
 from repro.core.explainers import (
     InterventionalTreeShapExplainer,
     TreeShapExplainer,
@@ -32,6 +35,7 @@ from repro.ml import (
     RandomForestRegressor,
 )
 from repro.ml import packed_shap
+from repro.ml.packed import PackedEnsemble
 from repro.ml.packed_shap import packed_tree_shap
 
 ATOL = 1e-10
@@ -472,3 +476,168 @@ class TestPathTableStructure:
         table = packed.path_table()
         assert table.max_path <= min(packed.max_depth, packed.n_features)
         assert table.leaf_m.max() == table.max_path
+
+
+# ----------------------------------------------------------------------
+# the pair store: warm calls return the bytes cold calls do
+
+
+def _store_models():
+    """``name -> (model, columns)`` for every model shape the path
+    table serves; the forest classifier explains two columns through
+    one store, so a pair filed under the wrong column shows."""
+    X, y = _toy_data(61, n=400)
+    y_reg = 2.0 * X[:, 0] + X[:, 1] ** 2 - X[:, 2]
+    return {
+        "tree": (
+            DecisionTreeClassifier(max_depth=6, random_state=0).fit(X, y),
+            (1,),
+        ),
+        "forest_classifier": (
+            RandomForestClassifier(
+                n_estimators=12, max_depth=6, random_state=0
+            ).fit(X, y),
+            (0, 1),
+        ),
+        "forest_regressor": (
+            RandomForestRegressor(
+                n_estimators=10, max_depth=6, random_state=0
+            ).fit(X, y_reg),
+            (0,),
+        ),
+        "boosting_classifier": (
+            GradientBoostingClassifier(
+                n_estimators=15, max_depth=3, random_state=0
+            ).fit(X, y),
+            (0,),
+        ),
+        "boosting_regressor": (
+            GradientBoostingRegressor(
+                n_estimators=15, max_depth=3, random_state=0
+            ).fit(X, y_reg),
+            (0,),
+        ),
+    }, X
+
+
+STORE_MODELS, STORE_X = _store_models()
+
+
+def _cold(model, X, column):
+    """The kernel on a freshly packed ensemble: nothing stored."""
+    return packed_tree_shap(
+        PackedEnsemble.from_model(model), X, column=column
+    )
+
+
+def _windows(X, size=16, count=8):
+    """Consecutive 16-row windows, then the first one again."""
+    windows = [X[i * size:(i + 1) * size] for i in range(count)]
+    return windows + windows[:1]
+
+
+class TestPairStore:
+    @pytest.mark.parametrize("name", sorted(STORE_MODELS))
+    def test_warm_store_equals_cold(self, name):
+        model, columns = STORE_MODELS[name]
+        packed = PackedEnsemble.from_model(model)
+        table = packed.path_table()
+        assert table.max_path + (table.n_leaves - 1).bit_length() <= 62
+        for window in _windows(STORE_X):
+            for column in columns:
+                warm = packed_tree_shap(packed, window, column=column)
+                assert warm.tobytes() == _cold(model, window, column).tobytes()
+        assert sorted(table._stores) == sorted(columns)
+
+    def test_repeated_window_sweeps_nothing(self, monkeypatch):
+        model, _ = STORE_MODELS["forest_classifier"]
+        packed = PackedEnsemble.from_model(model)
+        window = STORE_X[:16]
+        first = packed_tree_shap(packed, window, column=1)
+
+        def swept(*args, **kwargs):
+            raise AssertionError("a stored pair was swept again")
+
+        monkeypatch.setattr(packed_shap, "_pattern_contrib", swept)
+        again = packed_tree_shap(packed, window, column=1)
+        assert again.tobytes() == first.tobytes()
+        with pytest.raises(AssertionError, match="swept again"):
+            packed_tree_shap(packed, window, column=0)
+
+    def test_folded_ids_are_swept_not_stored(self):
+        """The 70-deep caterpillar tree folds its pair ids into
+        batch-relative ranks: they are never stored, and warm calls
+        still equal cold ones."""
+        n = 72
+        X = np.tril(np.ones((n, n - 1)), k=-1)
+        tree = DecisionTreeRegressor().fit(X, 4.0 ** np.arange(n))
+        packed = PackedEnsemble.from_model(tree)
+        table = packed.path_table()
+        assert table.max_path + (table.n_leaves - 1).bit_length() > 62
+        rows = np.concatenate((X, X[::-1], X[::3]))
+        for window in _windows(rows, count=9):
+            warm = packed_tree_shap(packed, window)
+            assert warm.tobytes() == _cold(tree, window, 0).tobytes()
+        assert table._stores == {}
+
+    def test_full_store_keeps_sweeping(self, monkeypatch):
+        """Past the cap new pairs are used but not stored, and the
+        store never holds more floats than the cap."""
+        model, _ = STORE_MODELS["forest_classifier"]
+        packed = PackedEnsemble.from_model(model)
+        table = packed.path_table()
+        budget = 40 * table.max_path
+        monkeypatch.setattr(packed_shap, "_PAIR_STORE_BUDGET", budget)
+        for window in _windows(STORE_X):
+            for column in (1, 0):
+                warm = packed_tree_shap(packed, window, column=column)
+                assert warm.tobytes() == _cold(model, window, column).tobytes()
+        held = sum(store.values.size for store in table._stores.values())
+        assert held == table._stored_floats <= budget
+        assert sum(len(store.keys) for store in table._stores.values()) == 40
+
+    def test_thread_chunks_on_one_model_equal_serial(self):
+        """Four threads explain 4-row chunks through one shared store
+        (switching threads every few microseconds); the stacked result
+        is the serial cold result, byte for byte."""
+        model, _ = STORE_MODELS["forest_classifier"]
+        X = STORE_X[:96]
+        serial = _cold(model, X, 1)
+        packed = PackedEnsemble.from_model(model)
+        chunks = [X[i:i + 4] for i in range(0, len(X), 4)]
+        explain = partial(packed_tree_shap, packed, column=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadExecutor(4) as executor:
+                for _ in range(10):
+                    packed.path_table().clear_pair_store()
+                    for _ in range(2):  # cold, then warm
+                        phi = np.vstack(executor.map(explain, chunks))
+                        assert phi.tobytes() == serial.tobytes()
+        finally:
+            sys.setswitchinterval(interval)
+        store = packed.path_table()._stores[1]
+        assert np.all(np.diff(store.keys) > 0)  # no pair stored twice
+        assert sorted(store.slots.tolist()) == list(range(len(store.keys)))
+
+    def test_pickles_keep_their_size_after_explaining(self):
+        model, _ = STORE_MODELS["forest_classifier"]
+        model = pickle.loads(pickle.dumps(model))
+        packed = model.packed_ensemble()
+        packed.path_table()
+        model_before = len(pickle.dumps(model))
+        packed_before = len(pickle.dumps(packed))
+        explainer = TreeShapExplainer(model, class_index=1)
+        for window in _windows(STORE_X):
+            explainer.explain_batch(window)
+        assert packed.path_table()._stores
+        assert len(pickle.dumps(model)) == model_before
+        assert len(pickle.dumps(packed)) == packed_before
+        clone = pickle.loads(pickle.dumps(packed))
+        assert clone.path_table()._stores == {}
+        window = STORE_X[:16]
+        assert (
+            packed_tree_shap(clone, window, column=1).tobytes()
+            == packed_tree_shap(packed, window, column=1).tobytes()
+        )

@@ -148,6 +148,23 @@ class TestScenarioDatasets:
         with pytest.raises(ValueError, match="unknown task"):
             make_scenario_dataset("baseline", 50, task="nope")
 
+    def test_fault_rate_keyword_refused(self):
+        """The rate has one name on the scenario path, the recipe's
+        ``faults.rate``; the standalone builder's ``fault_rate`` would
+        be silently ignored, so it is refused."""
+        with pytest.raises(TypeError, match=r"faults\.rate"):
+            make_scenario_dataset(
+                "baseline", 400, task="root_cause", random_state=0,
+                fault_rate=0.5,
+            )
+
+    def test_no_fault_epochs_hint_names_the_recipe_rate(self):
+        base = scenario_recipe("baseline")
+        calm = replace(base, faults=replace(base.faults, rate=0.0))
+        with pytest.raises(RuntimeError, match=r"faults\.rate") as info:
+            make_scenario_dataset(calm, 50, task="root_cause", random_state=0)
+        assert "fault_rate" not in str(info.value)
+
     def test_scenario_knob_override(self):
         base = scenario_recipe("baseline")
         variant = replace(
