@@ -33,6 +33,10 @@ CASES = {
         "--method", "kernel_shap", "--no-timing",
     ],
     "scenarios_list": ["scenarios", "list"],
+    "simulate": ["simulate", "--epochs", "300", "--seed", "0"],
+    "simulate_no_faults": [
+        "simulate", "--epochs", "300", "--seed", "0", "--no-faults",
+    ],
     "scenarios_run": [
         "scenarios", "run", "--scenarios", "baseline,fault-storm",
         "--models", "random_forest,logistic_regression",
