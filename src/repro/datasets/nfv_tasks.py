@@ -1,9 +1,12 @@
 """The three NFV learning tasks built on the simulator.
 
-Each builder runs the canonical testbed (or a caller-supplied one) and
-packages features + labels + ground truth into an :class:`NFVDataset`,
-which keeps everything an explanation experiment later needs (culprit
-VNFs, fault schedule, the simulation result itself).
+Every dataset is one simulation cut into a task: the standalone
+builders simulate the canonical testbed, :func:`make_scenario_dataset`
+collects a scenario spec's stream, and both shape the same
+:class:`~repro.nfv.simulator.SimulationResult` through one forecast
+helper (SLA, latency) or one row sampler (root cause).  An
+:class:`NFVDataset` keeps everything an explanation experiment later
+needs (culprit VNFs, fault schedule, the simulation result itself).
 """
 
 from __future__ import annotations
@@ -15,8 +18,8 @@ import numpy as np
 from repro.nfv.faults import NO_FAULT, FaultInjector
 from repro.nfv.grammar.recipe import ScenarioRecipe
 from repro.nfv.scenarios import scenario_recipe
-from repro.nfv.simulator import SimulationResult, Simulator, Testbed, build_testbed
-from repro.utils.rng import check_random_state, spawn_rngs
+from repro.nfv.simulator import SimulationResult, Simulator, build_testbed
+from repro.utils.rng import spawn_rngs
 from repro.utils.tabular import FeatureMatrix
 
 __all__ = [
@@ -75,132 +78,52 @@ class NFVDataset:
         return self.result.culprit_vnfs[self.rows[sample_index]]
 
 
-def _resolve_injector(fault_injector, with_faults):
-    """Default injector unless the caller supplied one (scenarios do)."""
-    if fault_injector is not None:
-        if not with_faults:
-            raise ValueError("fault_injector conflicts with with_faults=False")
-        return fault_injector
-    return FaultInjector() if with_faults else None
-
-
-def _run(testbed, n_epochs, injector, random_state, simulator_kwargs):
-    rng = check_random_state(random_state)
-    tb_rng, sim_rng = spawn_rngs(rng, 2)
-    if testbed is None:
-        testbed = build_testbed(random_state=tb_rng)
-    if not isinstance(testbed, Testbed):
-        raise TypeError(f"testbed must be a Testbed, got {type(testbed).__name__}")
-    sim = Simulator(testbed, random_state=sim_rng, **(simulator_kwargs or {}))
+def _canonical_run(n_epochs, injector, random_state) -> SimulationResult:
+    """Simulate the canonical testbed: the first child of
+    ``random_state`` builds it, the second seeds the simulator (the
+    split :meth:`~repro.nfv.grammar.recipe.ScenarioSpec.stream` makes
+    for a scenario's prebuilt testbed)."""
+    tb_rng, sim_rng = spawn_rngs(random_state, 2)
+    sim = Simulator(build_testbed(random_state=tb_rng), random_state=sim_rng)
     return sim.run(n_epochs, fault_injector=injector)
 
 
-def make_sla_violation_dataset(
-    n_epochs: int = 4000,
-    *,
-    testbed: Testbed | None = None,
-    with_faults: bool = True,
-    fault_injector: FaultInjector | None = None,
-    horizon: int = 0,
-    random_state=None,
-    simulator_kwargs: dict | None = None,
-) -> NFVDataset:
-    """Binary classification: will this epoch violate the chain's SLA?
-
-    This is the headline task (E1, E3–E5, E7): features are the noisy
-    telemetry, the label is the ground-truth SLA check.
-
-    ``horizon > 0`` turns diagnosis into *forecasting*: features at
-    epoch ``t`` predict the violation at ``t + horizon``, which removes
-    the near-deterministic shortcut of reading the current queue delays.
-    ``fault_injector`` replaces the default injector (scenarios pass
-    their own); it requires ``with_faults=True``.
-    """
-    if horizon < 0:
-        raise ValueError(f"horizon must be >= 0, got {horizon}")
-    injector = _resolve_injector(fault_injector, with_faults)
-    result = _run(testbed, n_epochs, injector, random_state, simulator_kwargs)
+def _forecast(task, result, target, horizon) -> NFVDataset:
+    """Features at epoch ``t`` against ``target`` at ``t + horizon``."""
+    n = result.n_epochs
+    if not 0 <= horizon < n:
+        raise ValueError(
+            f"horizon must be >= 0 and shorter than the run; got horizon "
+            f"{horizon} for a {n}-epoch run"
+        )
     X = result.features
-    y = result.sla_violation.copy()
-    rows = np.arange(result.n_epochs)
-    if horizon > 0:
-        X = X.take(np.arange(result.n_epochs - horizon))
-        y = y[horizon:]
-        rows = np.arange(horizon, result.n_epochs)
     return NFVDataset(
-        X=X,
-        y=y,
-        task="sla_violation",
+        X=FeatureMatrix(X.values[: n - horizon], X.feature_names),
+        y=target[horizon:].copy(),
+        task=task,
         result=result,
-        rows=rows,
+        rows=np.arange(horizon, n),
     )
 
 
-def make_latency_dataset(
-    n_epochs: int = 4000,
-    *,
-    testbed: Testbed | None = None,
-    with_faults: bool = True,
-    fault_injector: FaultInjector | None = None,
-    log_target: bool = False,
-    horizon: int = 0,
-    random_state=None,
-    simulator_kwargs: dict | None = None,
-) -> NFVDataset:
-    """Regression: predict the chain's end-to-end latency (ms).
-
-    ``log_target`` trains on ``log1p(latency)`` — the latency
-    distribution is heavy-tailed, and tree ensembles regress the log
-    much better.  ``horizon`` shifts the target forward as in
-    :func:`make_sla_violation_dataset`.
-    """
-    if horizon < 0:
-        raise ValueError(f"horizon must be >= 0, got {horizon}")
-    injector = _resolve_injector(fault_injector, with_faults)
-    result = _run(testbed, n_epochs, injector, random_state, simulator_kwargs)
-    y = result.latency_ms.copy()
-    if log_target:
-        y = np.log1p(y)
-    X = result.features
-    rows = np.arange(result.n_epochs)
-    if horizon > 0:
-        X = X.take(np.arange(result.n_epochs - horizon))
-        y = y[horizon:]
-        rows = np.arange(horizon, result.n_epochs)
-    return NFVDataset(X=X, y=y, task="latency", result=result, rows=rows)
+def _sla_target(result):
+    return result.sla_violation
 
 
-def make_root_cause_dataset(
-    n_epochs: int = 6000,
-    *,
-    testbed: Testbed | None = None,
-    include_none_fraction: float = 0.5,
-    fault_rate: float = 0.02,
-    fault_injector: FaultInjector | None = None,
-    random_state=None,
-    simulator_kwargs: dict | None = None,
-) -> NFVDataset:
-    """Multi-class: which fault kind (or none) explains this epoch?
+def _latency_target(result, log_target=False):
+    return np.log1p(result.latency_ms) if log_target else result.latency_ms
 
-    Samples every fault-active epoch plus a random subset of fault-free
-    epochs (``include_none_fraction`` of the fault count, so classes are
-    not hopelessly imbalanced).  ``rows`` maps samples back to epochs so
-    the culprit-VNF ground truth stays reachable (E6).
-    ``fault_injector`` overrides the default ``FaultInjector(rate=fault_rate)``.
-    """
+
+_FORECAST_TARGETS = {"sla_violation": _sla_target, "latency": _latency_target}
+
+
+def _root_cause(result, pick_rng, include_none_fraction=0.5) -> NFVDataset:
+    """Every fault-active epoch plus ``include_none_fraction`` times as
+    many fault-free ones, drawn by ``pick_rng``."""
     if not 0.0 <= include_none_fraction <= 10.0:
         raise ValueError(
             f"include_none_fraction must be in [0, 10], got {include_none_fraction}"
         )
-    rng = check_random_state(random_state)
-    data_rng, pick_rng = spawn_rngs(rng, 2)
-    injector = (
-        fault_injector
-        if fault_injector is not None
-        else FaultInjector(rate=fault_rate)
-    )
-    result = _run(testbed, n_epochs, injector, data_rng, simulator_kwargs)
-
     labels = result.root_cause
     fault_rows = np.flatnonzero(labels != NO_FAULT)
     none_rows = np.flatnonzero(labels == NO_FAULT)
@@ -211,12 +134,9 @@ def make_root_cause_dataset(
     else:
         rows = fault_rows
     if len(rows) == 0:
-        rate = (
-            "fault_rate" if fault_injector is None
-            else "the injector's rate (a scenario recipe's faults.rate)"
-        )
         raise RuntimeError(
-            f"simulation produced no fault epochs; increase n_epochs or {rate}"
+            "simulation produced no fault epochs; increase n_epochs (or, "
+            "for a scenario, the recipe's faults.rate)"
         )
     return NFVDataset(
         X=result.features.take(rows),
@@ -225,6 +145,71 @@ def make_root_cause_dataset(
         result=result,
         rows=rows,
     )
+
+
+def make_sla_violation_dataset(
+    n_epochs: int = 4000,
+    *,
+    with_faults: bool = True,
+    horizon: int = 0,
+    random_state=None,
+) -> NFVDataset:
+    """Binary classification: will this epoch violate the chain's SLA?
+
+    This is the headline task (E1, E3–E5, E7): features are the noisy
+    telemetry of the canonical testbed, the label is the ground-truth
+    SLA check.  ``with_faults`` draws a default
+    :class:`~repro.nfv.faults.FaultInjector` schedule.
+
+    ``horizon > 0`` turns diagnosis into *forecasting*: features at
+    epoch ``t`` predict the violation at ``t + horizon``, which removes
+    the near-deterministic shortcut of reading the current queue delays.
+    A horizon at or beyond ``n_epochs`` raises ``ValueError``.
+    """
+    injector = FaultInjector() if with_faults else None
+    result = _canonical_run(n_epochs, injector, random_state)
+    return _forecast("sla_violation", result, result.sla_violation, horizon)
+
+
+def make_latency_dataset(
+    n_epochs: int = 4000,
+    *,
+    with_faults: bool = True,
+    log_target: bool = False,
+    horizon: int = 0,
+    random_state=None,
+) -> NFVDataset:
+    """Regression: predict the chain's end-to-end latency (ms).
+
+    ``log_target`` trains on ``log1p(latency)`` — the latency
+    distribution is heavy-tailed, and tree ensembles regress the log
+    much better.  ``with_faults`` and ``horizon`` are as in
+    :func:`make_sla_violation_dataset`.
+    """
+    injector = FaultInjector() if with_faults else None
+    result = _canonical_run(n_epochs, injector, random_state)
+    return _forecast(
+        "latency", result, _latency_target(result, log_target), horizon
+    )
+
+
+def make_root_cause_dataset(
+    n_epochs: int = 6000,
+    *,
+    include_none_fraction: float = 0.5,
+    random_state=None,
+) -> NFVDataset:
+    """Multi-class: which fault kind (or none) explains this epoch?
+
+    Simulates the canonical testbed under a ``FaultInjector(rate=0.02)``
+    and samples every fault-active epoch plus a random subset of
+    fault-free epochs (``include_none_fraction`` of the fault count, so
+    classes are not hopelessly imbalanced).  ``rows`` maps samples back
+    to epochs so the culprit-VNF ground truth stays reachable (E6).
+    """
+    data_rng, pick_rng = spawn_rngs(random_state, 2)
+    result = _canonical_run(n_epochs, FaultInjector(rate=0.02), data_rng)
+    return _root_cause(result, pick_rng, include_none_fraction)
 
 
 def make_scenario_dataset(
@@ -243,11 +228,15 @@ def make_scenario_dataset(
     :func:`repro.nfv.scenarios.scenario_recipe` — search-generated
     recipes need no registration to be materialized.  The recipe is
     lowered by :meth:`~repro.nfv.grammar.recipe.ScenarioRecipe.lower`,
-    the requested task builder runs on the spec with the lowering's
-    data generator, and the scenario provenance (name, description, the
-    resolved recipe and the simulator parameters) is stamped into
-    ``dataset.metadata``.  Override a scenario parameter by passing a
-    variant recipe, e.g. ``replace(r, faults=replace(r.faults, rate=0.0))``.
+    the spec's stream is collected under the lowering's data generator
+    (for ``root_cause``, under its first child; the second picks the
+    fault-free rows), the task is cut from that one
+    :class:`~repro.nfv.simulator.SimulationResult` exactly as the
+    standalone builders cut theirs, and the scenario provenance (name,
+    description, the resolved recipe and the simulator parameters) is
+    stamped into ``dataset.metadata``.  Override a scenario parameter
+    by passing a variant recipe, e.g.
+    ``replace(r, faults=replace(r.faults, rate=0.0))``.
 
     Deterministic: the same scenario and integer ``random_state``
     produce a byte-identical dataset (features, labels, culprits, fault
@@ -264,11 +253,13 @@ def make_scenario_dataset(
     task:
         ``"sla_violation"`` (default), ``"latency"`` or ``"root_cause"``.
     horizon:
-        Forecasting horizon for the first two tasks.
+        Forecasting horizon for the first two tasks; it must be shorter
+        than the run.
     task_kwargs:
-        Extra arguments for the underlying task builder (e.g.
-        ``log_target=True`` for latency).  ``fault_rate`` is refused
-        with a ``TypeError``: the recipe's ``faults.rate`` sets it.
+        ``log_target`` for latency, ``include_none_fraction`` for
+        root-cause (as in the standalone builders).  ``fault_rate`` is
+        refused with a ``TypeError``: the recipe's ``faults.rate`` sets
+        it.
     """
     if "fault_rate" in task_kwargs:
         raise TypeError(
@@ -280,37 +271,27 @@ def make_scenario_dataset(
     spec, data_rng = recipe.lower(random_state)
     if n_epochs is None:
         n_epochs = spec.default_epochs
-    common = dict(
-        testbed=spec.testbed,
-        fault_injector=spec.injector,
-        random_state=data_rng,
-        simulator_kwargs=spec.simulator_kwargs,
-    )
-    forecast_builders = {
-        "sla_violation": make_sla_violation_dataset,
-        "latency": make_latency_dataset,
-    }
-    if task in forecast_builders:
-        dataset = forecast_builders[task](
-            n_epochs,
-            with_faults=spec.injector is not None,
-            horizon=horizon,
-            **common,
-            **task_kwargs,
-        )
-    elif task == "root_cause":
+    if task == "root_cause":
         if spec.injector is None:
             raise ValueError(
                 f"scenario {spec.name!r} is fault-free; root_cause needs faults"
             )
         if horizon != 0:
             raise ValueError("root_cause does not support a horizon")
-        dataset = make_root_cause_dataset(n_epochs, **common, **task_kwargs)
-    else:
+        data_rng, pick_rng = spawn_rngs(data_rng, 2)
+    elif task not in _FORECAST_TARGETS:
         raise ValueError(
             f"unknown task {task!r}; choose sla_violation, latency or "
             "root_cause"
         )
+    result = spec.stream(
+        n_epochs, batch_epochs=n_epochs, random_state=data_rng
+    ).collect()
+    if task == "root_cause":
+        dataset = _root_cause(result, pick_rng, **task_kwargs)
+    else:
+        target = _FORECAST_TARGETS[task](result, **task_kwargs)
+        dataset = _forecast(task, result, target, horizon)
     dataset.metadata.update(
         scenario=spec.name,
         description=spec.description,

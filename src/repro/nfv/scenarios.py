@@ -25,9 +25,12 @@ result wherever a name is taken::
     list_scenarios()
     # ['baseline', 'bursty-traffic', 'cascading-overload', ...]
 
-    spec = build_scenario("fault-storm", random_state=7)
-    sim = Simulator(spec.testbed, random_state=7, **spec.simulator_kwargs)
-    result = sim.run(2000, fault_injector=spec.injector)
+    # the telemetry make_scenario_dataset("fault-storm", 2000,
+    # random_state=7) is cut from: the seed's first child builds the
+    # spec, the second (data_rng) drives the simulation
+    spec, data_rng = scenario_recipe("fault-storm").lower(7)
+    stream = spec.stream(2000, batch_epochs=2000, random_state=data_rng)
+    result = stream.collect()
 
     storm = scenario_recipe("fault-storm")
     calmer = replace(storm, faults=replace(storm.faults, rate=0.02))

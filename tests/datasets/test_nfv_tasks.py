@@ -55,6 +55,25 @@ class TestSlaViolationDataset:
         with pytest.raises(ValueError, match="horizon"):
             make_sla_violation_dataset(n_epochs=100, horizon=-1)
 
+    @pytest.mark.parametrize(
+        "builder", [make_sla_violation_dataset, make_latency_dataset]
+    )
+    @pytest.mark.parametrize("horizon", [50, 51])
+    def test_horizon_at_or_beyond_the_run_is_a_named_error(
+        self, builder, horizon
+    ):
+        """An empty dataset would only fail later, inside
+        ``train_test_split`` (``repro train --epochs 50 --horizon 50``)."""
+        with pytest.raises(
+            ValueError, match=f"horizon {horizon} for a 50-epoch run"
+        ):
+            builder(n_epochs=50, horizon=horizon, random_state=0)
+
+    def test_last_epoch_horizon_keeps_one_sample(self):
+        ds = make_sla_violation_dataset(n_epochs=50, horizon=49, random_state=0)
+        assert list(ds.rows) == [49]
+        np.testing.assert_array_equal(ds.X.values, ds.result.features.values[:1])
+
     def test_learnable(self, sla_dataset):
         """A forest must achieve clearly-above-chance accuracy."""
         from repro.ml import RandomForestClassifier
@@ -119,6 +138,11 @@ class TestRootCauseDataset:
         n_fault = int(np.sum(ds.y != NO_FAULT))
         n_none = int(np.sum(ds.y == NO_FAULT))
         assert n_none <= int(round(0.5 * n_fault)) + 1
+
+    def test_no_fault_epochs_hint_names_real_parameters(self):
+        with pytest.raises(RuntimeError, match="increase n_epochs") as info:
+            make_root_cause_dataset(n_epochs=20, random_state=0)
+        assert "fault_rate" not in str(info.value)
 
     def test_mismatched_xy_rejected(self, ds):
         from repro.datasets.nfv_tasks import NFVDataset

@@ -150,8 +150,8 @@ class TestScenarioDatasets:
 
     def test_fault_rate_keyword_refused(self):
         """The rate has one name on the scenario path, the recipe's
-        ``faults.rate``; the standalone builder's ``fault_rate`` would
-        be silently ignored, so it is refused."""
+        ``faults.rate``; a ``fault_rate`` keyword is refused with a hint
+        naming it."""
         with pytest.raises(TypeError, match=r"faults\.rate"):
             make_scenario_dataset(
                 "baseline", 400, task="root_cause", random_state=0,
@@ -174,3 +174,31 @@ class TestScenarioDatasets:
         assert ds.result.events == []
         assert ds.metadata["scenario"] == "baseline-calm"
         assert ds.metadata["recipe"] == variant
+
+    @pytest.mark.parametrize("task", ["sla_violation", "latency"])
+    @pytest.mark.parametrize("horizon", [50, 51])
+    def test_horizon_at_or_beyond_the_run_is_a_named_error(self, task, horizon):
+        """An empty dataset would only fail later, inside a split."""
+        with pytest.raises(
+            ValueError, match=f"horizon {horizon} for a 50-epoch run"
+        ):
+            make_scenario_dataset(
+                "baseline", 50, task=task, horizon=horizon, random_state=0
+            )
+
+    def test_root_cause_none_fraction_forwarded(self):
+        base = make_scenario_dataset(
+            "fault-storm", 400, task="root_cause", random_state=0
+        )
+        narrow = make_scenario_dataset(
+            "fault-storm", 400, task="root_cause", random_state=0,
+            include_none_fraction=0.25,
+        )
+        n_fault = int(np.sum(base.y != "none"))
+        assert int(np.sum(narrow.y != "none")) == n_fault
+        assert int(np.sum(narrow.y == "none")) == round(0.25 * n_fault)
+        with pytest.raises(ValueError, match="include_none_fraction"):
+            make_scenario_dataset(
+                "fault-storm", 400, task="root_cause", random_state=0,
+                include_none_fraction=11.0,
+            )
